@@ -10,9 +10,8 @@ force over the (exponentially many) theories, so the language is capped.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .core import AF, AFError
 from .kernels import characterizing_kernel, kernel
@@ -136,14 +135,6 @@ def has_intersection_property(logic: FiniteLogic) -> bool:
     return True
 
 
-def is_antimonotone(logic: FiniteLogic) -> bool:
-    for t1 in logic.theories:
-        for t2 in logic.theories:
-            if t1 <= t2 and not logic.table[t2] <= logic.table[t1]:
-                return False
-    return True
-
-
 def is_characterization(candidate: FiniteLogic, target: FiniteLogic) -> bool:
     """Does the candidate characterize the target: ordinary candidate-equivalence
     coincides with strong target-equivalence, and binary intersection holds."""
@@ -184,57 +175,12 @@ def consequence_properties(logic: FiniteLogic) -> dict[str, bool]:
     return {"increasing": increasing, "monotone": monotone, "idempotent": idempotent}
 
 
-def canonical_theory_function(logic: FiniteLogic) -> Callable[[frozenset[str]], Theory]:
-    def th(k: frozenset[str]) -> Theory:
-        out: set[str] = set()
-        for t in logic.theories:
-            if k <= logic.table[t]:
-                out |= t
-        return frozenset(out)
-
-    return th
-
-
 def galois_check(logic: FiniteLogic) -> bool:
     """Whether the model function forms a Galois correspondence with its
-    canonical theory function (equivalently: the intersection property holds)."""
-    th = canonical_theory_function(logic)
-    interp_sets = [
-        frozenset(c)
-        for r in range(len(logic.interpretations) + 1)
-        for c in itertools.combinations(logic.interpretations, r)
-    ]
-    # both antimonotone
-    if not is_antimonotone(logic):
-        return False
-    for k1 in interp_sets:
-        for k2 in interp_sets:
-            if k1 <= k2 and not th(k2) <= th(k1):
-                return False
-    # both compositions increasing
-    for t in logic.theories:
-        if not t <= th(logic.table[t]):
-            return False
-    for k in interp_sets:
-        if not k <= logic.models(th(k)):
-            return False
-    return True
-
-
-def random_logic(seed: int, max_atoms: int = 3, max_interps: int = 4) -> FiniteLogic:
-    """Seeded uniform model table over a small language; property-test fodder."""
-    rng = random.Random(seed)
-    n_atoms = rng.randint(1, max_atoms)
-    atoms = tuple("abcdefghijkl"[:n_atoms])
-    n_interp = rng.randint(1, max_interps)
-    interps = tuple(f"i{k}" for k in range(n_interp))
-    table = {}
-    for r in range(n_atoms + 1):
-        for combo in itertools.combinations(atoms, r):
-            table[frozenset(combo)] = frozenset(
-                i for i in interps if rng.random() < 0.5
-            )
-    return FiniteLogic(atoms, interps, table)
+    canonical theory function. By the intersection theorem for finite logics
+    this holds exactly when the intersection property does, so it is decided
+    in O(|theories|·|atoms|) rather than over all interpretation sets."""
+    return has_intersection_property(logic)
 
 
 # -- argumentation bridge --------------------------------------------------------

@@ -1,7 +1,7 @@
 """Command-line surface. Decision subcommands encode their answer in the exit
 code (0 affirmative, 1 negative, 3 unsupported/undecided); usage and parse
-problems exit with 2. Output is plain text by default or key-sorted JSON with
---output json.
+problems and internal errors exit with 2. Output is plain text by default or
+key-sorted JSON with --output json.
 """
 
 from __future__ import annotations
@@ -415,6 +415,10 @@ def main(argv=None) -> int:
         return ns.handler(ns)
     except (AFError, formats.ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # an internal fault must not exit 1, which reads as a negative verdict
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

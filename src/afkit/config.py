@@ -1,4 +1,4 @@
-"""Runtime knobs, all overridable through environment variables."""
+"""Runtime knob: the enumeration cap, overridable through the environment."""
 
 import os
 
@@ -7,7 +7,6 @@ import os
 DEFAULT_MAX_ENUM_ARGS = 24
 
 ENV_MAX_ARGS = "AFKIT_MAX_ARGS"
-ENV_WORKERS = "AFKIT_WORKERS"
 
 
 def max_enum_args() -> int:
@@ -21,14 +20,3 @@ def max_enum_args() -> int:
     if value < 0:
         raise ValueError(f"{ENV_MAX_ARGS} must be non-negative, got {value}")
     return value
-
-
-def worker_count() -> int:
-    raw = os.environ.get(ENV_WORKERS)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_WORKERS} must be an integer, got {raw!r}")
-    return max(1, value)

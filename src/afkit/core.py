@@ -166,19 +166,15 @@ def delete(f: AF, args: Iterable[str] = (), attacks: Iterable[tuple[str, str]] =
     )
 
 
-def _checked_mask(f: AF, members: Iterable[str]) -> int:
-    return f.mask_of(members)
-
-
 def range_of(f: AF, e: Iterable[str]) -> frozenset[str]:
     """E plus everything E attacks."""
-    m = _checked_mask(f, e)
+    m = f.mask_of(e)
     return f.set_of(m | f.attacked_by_mask(m))
 
 
 def anti_range(f: AF, e: Iterable[str]) -> frozenset[str]:
     """E plus everything attacking E."""
-    m = _checked_mask(f, e)
+    m = f.mask_of(e)
     return f.set_of(m | f.attackers_of_mask(m))
 
 

@@ -13,11 +13,9 @@ smallest one on which the two frameworks disagree.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from . import config
 from .core import AF, AFError, delete, union_af
 from .semantics import LABELLING_SEMANTICS, check_semantics, extensions, labellings
 
@@ -435,14 +433,6 @@ def _deletion_separates(f: AF, g: AF, w: DeletionWitness, sigma: str, flavor: st
     return _differ(delete(f, w.args, w.attacks), delete(g, w.args, w.attacks), sigma, flavor)
 
 
-def _eval_expansion_chunk(payload):
-    f, g, chunk, sigma, flavor = payload
-    for i, h in enumerate(chunk):
-        if _expansion_separates(f, g, h, sigma, flavor):
-            return i
-    return None
-
-
 def search_counterexample(
     f: AF,
     g: AF,
@@ -468,25 +458,7 @@ def search_counterexample(
         candidates = _deletion_candidates(f, g, notion, budget)
         separates = lambda w: _deletion_separates(f, g, w, sigma, flavor)
 
-    workers = config.worker_count()
     seen = 0
-    if workers > 1 and notion in EXPANSION_NOTIONS:
-        chunk_size = 64
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            while True:
-                chunk = list(itertools.islice(candidates, chunk_size * workers))
-                if not chunk:
-                    return SearchResult(None, True)
-                if max_candidates is not None and seen + len(chunk) > max_candidates:
-                    chunk = chunk[: max_candidates - seen]
-                pieces = [chunk[i : i + chunk_size] for i in range(0, len(chunk), chunk_size)]
-                payloads = [(f, g, piece, sigma, flavor) for piece in pieces]
-                for piece, hit in zip(pieces, pool.map(_eval_expansion_chunk, payloads)):
-                    if hit is not None:
-                        return SearchResult(piece[hit], True)
-                seen += len(chunk)
-                if max_candidates is not None and seen >= max_candidates:
-                    return SearchResult(None, False)
     for w in candidates:
         if max_candidates is not None and seen >= max_candidates:
             return SearchResult(None, False)

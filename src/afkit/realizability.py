@@ -84,7 +84,9 @@ def is_incomparable(sets: ExtensionSet) -> bool:
 
 
 def is_downward_closed(sets: ExtensionSet) -> bool:
-    return set(sets) == set(downward_closure(sets))
+    # closed under dropping one member implies closed under taking any subset
+    members = set(sets)
+    return all(s - {a} in members for s in sets for a in s)
 
 
 def is_tight(sets: ExtensionSet) -> bool:
@@ -153,21 +155,23 @@ class SignatureVerdict:
 
 
 def _finite_criterion(cand: ExtensionSet, sigma: str) -> bool:
-    a = analyze(cand)
+    """The finite signature criterion of sigma, evaluating only the predicates
+    it uses, left to right, so cheap checks cut off the expensive ones."""
+    nonempty = len(cand) > 0
     if sigma == "cf":
-        return a.nonempty and a.downward_closed and a.tight
+        return nonempty and is_downward_closed(cand) and is_tight(cand)
     if sigma == "nav":
-        return a.nonempty and a.incomparable and a.dcl_tight
+        return nonempty and is_incomparable(cand) and is_tight(downward_closure(cand))
     if sigma == "stb":
-        return a.incomparable and a.tight
+        return is_incomparable(cand) and is_tight(cand)
     if sigma == "stg":
-        return a.nonempty and a.incomparable and a.tight
+        return nonempty and is_incomparable(cand) and is_tight(cand)
     if sigma == "adm":
-        return a.contains_empty and a.conflict_sensitive
+        return frozenset() in cand and is_conflict_sensitive(cand)
     if sigma in ("prf", "semi"):
-        return a.nonempty and a.incomparable and a.conflict_sensitive
+        return nonempty and is_incomparable(cand) and is_conflict_sensitive(cand)
     if sigma in ("grd", "id", "eag"):
-        return a.singleton
+        return len(cand) == 1
     raise AFError(sigma)  # pragma: no cover
 
 

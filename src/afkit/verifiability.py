@@ -111,18 +111,6 @@ def more_informative(x: str, y: str) -> bool:
     return all(_derives(xs, b) for b in ys)
 
 
-def representative_of(components: Iterable[str]) -> str:
-    """Collapse an arbitrary combination of basic functions to its representative."""
-    comps = tuple(c for c in components if c != "ε")
-    for c in comps:
-        if c not in BASIC_REGIONS:
-            raise AFError(f"unknown basic neighborhood function: {c!r}")
-    for name, rep in REPRESENTATIVES.items():
-        if all(_derives(comps, b) for b in rep) and all(_derives(rep, b) for b in comps):
-            return name
-    raise AFError(f"no representative for components {comps!r}")  # pragma: no cover
-
-
 def _apply_basic(basic: str, p: frozenset[str], m: frozenset[str]) -> frozenset[str]:
     if basic == "+":
         return p

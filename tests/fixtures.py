@@ -1,12 +1,18 @@
-"""Shared fixture data: the exact-verifiability witness pairs.
+"""Shared fixture data and generators.
 
-Each row (sigma, weaker_class, F, F2) states that F and F2 carry identical
-verification classes at `weaker_class` (hence at everything below it) while
-their sigma-extensions differ. Together the rows cover, for every semantics,
-all representatives strictly below its exact class.
+EXACTNESS_FIXTURES are the exact-verifiability witness pairs: each row
+(sigma, weaker_class, F, F2) states that F and F2 carry identical verification
+classes at `weaker_class` (hence at everything below it) while their
+sigma-extensions differ. Together the rows cover, for every semantics, all
+representatives strictly below its exact class.
 """
 
-from afkit.core import AF
+import itertools
+import random
+
+from afkit.charlogic import FiniteLogic, make_logic
+from afkit.core import AF, AFError
+from afkit.verifiability import BASIC_REGIONS, REPRESENTATIVES, _derives
 
 F1 = AF("ab", [("b", "b"), ("b", "a")])
 F1P = AF("ab", [("b", "b")])
@@ -51,3 +57,47 @@ EXACTNESS_FIXTURES = [
     ("prf", "ε", F4, F4P),
     ("id", "ε", F4, F4P),
 ]
+
+
+def random_logic(seed: int, max_atoms: int = 3, max_interps: int = 4) -> FiniteLogic:
+    """Seeded uniform model table over a small language."""
+    rng = random.Random(seed)
+    n_atoms = rng.randint(1, max_atoms)
+    atoms = tuple("abcdefghijkl"[:n_atoms])
+    n_interp = rng.randint(1, max_interps)
+    interps = tuple(f"i{k}" for k in range(n_interp))
+    table = {}
+    for r in range(n_atoms + 1):
+        for combo in itertools.combinations(atoms, r):
+            table[frozenset(combo)] = frozenset(
+                i for i in interps if rng.random() < 0.5
+            )
+    return FiniteLogic(atoms, interps, table)
+
+
+def random_intersection_logic(seed: int) -> FiniteLogic:
+    """Seeded logic with the intersection property by construction: random
+    singleton models, and models(T) the intersection of T's singleton models
+    (the full interpretation set for the empty theory). 2-3 atoms, 3-5
+    interpretations."""
+    rng = random.Random(seed)
+    atoms = "abc"[: rng.randint(2, 3)]
+    interps = [f"i{k}" for k in range(rng.randint(3, 5))]
+    single = {a: {i for i in interps if rng.random() < 0.6} for a in atoms}
+    table = {}
+    for r in range(len(atoms) + 1):
+        for combo in itertools.combinations(atoms, r):
+            table[combo] = set(interps).intersection(*(single[a] for a in combo))
+    return make_logic(atoms, interps, table)
+
+
+def representative_of(components) -> str:
+    """Collapse an arbitrary combination of basic functions to its representative."""
+    comps = tuple(c for c in components if c != "ε")
+    for c in comps:
+        if c not in BASIC_REGIONS:
+            raise AFError(f"unknown basic neighborhood function: {c!r}")
+    for name, rep in REPRESENTATIVES.items():
+        if all(_derives(comps, b) for b in rep) and all(_derives(rep, b) for b in comps):
+            return name
+    raise AFError(f"no representative for components {comps!r}")

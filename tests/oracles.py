@@ -202,3 +202,46 @@ def random_af(rng, pool, p_attack=0.3):
         (a, b) for a in names for b in names if rng.random() < p_attack
     ]
     return AF(names, attacks)
+
+
+# -- finite logics -----------------------------------------------------------
+
+
+def is_antimonotone(logic) -> bool:
+    for t1 in logic.theories:
+        for t2 in logic.theories:
+            if t1 <= t2 and not logic.table[t2] <= logic.table[t1]:
+                return False
+    return True
+
+
+def canonical_theory_function(logic):
+    def th(k):
+        out = set()
+        for t in logic.theories:
+            if k <= logic.table[t]:
+                out |= t
+        return frozenset(out)
+
+    return th
+
+
+def galois_oracle(logic) -> bool:
+    """Whether the model function and the canonical theory function form a
+    Galois correspondence, straight from the definition: both antimonotone and
+    both compositions increasing, over all 2^|interpretations| sets."""
+    th = canonical_theory_function(logic)
+    interp_sets = list(powerset(logic.interpretations))
+    if not is_antimonotone(logic):
+        return False
+    for k1 in interp_sets:
+        for k2 in interp_sets:
+            if k1 <= k2 and not th(k2) <= th(k1):
+                return False
+    for t in logic.theories:
+        if not t <= th(logic.table[t]):
+            return False
+    for k in interp_sets:
+        if not k <= logic.models(th(k)):
+            return False
+    return True

@@ -12,10 +12,8 @@ from afkit.charlogic import (
     canonical_characterization,
     consequence_properties,
     has_intersection_property,
-    is_antimonotone,
     is_characterization,
     make_logic,
-    random_logic,
     rho_logic,
     strong_eq_classes,
 )
@@ -44,8 +42,8 @@ from afkit.verifiability import (
     verify,
 )
 
-from fixtures import EXACTNESS_FIXTURES
-from oracles import all_afs, random_af, sad_selfref_oracle
+from fixtures import EXACTNESS_FIXTURES, random_logic
+from oracles import all_afs, is_antimonotone, random_af, sad_selfref_oracle
 
 
 def fs(*xs):

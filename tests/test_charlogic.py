@@ -10,15 +10,16 @@ from afkit.charlogic import (
     consequence_properties,
     galois_check,
     has_intersection_property,
-    is_antimonotone,
     is_characterization,
     make_logic,
-    random_logic,
     rho_logic,
     strong_eq_classes,
 )
 from afkit.core import AFError, union_af
 from afkit.kernels import kernel
+
+from fixtures import random_intersection_logic, random_logic
+from oracles import galois_oracle, is_antimonotone
 
 
 def fs(*xs):
@@ -162,9 +163,15 @@ class TestIntersectionAndGalois:
         assert not has_intersection_property(logic)
 
     def test_galois_iff_intersection(self):
-        for seed in range(60):
-            logic = random_logic(seed)
-            assert galois_check(logic) == has_intersection_property(logic), seed
+        logics = [random_logic(seed) for seed in range(60)]
+        # few random tables have the property; these have it by construction
+        logics += [random_intersection_logic(seed) for seed in range(40)]
+        holds = 0
+        for i, logic in enumerate(logics):
+            expected = galois_oracle(logic)
+            assert galois_check(logic) == expected, i
+            holds += expected
+        assert holds == 47  # both sides of the equivalence are exercised
 
     def test_implication_chain(self):
         for seed in range(60):

@@ -4,7 +4,11 @@ output plus the documented exit codes (0 affirmative, 1 negative, 2 error,
 
 import json
 
+import pytest
+
+import afkit.cli
 from afkit.cli import main
+from afkit.realizability import RealizationDefect
 
 F6 = "arg(a).\narg(b).\narg(c).\narg(d).\natt(b,a).\natt(b,c).\natt(c,c).\natt(d,c).\n"
 G6 = "arg(b).\narg(c).\narg(d).\natt(b,c).\natt(c,b).\natt(c,c).\natt(c,d).\n"
@@ -372,6 +376,21 @@ class TestErrors:
 
     def test_usage_error_exit_2(self, tmp_path, capsys):
         assert main(["enumerate", "--semantics", "bogus", "x.apx"]) == 2
+
+    @pytest.mark.parametrize("exc", [RecursionError, RealizationDefect])
+    def test_internal_error_exit_2(self, tmp_path, capsys, monkeypatch, exc):
+        def crash(ns):
+            raise exc("boom")
+
+        monkeypatch.setattr(afkit.cli, "cmd_enumerate", crash)
+        path = tmp_path / "f.apx"
+        path.write_text(F6, encoding="utf-8")
+        rc = main(["enumerate", "--semantics", "cf", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err == f"error: internal {exc.__name__}: boom\n"
 
     def test_tgf_format_round(self, tmp_path, capsys):
         rc, out = run(

@@ -12,6 +12,7 @@ from afkit.kernels import (
     decide_equivalence,
     kernel,
     search_counterexample,
+    _expansion_candidates,
 )
 from afkit.semantics import extensions, labellings
 
@@ -419,8 +420,12 @@ class TestWitnessSearch:
         w = r.witness
         assert set(labellings(union_af(f, w), "prf")) != set(labellings(union_af(g, w), "prf"))
 
-    def test_parallel_matches_serial(self, monkeypatch, f_six, g_six):
-        serial = search_counterexample(f_six, g_six, "E", "stb", SearchBudget(1, 2))
-        monkeypatch.setenv("AFKIT_WORKERS", "2")
-        parallel = search_counterexample(f_six, g_six, "E", "stb", SearchBudget(1, 2))
-        assert serial.witness == parallel.witness
+    def test_budget_valve_boundary(self):
+        f = AF("a", [])
+        budget = SearchBudget(1, 2)
+        total = sum(1 for _ in _expansion_candidates(f, f, "E", budget))
+        assert total == 11
+        r = search_counterexample(f, f, "E", "stb", budget, max_candidates=total)
+        assert r.witness is None and r.complete
+        r = search_counterexample(f, f, "E", "stb", budget, max_candidates=total - 1)
+        assert r.witness is None and not r.complete

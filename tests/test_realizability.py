@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from afkit import realizability
 from afkit.core import AF, AFError
 from afkit.realizability import (
+    SIGNATURE_SEMANTICS,
     analyze,
     canonical_cf,
     canonical_stb,
@@ -102,6 +104,45 @@ class TestDecideSignature:
         t = [{"a1", "b2", "b3"}, {"a2", "b1", "b3"}, {"a3", "b1", "b2"}]
         assert decide_signature(t, "stg").answer == "yes"
         assert decide_signature(t, "nav").answer == "no"
+
+    def test_only_nav_builds_downward_closure(self, monkeypatch, s_defense):
+        # the finite criteria written over analyze()'s flags, as a reference
+        criteria = {
+            "cf": lambda a: a.nonempty and a.downward_closed and a.tight,
+            "nav": lambda a: a.nonempty and a.incomparable and a.dcl_tight,
+            "stb": lambda a: a.incomparable and a.tight,
+            "stg": lambda a: a.nonempty and a.incomparable and a.tight,
+            "adm": lambda a: a.contains_empty and a.conflict_sensitive,
+            "prf": lambda a: a.nonempty and a.incomparable and a.conflict_sensitive,
+            "semi": lambda a: a.nonempty and a.incomparable and a.conflict_sensitive,
+            "grd": lambda a: a.singleton,
+            "id": lambda a: a.singleton,
+            "eag": lambda a: a.singleton,
+        }
+        assert set(criteria) == set(SIGNATURE_SEMANTICS)
+        f = AF("abcd", [("a", "b"), ("b", "a"), ("c", "d"), ("d", "d")])
+        stg_not_nav = [{"a1", "b2", "b3"}, {"a2", "b1", "b3"}, {"a3", "b1", "b2"}]
+        candidates = [[], [set()], s_defense, stg_not_nav]
+        candidates += [extensions(f, sigma) for sigma in SIGNATURE_SEMANTICS]
+        expected = {
+            (i, sigma): criteria[sigma](analyze(cand))
+            for i, cand in enumerate(candidates)
+            for sigma in SIGNATURE_SEMANTICS
+        }
+        calls = []
+        closure = realizability.downward_closure
+        monkeypatch.setattr(
+            realizability, "downward_closure", lambda sets: calls.append(sets) or closure(sets)
+        )
+        nav_calls = 0
+        for i, cand in enumerate(candidates):
+            for sigma in SIGNATURE_SEMANTICS:
+                calls.clear()
+                verdict = decide_signature(cand, sigma)
+                assert verdict.answer == ("yes" if expected[i, sigma] else "no"), (i, sigma)
+                assert len(calls) <= (1 if sigma == "nav" else 0), (i, sigma)
+                nav_calls += len(calls)
+        assert nav_calls > 0  # the counting patch is live
 
 
 class TestCanonicalFrameworks:

@@ -11,12 +11,11 @@ from afkit.verifiability import (
     neighborhood,
     parse_class,
     reduce_data,
-    representative_of,
     verification_class,
     verify,
 )
 
-from fixtures import EXACTNESS_FIXTURES
+from fixtures import EXACTNESS_FIXTURES, representative_of
 from oracles import all_afs
 
 
