@@ -188,7 +188,7 @@ def sccs(f: AF) -> list[frozenset[str]]:
     (attackers before attacked), ties broken by lexicographically least member.
     """
     n = f.n
-    comp = _tarjan(f)
+    comp = _tarjan(f, f.full_mask)
     n_comps = max(comp) + 1 if n else 0
     members: list[list[int]] = [[] for _ in range(n_comps)]
     for v, c in enumerate(comp):
@@ -217,8 +217,19 @@ def sccs(f: AF) -> list[frozenset[str]]:
     return order
 
 
-def _tarjan(f: AF) -> list[int]:
-    """Component index per argument (iterative Tarjan)."""
+def scc_masks(f: AF, within: int) -> list[int]:
+    """Strongly connected components of f restricted to the arguments in the
+    mask `within`, as masks, in no particular order."""
+    comps: dict[int, int] = {}
+    for v, c in enumerate(_tarjan(f, within)):
+        if c >= 0:
+            comps[c] = comps.get(c, 0) | 1 << v
+    return list(comps.values())
+
+
+def _tarjan(f: AF, within: int) -> list[int]:
+    """Component index per argument of the subframework on `within`, -1 for
+    arguments outside it (iterative Tarjan)."""
     n = f.n
     index_of = [-1] * n
     low = [0] * n
@@ -227,10 +238,10 @@ def _tarjan(f: AF) -> list[int]:
     comp = [-1] * n
     counter = 0
     n_comps = 0
-    for root in range(n):
+    for root in bits(within):
         if index_of[root] != -1:
             continue
-        work = [(root, iter(bits(f.succ[root])))]
+        work = [(root, iter(bits(f.succ[root] & within)))]
         index_of[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -244,7 +255,7 @@ def _tarjan(f: AF) -> list[int]:
                     counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter(bits(f.succ[w]))))
+                    work.append((w, iter(bits(f.succ[w] & within))))
                     advanced = True
                     break
                 if on_stack[w]:

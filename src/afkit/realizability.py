@@ -102,6 +102,21 @@ def is_tight(sets: ExtensionSet) -> bool:
     return True
 
 
+def is_dcl_tight(sets: ExtensionSet) -> bool:
+    """Whether downward_closure(sets) is tight, without building it. A subset
+    of a set T in `sets` can take an argument a outside T only if its elements
+    all occur jointly with a, so it suffices that the elements of T that do,
+    plus a, lie inside some set of `sets`, for every T and every such a."""
+    pairs = pairs_of(sets)
+    universe = args_of(sets)
+    for t in sets:
+        for a in universe - t:
+            grown = {x for x in t if _joint(pairs, a, x)} | {a}
+            if not any(grown <= s for s in sets):
+                return False
+    return True
+
+
 def is_conflict_sensitive(sets: ExtensionSet) -> bool:
     pairs = pairs_of(sets)
     members = set(sets)
@@ -137,7 +152,7 @@ def analyze(sets: Iterable[Iterable[str]]) -> SetAnalysis:
         incomparable=is_incomparable(cand),
         downward_closed=is_downward_closed(cand),
         tight=is_tight(cand),
-        dcl_tight=is_tight(downward_closure(cand)),
+        dcl_tight=is_dcl_tight(cand),
         conflict_sensitive=is_conflict_sensitive(cand),
         args=args_of(cand),
         pairs=pairs_of(cand),
@@ -161,7 +176,7 @@ def _finite_criterion(cand: ExtensionSet, sigma: str) -> bool:
     if sigma == "cf":
         return nonempty and is_downward_closed(cand) and is_tight(cand)
     if sigma == "nav":
-        return nonempty and is_incomparable(cand) and is_tight(downward_closure(cand))
+        return nonempty and is_incomparable(cand) and is_dcl_tight(cand)
     if sigma == "stb":
         return is_incomparable(cand) and is_tight(cand)
     if sigma == "stg":

@@ -1,17 +1,21 @@
 """Extension and labelling enumeration for every supported semantics.
 
-The enumerator walks conflict-free candidate sets only (supersets of a
+Every semantics is computed from bitmasks over the one input framework. The
+enumerator walks conflict-free candidate sets only (supersets of a
 conflicting pair are pruned at the search-tree level), which keeps the sweep
 feasible even when a framework carries many self-attacking helper arguments.
+Each filter stage (admissible, complete, ⊆- or range-maximal) runs at most
+once per call. cf2 and stg2 follow SCC-recursiveness (Baroni, Giacomin &
+Guida 2005) over sub-masks of the same framework: no subframework is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import config
-from .core import AF, AFError, bits, sccs
+from .core import AF, AFError, bits, scc_masks
 
 SEMANTICS = (
     "cf",
@@ -72,13 +76,16 @@ class Labelling:
 # -- conflict-free candidate sweep --------------------------------------------
 
 
-def cf_masks(f: AF) -> list[int]:
-    """All conflict-free subsets as bitmasks.
+def cf_masks(f: AF, within: int | None = None) -> list[int]:
+    """All conflict-free subsets of the mask `within` (default: every
+    argument) as bitmasks.
 
     Backtracks over non-self-attacking arguments; including an argument bans
     its attackers and targets for the rest of the branch.
     """
-    free = [i for i in range(f.n) if not (f.succ[i] >> i) & 1]
+    if within is None:
+        within = f.full_mask
+    free = [i for i in bits(within) if not (f.succ[i] >> i) & 1]
     out = [0]
 
     def walk(pos: int, current: int, banned: int) -> None:
@@ -107,17 +114,18 @@ def _check_limit(f: AF) -> None:
         )
 
 
-def _maximal(masks: list[int]) -> list[int]:
-    return [m for m in masks if not any(m != o and m | o == o for o in masks)]
-
-
-def _range_maximal(f: AF, masks: list[int]) -> list[int]:
-    ranges = {m: m | f.attacked_by_mask(m) for m in masks}
-    return [
-        m
-        for m in masks
-        if not any(ranges[m] != ranges[o] and ranges[m] | ranges[o] == ranges[o] for o in masks)
-    ]
+def _maximal(masks: list[int], key: Callable[[int], int] | None = None) -> list[int]:
+    """The masks whose key (default: the mask itself) is ⊆-maximal among all
+    keys. A strict superset is a larger integer, so in descending key order
+    each key only needs comparing with the maximal keys kept so far."""
+    top: list[int] = []
+    out = []
+    for k, m in sorted(((key(m) if key else m, m) for m in masks), reverse=True):
+        if all(k == t or k | t != t for t in top):
+            out.append(m)
+            if not top or top[-1] != k:
+                top.append(k)
+    return out
 
 
 def _is_admissible(f: AF, m: int) -> bool:
@@ -134,49 +142,19 @@ def _characteristic(f: AF, m: int) -> int:
     return out
 
 
-def grounded_mask(f: AF) -> int:
-    current = 0
+def _grounded_trace(f: AF) -> list[int]:
+    """The characteristic iteration from the empty set up to its fixpoint, the
+    grounded extension (the repeat itself is not recorded)."""
+    trace = [0]
     while True:
-        nxt = _characteristic(f, current)
-        if nxt == current:
-            return current
-        current = nxt
+        nxt = _characteristic(f, trace[-1])
+        if nxt == trace[-1]:
+            return trace
+        trace.append(nxt)
 
 
 def _adm_masks(f: AF) -> list[int]:
     return [m for m in cf_masks(f) if _is_admissible(f, m)]
-
-
-def _com_masks(f: AF) -> list[int]:
-    return [m for m in _adm_masks(f) if _characteristic(f, m) == m]
-
-
-def _grd_masks(f: AF) -> list[int]:
-    return [grounded_mask(f)]
-
-
-def _sub_intersection_maximal(f: AF, base: list[int], bound: int) -> list[int]:
-    """Admissible sets below `bound` with no complete set strictly in between,
-    the defining condition of ideal and eager semantics."""
-    inside = [m for m in base if m & ~bound == 0]
-    com_inside = [m for m in _com_masks(f) if m & ~bound == 0]
-    return [m for m in inside if not any(m != c and m | c == c for c in com_inside)]
-
-
-def _id_masks(f: AF) -> list[int]:
-    prf = _maximal(_adm_masks(f))
-    bound = f.full_mask
-    for m in prf:
-        bound &= m
-    return _sub_intersection_maximal(f, _adm_masks(f), bound)
-
-
-def _eag_masks(f: AF) -> list[int]:
-    semi = _range_maximal(f, _adm_masks(f))
-    bound = f.full_mask
-    for m in semi:
-        bound &= m
-    return _sub_intersection_maximal(f, _adm_masks(f), bound)
 
 
 def _sad_masks(f: AF) -> list[int]:
@@ -200,72 +178,77 @@ def _sad_masks(f: AF) -> list[int]:
     return sorted(known)
 
 
-def _scc_recursive_masks(f: AF, base: str) -> list[int]:
-    memo: dict[tuple[AF, frozenset[str]], bool] = {}
+def _scc_recursive_masks(f: AF, stage: bool) -> list[int]:
+    """cf2 (naive base) or stg2 (stage base) over sub-masks of f: e is an
+    extension of the subframework on `sub` iff, for every component s of
+    `sub`, e & s is an extension of the subframework on the part of s that
+    e outside s does not attack (UP). A single component takes the base
+    semantics. Components and base extensions are memoised per sub-mask."""
+    everything = cf_masks(f)
+    comps_of: dict[int, list[int]] = {}
+    base_of: dict[int, set[int]] = {}
 
-    def member(g: AF, e: frozenset[str]) -> bool:
-        key = (g, e)
-        if key in memo:
-            return memo[key]
-        comps = sccs(g)
+    def base(sub: int) -> set[int]:
+        if sub not in base_of:
+            key = (lambda m: (m | f.attacked_by_mask(m)) & sub) if stage else None
+            sweep = everything if sub == f.full_mask else cf_masks(f, sub)
+            base_of[sub] = set(_maximal(sweep, key))
+        return base_of[sub]
+
+    def member(sub: int, e: int) -> bool:
+        if sub not in comps_of:
+            comps_of[sub] = scc_masks(f, sub)
+        comps = comps_of[sub]
         if len(comps) <= 1:
-            result = e in set(extensions(g, base))
-        else:
-            result = True
-            for s in comps:
-                up = {
-                    a
-                    for a in s
-                    if not any((b, a) in g.attacks for b in e - s)
-                }
-                part = e & s
-                if not part <= up:
-                    result = False
-                    break
-                if not member(g.restrict(up), frozenset(part)):
-                    result = False
-                    break
-        memo[key] = result
-        return result
+            return e in base(sub)
+        for s in comps:
+            up = s & ~f.attacked_by_mask(e & ~s)
+            part = e & s
+            if part & ~up or not member(up, part):
+                return False
+        return True
 
-    out = []
-    for m in cf_masks(f):
-        if member(f, f.set_of(m)):
-            out.append(m)
-    return out
+    return [m for m in everything if member(f.full_mask, m)]
 
 
 def extensions(f: AF, sigma: str) -> ExtensionSet:
     """All sigma-extensions of f, ordered by size then lexicographically."""
     check_semantics(sigma)
     _check_limit(f)
+
+    def in_range(m: int) -> int:
+        return m | f.attacked_by_mask(m)
+
     if sigma == "cf":
         masks = cf_masks(f)
     elif sigma == "nav":
         masks = _maximal(cf_masks(f))
     elif sigma == "stg":
-        masks = _range_maximal(f, cf_masks(f))
+        masks = _maximal(cf_masks(f), in_range)
     elif sigma == "stb":
-        full = f.full_mask
-        masks = [m for m in cf_masks(f) if m | f.attacked_by_mask(m) == full]
+        masks = [m for m in cf_masks(f) if in_range(m) == f.full_mask]
     elif sigma == "adm":
         masks = _adm_masks(f)
     elif sigma == "semi":
-        masks = _range_maximal(f, _adm_masks(f))
+        masks = _maximal(_adm_masks(f), in_range)
     elif sigma == "com":
-        masks = _com_masks(f)
+        masks = [m for m in _adm_masks(f) if _characteristic(f, m) == m]
     elif sigma == "prf":
         masks = _maximal(_adm_masks(f))
     elif sigma == "grd":
-        masks = _grd_masks(f)
-    elif sigma == "id":
-        masks = _id_masks(f)
-    elif sigma == "eag":
-        masks = _eag_masks(f)
+        masks = _grounded_trace(f)[-1:]
+    elif sigma in ("id", "eag"):
+        # The greatest admissible set inside the meet of the preferred
+        # (semi-stable) extensions. It is unique and complete.
+        adm = _adm_masks(f)
+        bound = f.full_mask
+        for m in _maximal(adm, None if sigma == "id" else in_range):
+            bound &= m
+        masks = _maximal([m for m in adm if m & ~bound == 0])
     elif sigma == "sad":
         masks = _sad_masks(f)
     elif sigma in ("cf2", "stg2"):
-        masks = _scc_recursive_masks(f, "nav" if sigma == "cf2" else "stg")
+        masks = _scc_recursive_masks(f, stage=sigma == "stg2")
     else:  # pragma: no cover
         raise UnknownSemanticsError(sigma)
     return sort_extensions(f.set_of(m) for m in masks)
@@ -275,19 +258,13 @@ def grounded_iteration(f: AF) -> tuple[frozenset[str], list[frozenset[str]]]:
     """The grounded extension together with the iteration trace
     (empty set, then each new value of the characteristic function, up to the
     fixpoint; the repeat itself is not recorded)."""
-    trace = [0]
-    while True:
-        nxt = _characteristic(f, trace[-1])
-        if nxt == trace[-1]:
-            break
-        trace.append(nxt)
+    trace = _grounded_trace(f)
     return f.set_of(trace[-1]), [f.set_of(m) for m in trace]
 
 
 def strongly_admissible(f: AF) -> ExtensionSet:
     """All strongly admissible sets (layered construction)."""
-    _check_limit(f)
-    return sort_extensions(f.set_of(m) for m in _sad_masks(f))
+    return extensions(f, "sad")
 
 
 def labelling_of(f: AF, e: frozenset[str]) -> Labelling:

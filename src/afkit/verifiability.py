@@ -232,8 +232,17 @@ def exact_class(sigma: str) -> str:
 # -- criteria ------------------------------------------------------------------
 
 
-def _maximal_sets(sets: list[frozenset[str]]) -> list[frozenset[str]]:
-    return [s for s in sets if not any(s < o for o in sets)]
+def _maximal_sets(sets, key=None) -> list[frozenset[str]]:
+    """The sets whose key (default: the set itself) is ⊂-maximal among all keys."""
+    keys = [key(s) if key else s for s in sets]
+    return [s for s, k in zip(sets, keys) if not any(k < o for o in keys)]
+
+
+def _greatest_adm_below_meet(entries, args, tops):
+    bound = args
+    for s in tops:
+        bound &= s
+    return _maximal_sets([s for s in _gamma_adm(entries, args) if s <= bound])
 
 
 def _gamma_nav(entries, args):
@@ -247,44 +256,32 @@ def _gamma_stb(entries, args):
 
 def _gamma_stg(entries, args):
     ranges = {b: info[0] for b, info in entries}
-    return [b for b in ranges if not any(ranges[b] < ranges[o] for o in ranges)]
-
-
-def _adm_bases(entries):
-    return [b for b, info in entries if not info[-1]]  # last component is the ∓ part
+    return _maximal_sets(list(ranges), ranges.get)
 
 
 def _gamma_adm(entries, args):
-    return _adm_bases(entries)
+    return [b for b, info in entries if not info[-1]]  # last component is the ∓ part
 
 
 def _gamma_prf(entries, args):
-    return _maximal_sets(_adm_bases(entries))
+    return _maximal_sets(_gamma_adm(entries, args))
 
 
 def _gamma_id(entries, args):
-    prf = _gamma_prf(entries, args)
-    bound = args
-    for s in prf:
-        bound &= s
-    return _maximal_sets([s for s in _adm_bases(entries) if s <= bound])
+    return _greatest_adm_below_meet(entries, args, _gamma_prf(entries, args))
 
 
 def _gamma_semi(entries, args):
-    adm = set(_adm_bases(entries))
+    adm = set(_gamma_adm(entries, args))
     ranges = {b: info[0] for b, info in entries if b in adm}
-    return [b for b in ranges if not any(ranges[b] < ranges[o] for o in ranges)]
+    return _maximal_sets(list(ranges), ranges.get)
 
 
 def _gamma_eag(entries, args):
-    semi = _gamma_semi(entries, args)
-    bound = args
-    for s in semi:
-        bound &= s
-    return _maximal_sets([s for s in _adm_bases(entries) if s <= bound])
+    return _greatest_adm_below_meet(entries, args, _gamma_semi(entries, args))
 
 
-def _sad_sets(entries):
+def _gamma_sad(entries, args):
     """Chain criterion: a set is reachable when, step by step, the attackers new
     to the step lie inside the previous set's attacked-and-unattacking digest."""
     anti = {b: info[0] for b, info in entries}
@@ -306,12 +303,8 @@ def _sad_sets(entries):
     return sorted(reachable, key=extension_key)
 
 
-def _gamma_sad(entries, args):
-    return _sad_sets(entries)
-
-
 def _gamma_grd(entries, args):
-    sad = _sad_sets(entries)
+    sad = _gamma_sad(entries, args)
     return [s for s in sad if all(t <= s for t in sad)]
 
 

@@ -10,6 +10,8 @@ representatives strictly below its exact class.
 import itertools
 import random
 
+from hypothesis import strategies as st
+
 from afkit.charlogic import FiniteLogic, make_logic
 from afkit.core import AF, AFError
 from afkit.verifiability import BASIC_REGIONS, REPRESENTATIVES, _derives
@@ -31,6 +33,15 @@ F7P = AF("abc", [("a", "b"), ("b", "a"), ("c", "c")])
 # the chapter-opening pair: identical conflict-free sets, different ranges
 F0 = AF("ab", [("a", "b")])
 F0P = AF("ab", [("a", "b"), ("b", "a")])
+
+
+@st.composite
+def five_six_arg_afs(draw):
+    """Hypothesis strategy: a framework on a..e or a..f with up to 12 attacks."""
+    args = "abcdef"[: draw(st.integers(5, 6))]
+    slots = [(x, y) for x in args for y in args]
+    return AF(args, draw(st.lists(st.sampled_from(slots), max_size=12, unique=True)))
+
 
 EXACTNESS_FIXTURES = [
     ("com", "+±", F1, F1P),

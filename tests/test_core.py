@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afkit.core import AF, AFError, anti_range, delete, loops, range_of, sccs, union_af
+from afkit.core import AF, AFError, anti_range, delete, loops, range_of, scc_masks, sccs, union_af
 
+from fixtures import five_six_arg_afs
 from oracles import _scc_oracle
 
 
@@ -129,6 +130,14 @@ class TestSccs:
         flat = [a for p in parts for a in p]
         assert len(flat) == len(set(flat)) == f.n
         assert set(parts) == _scc_oracle(f) or f.n == 0
+
+    @settings(max_examples=60)
+    @given(five_six_arg_afs(), st.integers(0, 63))
+    def test_scc_masks_on_sub_masks(self, f, within):
+        within &= f.full_mask
+        parts = scc_masks(f, within)
+        assert {f.set_of(m) for m in parts} == _scc_oracle(f.restrict(f.set_of(within)))
+        assert sum(parts) == within  # disjoint and covering
 
 
 class TestLoops:

@@ -12,9 +12,11 @@ from afkit.realizability import (
     canonical_stb,
     decide_signature,
     defense_formula_cnf,
+    downward_closure,
     implicit_conflicts,
     is_analytic,
     is_compact,
+    is_tight,
     normalize_candidate,
     realize,
 )
@@ -105,7 +107,7 @@ class TestDecideSignature:
         assert decide_signature(t, "stg").answer == "yes"
         assert decide_signature(t, "nav").answer == "no"
 
-    def test_only_nav_builds_downward_closure(self, monkeypatch, s_defense):
+    def test_no_criterion_builds_downward_closure(self, monkeypatch, s_defense):
         # the finite criteria written over analyze()'s flags, as a reference
         criteria = {
             "cf": lambda a: a.nonempty and a.downward_closed and a.tight,
@@ -134,15 +136,27 @@ class TestDecideSignature:
         monkeypatch.setattr(
             realizability, "downward_closure", lambda sets: calls.append(sets) or closure(sets)
         )
-        nav_calls = 0
         for i, cand in enumerate(candidates):
+            analyze(cand)
             for sigma in SIGNATURE_SEMANTICS:
-                calls.clear()
                 verdict = decide_signature(cand, sigma)
                 assert verdict.answer == ("yes" if expected[i, sigma] else "no"), (i, sigma)
-                assert len(calls) <= (1 if sigma == "nav" else 0), (i, sigma)
-                nav_calls += len(calls)
-        assert nav_calls > 0  # the counting patch is live
+        assert calls == []
+        realizability.downward_closure([{"a"}])
+        assert len(calls) == 1  # the counting patch is live
+
+    def test_dcl_tight_matches_closure(self):
+        rng = random.Random(11)
+        not_tight = 0
+        for _ in range(600):
+            universe = [f"x{i}" for i in range(rng.randint(1, 5))]
+            cand = normalize_candidate(
+                {a for a in universe if rng.random() < 0.5} for _ in range(rng.randint(0, 5))
+            )
+            reference = is_tight(downward_closure(cand))
+            assert analyze(cand).dcl_tight == reference, cand
+            not_tight += not reference
+        assert not_tight > 0
 
 
 class TestCanonicalFrameworks:

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
 
-from afkit.core import AF, AFError
+from afkit import semantics
+from afkit.core import AF, AFError, sccs
 from afkit.semantics import (
     EnumerationLimitError,
     Labelling,
@@ -10,6 +12,7 @@ from afkit.semantics import (
     strongly_admissible,
 )
 
+from fixtures import five_six_arg_afs
 from oracles import ORACLES, all_afs, cf_oracle, nav_oracle, random_af, sad_selfref_oracle
 
 
@@ -184,6 +187,52 @@ class TestSampledLargerFrameworks:
             f = random_af(rng, "abcd", 0.3)
             for sigma, oracle in ORACLES.items():
                 assert as_set(extensions(f, sigma)) == oracle(f), (sigma, f)
+
+
+class TestEngineAgainstOracles:
+    @pytest.mark.parametrize("sigma", ["nav", "stg", "id", "eag", "cf2", "stg2"])
+    @settings(max_examples=15, deadline=None)
+    @given(f=five_six_arg_afs())
+    def test_five_six_args(self, sigma, f):
+        assert as_set(extensions(f, sigma)) == ORACLES[sigma](f)
+
+
+class TestEngineStructure:
+    def test_cf2_stg2_build_no_framework(self, monkeypatch):
+        f = AF(
+            "abcdefg",
+            [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "c"),
+             ("e", "f"), ("f", "f"), ("f", "g")],
+        )
+        assert len(sccs(f)) > 1
+        expected = {sigma: ORACLES[sigma](f) for sigma in ("cf2", "stg2")}
+        built = []
+        init = AF.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AF, "__init__", counting_init)
+        for sigma in ("cf2", "stg2"):
+            assert as_set(extensions(f, sigma)) == expected[sigma]
+        assert built == []
+        AF("a", [])
+        assert len(built) == 1  # the counting patch is live
+
+    def test_one_sweep(self, monkeypatch, f_layers, three_cycle):
+        calls = []
+        sweep = semantics.cf_masks
+        monkeypatch.setattr(
+            semantics, "cf_masks", lambda f, *rest: calls.append(f) or sweep(f, *rest)
+        )
+        # id/eag on several components; cf2/stg2 on a single one, where the
+        # base case covers the whole framework
+        cases = [(f_layers, "id"), (f_layers, "eag"), (three_cycle, "cf2"), (three_cycle, "stg2")]
+        for f, sigma in cases:
+            calls.clear()
+            assert as_set(extensions(f, sigma)) == ORACLES[sigma](f)
+            assert len(calls) == 1, sigma
 
 
 class TestEnumerationCap:
