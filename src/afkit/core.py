@@ -2,8 +2,9 @@
 
 Arguments are plain strings over [A-Za-z0-9_]. An AF interns its arguments to
 dense indices (lexicographic order) and stores the attack relation as
-per-argument successor/predecessor bitmasks, so range computations and the
-exhaustive subset sweeps of the semantics module stay cheap.
+per-argument successor/predecessor bitmasks (its `Frame` part), so range
+computations and the exhaustive subset sweeps of the semantics module stay
+cheap.
 
 All values are immutable after construction; every operation is a pure
 function returning fresh values.
@@ -31,10 +32,50 @@ def check_arg_name(name: str) -> str:
     return name
 
 
-class AF:
+class Frame:
+    """An attack relation over the dense indices 0..n-1, as per-index successor
+    and predecessor bitmasks: all the mask engine of the semantics module
+    reads. The witness search builds these directly over an index pool. The
+    rows are not modified after construction."""
+
+    __slots__ = ("succ", "pred")
+
+    def __init__(self, succ, pred):
+        self.succ = succ
+        self.pred = pred
+
+    @property
+    def n(self) -> int:
+        return len(self.succ)
+
+    @property
+    def full_mask(self) -> int:
+        return (1 << len(self.succ)) - 1
+
+    def attacked_by_mask(self, mask: int) -> int:
+        return _union_over(self.succ, mask)
+
+    def attackers_of_mask(self, mask: int) -> int:
+        return _union_over(self.pred, mask)
+
+    def is_conflict_free_mask(self, mask: int) -> bool:
+        for i in bits(mask):
+            if self.succ[i] & mask:
+                return False
+        return True
+
+    def loops_mask(self) -> int:
+        m = 0
+        for i in range(len(self.succ)):
+            if self.succ[i] & (1 << i):
+                m |= 1 << i
+        return m
+
+
+class AF(Frame):
     """Immutable finite argumentation framework (argument set + attack relation)."""
 
-    __slots__ = ("names", "index", "succ", "pred", "_attacks", "_hash")
+    __slots__ = ("names", "index", "_attacks", "_hash")
 
     def __init__(self, args: Iterable[str], attacks: Iterable[tuple[str, str]] = ()):
         names = tuple(sorted({check_arg_name(a) for a in args}))
@@ -65,14 +106,6 @@ class AF:
     def attacks(self) -> frozenset[tuple[str, str]]:
         return self._attacks
 
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.names)) - 1
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AF):
             return NotImplemented
@@ -85,7 +118,7 @@ class AF:
         atts = ",".join(f"({a},{b})" for a, b in sorted(self._attacks))
         return f"AF({{{','.join(self.names)}}}, {{{atts}}})"
 
-    # -- mask helpers --------------------------------------------------------
+    # -- name/mask conversion ------------------------------------------------
 
     def mask_of(self, members: Iterable[str]) -> int:
         m = 0
@@ -98,31 +131,6 @@ class AF:
 
     def set_of(self, mask: int) -> frozenset[str]:
         return frozenset(self.names[i] for i in bits(mask))
-
-    def attacked_by_mask(self, mask: int) -> int:
-        out = 0
-        for i in bits(mask):
-            out |= self.succ[i]
-        return out
-
-    def attackers_of_mask(self, mask: int) -> int:
-        out = 0
-        for i in bits(mask):
-            out |= self.pred[i]
-        return out
-
-    def is_conflict_free_mask(self, mask: int) -> bool:
-        for i in bits(mask):
-            if self.succ[i] & mask:
-                return False
-        return True
-
-    def loops_mask(self) -> int:
-        m = 0
-        for i in range(len(self.names)):
-            if self.succ[i] & (1 << i):
-                m |= 1 << i
-        return m
 
     # -- structural operations -----------------------------------------------
 
@@ -140,6 +148,17 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _union_over(rows, mask: int) -> int:
+    """The union of rows[i] over the set bits i of mask (`bits` inlined: this
+    is the engine's innermost loop)."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def union_af(f: AF, g: AF) -> AF:

@@ -16,8 +16,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import AF, AFError, delete, union_af
-from .semantics import LABELLING_SEMANTICS, check_semantics, extensions, labellings
+from . import config
+from .core import AF, AFError, Frame, bits
+from .semantics import (
+    LABELLING_SEMANTICS,
+    check_labelling_semantics,
+    check_limit,
+    check_semantics,
+    extension_masks,
+    extensions,
+    labellings,
+)
 
 KERNEL_IDS = (
     "k_stb",
@@ -345,92 +354,110 @@ class DeletionWitness:
 class SearchResult:
     witness: Optional[object]  # AF for expansions, DeletionWitness for deletions
     complete: bool  # whole budgeted space scanned
+    scanned: int = 0  # candidates evaluated
 
     @property
     def found(self) -> bool:
         return self.witness is not None
 
 
-def _differ(f: AF, g: AF, sigma: str, flavor: str) -> bool:
-    if flavor == "labelling":
-        return set(labellings(f, sigma)) != set(labellings(g, sigma))
-    return extensions(f, sigma) != extensions(g, sigma)
-
-
-def _is_normal_for(base: AF, h: AF) -> bool:
-    return all(a not in base.args or b not in base.args for a, b in h.attacks - base.attacks)
-
-
-def _is_strong_for(base: AF, h: AF) -> bool:
-    if not _is_normal_for(base, h):
-        return False
-    return all(
-        not (a in base.args and b not in base.args) for a, b in h.attacks - base.attacks
-    )
-
-
-def _valid_expansion(f: AF, g: AF, h: AF, notion: str) -> bool:
-    if notion == "E":
-        return True
-    if notion == "N":
-        return _is_normal_for(f, h) and _is_normal_for(g, h)
-    if notion == "S":
-        return _is_strong_for(f, h) and _is_strong_for(g, h)
-    if notion == "L":
-        return h.args <= (f.args | g.args)
-    raise AFError(notion)  # pragma: no cover
+def _frame(size: int, attacks) -> Frame:
+    """A frame over `size` pool indices with the given (i, j) index attacks."""
+    succ = [0] * size
+    pred = [0] * size
+    for i, j in attacks:
+        succ[i] |= 1 << j
+        pred[j] |= 1 << i
+    return Frame(succ, pred)
 
 
 def _expansion_candidates(f: AF, g: AF, notion: str, budget: SearchBudget):
     """Candidate expansions H, ordered by (fresh-argument count, attack count,
-    lexicographic form). Fresh arguments always occur in at least one attack;
-    isolated candidates only draw on arguments the two frameworks do not share.
-    """
+    lexicographic form), as (f∪H frame, its arguments, g∪H frame, its
+    arguments, witness builder) over one pool: the arguments of f and g, then
+    the fresh ones. Fresh arguments always occur in at least one attack;
+    isolated candidates only draw on arguments the two frameworks do not
+    share. An attack is allowed when it is valid for the notion on its own
+    (an N- or S-expansion is valid iff each of its new attacks is)."""
     old = sorted(f.args | g.args)
-    sym_diff = sorted(f.args ^ g.args)
-    boring = f.attacks & g.attacks
     max_fresh = 0 if notion == "L" else budget.fresh_args
+    names = old + [f"{FRESH_PREFIX}{i}" for i in range(max_fresh)]
+    index = {a: i for i, a in enumerate(names)}
+    sym_diff = [index[a] for a in sorted(f.args ^ g.args)]
+    boring = f.attacks & g.attacks
+    f_pairs = [(index[a], index[b]) for a, b in f.attacks]
+    g_pairs = [(index[a], index[b]) for a, b in g.attacks]
+    f_mask = sum(1 << index[a] for a in f.args)
+    g_mask = sum(1 << index[a] for a in g.args)
+
+    bases = [(x.args, x.attacks) for x in (f, g)]
+
+    def allowed(a: str, b: str) -> bool:
+        if notion == "N":
+            return all((a, b) in atts or a not in args or b not in args for args, atts in bases)
+        if notion == "S":
+            return all((a, b) in atts or a not in args for args, atts in bases)
+        return True
+
     for n_fresh in range(max_fresh + 1):
-        fresh = [f"{FRESH_PREFIX}{i}" for i in range(n_fresh)]
-        pool = old + fresh
-        slots = sorted((a, b) for a in pool for b in pool if (a, b) not in boring)
+        pool = names[: len(old) + n_fresh]
+        fresh = ((1 << n_fresh) - 1) << len(old)
+        slots = [
+            (index[a], index[b])
+            for a, b in sorted((a, b) for a in pool for b in pool if (a, b) not in boring)
+            if allowed(a, b)
+        ]
         for n_att in range(budget.max_attacks + 1):
             for attacks in itertools.combinations(slots, n_att):
-                used = {a for pair in attacks for a in pair}
-                if any(x not in used for x in fresh):
+                used = 0
+                for i, j in attacks:
+                    used |= 1 << i | 1 << j
+                if fresh & ~used:
                     continue  # every fresh argument must take part
-                iso_pool = [a for a in sym_diff if a not in used]
+                fa = _frame(len(names), f_pairs + list(attacks))
+                ga = _frame(len(names), g_pairs + list(attacks))
+                iso_pool = [i for i in sym_diff if not used >> i & 1]
                 for k_iso in range(len(iso_pool) + 1):
                     for iso in itertools.combinations(iso_pool, k_iso):
-                        h = AF(used | set(iso), attacks)
-                        if _valid_expansion(f, g, h, notion):
-                            yield h
+                        h = used
+                        for i in iso:
+                            h |= 1 << i
+                        yield fa, f_mask | h, ga, g_mask | h, lambda h=h, attacks=attacks: AF(
+                            [names[i] for i in bits(h)],
+                            [(names[i], names[j]) for i, j in attacks],
+                        )
 
 
 def _deletion_candidates(f: AF, g: AF, notion: str, budget: SearchBudget):
+    """Candidate deletions, argument sets outermost, in the same tuple form as
+    `_expansion_candidates`: the frames lose the deleted attacks, and the
+    deleted arguments leave the argument masks."""
     old = sorted(f.args | g.args)
+    index = {a: i for i, a in enumerate(old)}
     all_attacks = sorted(f.attacks | g.attacks)
-    arg_choices = [()] if notion == "LD" else None
-    if arg_choices is None:
-        arg_choices = [
-            c for size in range(len(old) + 1) for c in itertools.combinations(old, size)
-        ]
+    arg_choices = [()] if notion == "LD" else [
+        c for size in range(len(old) + 1) for c in itertools.combinations(range(len(old)), size)
+    ]
     att_choices = [()] if notion == "ND" else [
         c
         for size in range(min(budget.max_attacks, len(all_attacks)) + 1)
         for c in itertools.combinations(all_attacks, size)
     ]
+    f_mask = sum(1 << index[a] for a in f.args)
+    g_mask = sum(1 << index[a] for a in g.args)
+    frames = []  # per attack choice, built when first reached
     for args in arg_choices:
-        for atts in att_choices:
-            yield DeletionWitness(frozenset(args), frozenset(atts))
-
-
-def _expansion_separates(f: AF, g: AF, h: AF, sigma: str, flavor: str) -> bool:
-    return _differ(union_af(f, h), union_af(g, h), sigma, flavor)
-
-
-def _deletion_separates(f: AF, g: AF, w: DeletionWitness, sigma: str, flavor: str) -> bool:
-    return _differ(delete(f, w.args, w.attacks), delete(g, w.args, w.attacks), sigma, flavor)
+        keep = ~sum(1 << i for i in args)
+        for k, atts in enumerate(att_choices):
+            if k == len(frames):
+                frames.append([
+                    _frame(len(old), [(index[a], index[b]) for a, b in x.attacks if (a, b) not in atts])
+                    for x in (f, g)
+                ])
+            fa, ga = frames[k]
+            yield fa, f_mask & keep, ga, g_mask & keep, lambda args=args, atts=atts: DeletionWitness(
+                frozenset(old[i] for i in args), frozenset(atts)
+            )
 
 
 def search_counterexample(
@@ -446,23 +473,41 @@ def search_counterexample(
 
     A result with witness=None and complete=True means the whole budgeted space
     was scanned without success; complete=False means the max_candidates valve
-    cut the scan short.
+    cut the scan short. Candidates are evaluated on masks over one argument
+    pool; only the returned witness is built as a framework or deletion.
     """
     if notion not in EXPANSION_NOTIONS + DELETION_NOTIONS:
         raise AFError(f"witness search does not handle notion {notion!r}")
     check_semantics(sigma)
     if notion in EXPANSION_NOTIONS:
         candidates = _expansion_candidates(f, g, notion, budget)
-        separates = lambda w: _expansion_separates(f, g, w, sigma, flavor)
     else:
         candidates = _deletion_candidates(f, g, notion, budget)
-        separates = lambda w: _deletion_separates(f, g, w, sigma, flavor)
 
-    seen = 0
-    for w in candidates:
-        if max_candidates is not None and seen >= max_candidates:
-            return SearchResult(None, False)
-        seen += 1
-        if separates(w):
-            return SearchResult(w, True)
-    return SearchResult(None, True)
+    def outcome(frame: Frame, within: int):
+        masks = extension_masks(frame, sigma, within)
+        if flavor != "labelling":
+            return set(masks)
+        labels = set()
+        for m in masks:
+            out = frame.attacked_by_mask(m) & within
+            labels.add((m, out, within & ~(m | out)))
+        return labels
+
+    cap = None
+    scanned = 0
+    for fa, f_args, ga, g_args, witness in candidates:
+        if max_candidates is not None and scanned >= max_candidates:
+            return SearchResult(None, False, scanned)
+        if cap is None:
+            # Evaluating the first candidate is where a semantics without
+            # labellings is refused and the enumeration cap is read.
+            if flavor == "labelling":
+                check_labelling_semantics(sigma)
+            cap = config.max_enum_args()
+        scanned += 1
+        check_limit(fa, f_args, cap)
+        check_limit(ga, g_args, cap)
+        if outcome(fa, f_args) != outcome(ga, g_args):
+            return SearchResult(witness(), True, scanned)
+    return SearchResult(None, True, scanned)

@@ -1,7 +1,9 @@
 """Extension and labelling enumeration for every supported semantics.
 
-Every semantics is computed from bitmasks over the one input framework. The
-enumerator walks conflict-free candidate sets only (supersets of a
+Every semantics is computed from bitmasks over one framework by
+`extension_masks`, for the subframework on any sub-mask of its arguments
+(attacks across the sub-mask's boundary are ignored), so callers never build
+a subframework to evaluate one. The enumerator walks conflict-free candidate sets only (supersets of a
 conflicting pair are pruned at the search-tree level), which keeps the sweep
 feasible even when a framework carries many self-attacking helper arguments.
 Each filter stage (admissible, complete, ⊆- or range-maximal) runs at most
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import config
-from .core import AF, AFError, bits, scc_masks
+from .core import AF, AFError, Frame, bits, scc_masks
 
 SEMANTICS = (
     "cf",
@@ -76,7 +78,7 @@ class Labelling:
 # -- conflict-free candidate sweep --------------------------------------------
 
 
-def cf_masks(f: AF, within: int | None = None) -> list[int]:
+def cf_masks(f: Frame, within: int | None = None) -> list[int]:
     """All conflict-free subsets of the mask `within` (default: every
     argument) as bitmasks.
 
@@ -102,16 +104,24 @@ def cf_masks(f: AF, within: int | None = None) -> list[int]:
     return out
 
 
-def _check_limit(f: AF) -> None:
-    # Self-attacking arguments never enter a conflict-free set, so the subset
-    # sweep is exponential only in the non-self-attacking arguments.
-    cap = config.max_enum_args()
-    relevant = f.n - bin(f.loops_mask()).count("1")
+def check_limit(f: Frame, within: int, cap: int) -> None:
+    """Refuse the subframework on `within` when it has more than `cap`
+    non-self-attacking arguments. Self-attacking arguments never enter a
+    conflict-free set, so the subset sweep is exponential only in the rest."""
+    relevant = bin(within & ~f.loops_mask()).count("1")
     if relevant > cap:
         raise EnumerationLimitError(
             f"framework has {relevant} non-self-attacking arguments, exceeding the "
             f"enumeration cap of {cap} (raise {config.ENV_MAX_ARGS} to override)"
         )
+
+
+def check_labelling_semantics(sigma: str) -> str:
+    if sigma not in LABELLING_SEMANTICS:
+        raise AFError(
+            f"labellings are only supported for {', '.join(LABELLING_SEMANTICS)}; got {sigma!r}"
+        )
+    return sigma
 
 
 def _maximal(masks: list[int], key: Callable[[int], int] | None = None) -> list[int]:
@@ -128,43 +138,39 @@ def _maximal(masks: list[int], key: Callable[[int], int] | None = None) -> list[
     return out
 
 
-def _is_admissible(f: AF, m: int) -> bool:
-    return f.attackers_of_mask(m) & ~f.attacked_by_mask(m) == 0
+def _characteristic(f: Frame, m: int, within: int) -> int:
+    """Gamma(m): everything in `within` defended by m, i.e. not attacked from
+    `within` by an argument that m does not attack."""
+    return within & ~f.attacked_by_mask(within & ~f.attacked_by_mask(m))
 
 
-def _characteristic(f: AF, m: int) -> int:
-    """Gamma(m): everything defended by m."""
-    attacked = f.attacked_by_mask(m)
-    out = 0
-    for i in range(f.n):
-        if f.pred[i] & ~attacked == 0:
-            out |= 1 << i
-    return out
-
-
-def _grounded_trace(f: AF) -> list[int]:
+def _grounded_trace(f: Frame, within: int) -> list[int]:
     """The characteristic iteration from the empty set up to its fixpoint, the
     grounded extension (the repeat itself is not recorded)."""
     trace = [0]
     while True:
-        nxt = _characteristic(f, trace[-1])
+        nxt = _characteristic(f, trace[-1], within)
         if nxt == trace[-1]:
             return trace
         trace.append(nxt)
 
 
-def _adm_masks(f: AF) -> list[int]:
-    return [m for m in cf_masks(f) if _is_admissible(f, m)]
+def _adm_masks(f: Frame, within: int) -> list[int]:
+    return [
+        m
+        for m in cf_masks(f, within)
+        if f.attackers_of_mask(m) & within & ~f.attacked_by_mask(m) == 0
+    ]
 
 
-def _sad_masks(f: AF) -> list[int]:
+def _sad_masks(f: Frame, within: int) -> list[int]:
     """Strongly admissible sets via the layered construction: start from the
     unattacked arguments and repeatedly adjoin any arguments defended so far."""
     known = {0}
     frontier = [0]
     while frontier:
         m = frontier.pop()
-        fresh = _characteristic(f, m) & ~m
+        fresh = _characteristic(f, m, within) & ~m
         if not fresh:
             continue
         addable = list(bits(fresh))
@@ -178,20 +184,20 @@ def _sad_masks(f: AF) -> list[int]:
     return sorted(known)
 
 
-def _scc_recursive_masks(f: AF, stage: bool) -> list[int]:
-    """cf2 (naive base) or stg2 (stage base) over sub-masks of f: e is an
-    extension of the subframework on `sub` iff, for every component s of
+def _scc_recursive_masks(f: Frame, stage: bool, within: int) -> list[int]:
+    """cf2 (naive base) or stg2 (stage base) over sub-masks of `within`: e is
+    an extension of the subframework on `sub` iff, for every component s of
     `sub`, e & s is an extension of the subframework on the part of s that
     e outside s does not attack (UP). A single component takes the base
     semantics. Components and base extensions are memoised per sub-mask."""
-    everything = cf_masks(f)
+    everything = cf_masks(f, within)
     comps_of: dict[int, list[int]] = {}
     base_of: dict[int, set[int]] = {}
 
     def base(sub: int) -> set[int]:
         if sub not in base_of:
             key = (lambda m: (m | f.attacked_by_mask(m)) & sub) if stage else None
-            sweep = everything if sub == f.full_mask else cf_masks(f, sub)
+            sweep = everything if sub == within else cf_masks(f, sub)
             base_of[sub] = set(_maximal(sweep, key))
         return base_of[sub]
 
@@ -208,57 +214,62 @@ def _scc_recursive_masks(f: AF, stage: bool) -> list[int]:
                 return False
         return True
 
-    return [m for m in everything if member(f.full_mask, m)]
+    return [m for m in everything if member(within, m)]
+
+
+def extension_masks(f: Frame, sigma: str, within: int) -> list[int]:
+    """The sigma-extensions of the subframework of f on the arguments in the
+    mask `within`, as masks in no particular order. Attacks crossing the
+    boundary of `within` are ignored. No enumeration cap is applied."""
+
+    def in_range(m: int) -> int:
+        return (m | f.attacked_by_mask(m)) & within
+
+    if sigma == "cf":
+        return cf_masks(f, within)
+    if sigma == "nav":
+        return _maximal(cf_masks(f, within))
+    if sigma == "stg":
+        return _maximal(cf_masks(f, within), in_range)
+    if sigma == "stb":
+        return [m for m in cf_masks(f, within) if in_range(m) == within]
+    if sigma == "adm":
+        return _adm_masks(f, within)
+    if sigma == "semi":
+        return _maximal(_adm_masks(f, within), in_range)
+    if sigma == "com":
+        return [m for m in _adm_masks(f, within) if _characteristic(f, m, within) == m]
+    if sigma == "prf":
+        return _maximal(_adm_masks(f, within))
+    if sigma == "grd":
+        return _grounded_trace(f, within)[-1:]
+    if sigma in ("id", "eag"):
+        # The greatest admissible set inside the meet of the preferred
+        # (semi-stable) extensions. It is unique and complete.
+        adm = _adm_masks(f, within)
+        bound = within
+        for m in _maximal(adm, None if sigma == "id" else in_range):
+            bound &= m
+        return _maximal([m for m in adm if m & ~bound == 0])
+    if sigma == "sad":
+        return _sad_masks(f, within)
+    if sigma in ("cf2", "stg2"):
+        return _scc_recursive_masks(f, sigma == "stg2", within)
+    raise UnknownSemanticsError(f"unknown semantics: {sigma!r}")
 
 
 def extensions(f: AF, sigma: str) -> ExtensionSet:
     """All sigma-extensions of f, ordered by size then lexicographically."""
     check_semantics(sigma)
-    _check_limit(f)
-
-    def in_range(m: int) -> int:
-        return m | f.attacked_by_mask(m)
-
-    if sigma == "cf":
-        masks = cf_masks(f)
-    elif sigma == "nav":
-        masks = _maximal(cf_masks(f))
-    elif sigma == "stg":
-        masks = _maximal(cf_masks(f), in_range)
-    elif sigma == "stb":
-        masks = [m for m in cf_masks(f) if in_range(m) == f.full_mask]
-    elif sigma == "adm":
-        masks = _adm_masks(f)
-    elif sigma == "semi":
-        masks = _maximal(_adm_masks(f), in_range)
-    elif sigma == "com":
-        masks = [m for m in _adm_masks(f) if _characteristic(f, m) == m]
-    elif sigma == "prf":
-        masks = _maximal(_adm_masks(f))
-    elif sigma == "grd":
-        masks = _grounded_trace(f)[-1:]
-    elif sigma in ("id", "eag"):
-        # The greatest admissible set inside the meet of the preferred
-        # (semi-stable) extensions. It is unique and complete.
-        adm = _adm_masks(f)
-        bound = f.full_mask
-        for m in _maximal(adm, None if sigma == "id" else in_range):
-            bound &= m
-        masks = _maximal([m for m in adm if m & ~bound == 0])
-    elif sigma == "sad":
-        masks = _sad_masks(f)
-    elif sigma in ("cf2", "stg2"):
-        masks = _scc_recursive_masks(f, stage=sigma == "stg2")
-    else:  # pragma: no cover
-        raise UnknownSemanticsError(sigma)
-    return sort_extensions(f.set_of(m) for m in masks)
+    check_limit(f, f.full_mask, config.max_enum_args())
+    return sort_extensions(f.set_of(m) for m in extension_masks(f, sigma, f.full_mask))
 
 
 def grounded_iteration(f: AF) -> tuple[frozenset[str], list[frozenset[str]]]:
     """The grounded extension together with the iteration trace
     (empty set, then each new value of the characteristic function, up to the
     fixpoint; the repeat itself is not recorded)."""
-    trace = _grounded_trace(f)
+    trace = _grounded_trace(f, f.full_mask)
     return f.set_of(trace[-1]), [f.set_of(m) for m in trace]
 
 
@@ -275,9 +286,5 @@ def labelling_of(f: AF, e: frozenset[str]) -> Labelling:
 
 def labellings(f: AF, sigma: str) -> tuple[Labelling, ...]:
     """sigma-labellings, one per extension, for the one-to-one family."""
-    check_semantics(sigma)
-    if sigma not in LABELLING_SEMANTICS:
-        raise AFError(
-            f"labellings are only supported for {', '.join(LABELLING_SEMANTICS)}; got {sigma!r}"
-        )
+    check_labelling_semantics(check_semantics(sigma))
     return tuple(labelling_of(f, e) for e in extensions(f, sigma))

@@ -1,7 +1,12 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here works on plain frozensets straight from the definitions, with
-no shared code paths with afkit's bitmask implementations.
+no shared code paths with afkit's bitmask implementations. The one exception
+is `witness_oracle`, the string-level witness search: it builds every
+candidate scenario as a whole framework and compares those through afkit's
+`extensions`/`labellings`, so it checks the mask-level search's candidate
+order, pool indexing and sub-framework masks against the engine's plain
+entry point.
 """
 
 from __future__ import annotations
@@ -9,7 +14,14 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from afkit.core import AF
+from afkit.core import AF, AFError, delete, union_af
+from afkit.kernels import (
+    DELETION_NOTIONS,
+    EXPANSION_NOTIONS,
+    FRESH_PREFIX,
+    DeletionWitness,
+)
+from afkit.semantics import check_semantics, extensions, labellings
 
 
 def powerset(xs):
@@ -202,6 +214,104 @@ def random_af(rng, pool, p_attack=0.3):
         (a, b) for a in names for b in names if rng.random() < p_attack
     ]
     return AF(names, attacks)
+
+
+# -- witness search ----------------------------------------------------------
+
+
+def witness_oracle(
+    f: AF, g: AF, notion: str, sigma: str, budget, flavor="extension", max_candidates=None
+):
+    """The bounded witness search at the string level: every candidate
+    expansion is built as an AF and joined with `union_af`, every deletion
+    applied with `delete`, and the two results compared through afkit's
+    `extensions`/`labellings` on whole frameworks. Returns (witness, complete,
+    candidates evaluated), taking candidates in the same order as
+    `kernels.search_counterexample`."""
+    if notion not in EXPANSION_NOTIONS + DELETION_NOTIONS:
+        raise AFError(f"witness search does not handle notion {notion!r}")
+    check_semantics(sigma)
+
+    def differ(x: AF, y: AF) -> bool:
+        if flavor == "labelling":
+            return set(labellings(x, sigma)) != set(labellings(y, sigma))
+        return extensions(x, sigma) != extensions(y, sigma)
+
+    if notion in EXPANSION_NOTIONS:
+        candidates = _oracle_expansions(f, g, notion, budget)
+        separates = lambda h: differ(union_af(f, h), union_af(g, h))
+    else:
+        candidates = _oracle_deletions(f, g, notion, budget)
+        separates = lambda w: differ(delete(f, w.args, w.attacks), delete(g, w.args, w.attacks))
+    seen = 0
+    for w in candidates:
+        if max_candidates is not None and seen >= max_candidates:
+            return None, False, seen
+        seen += 1
+        if separates(w):
+            return w, True, seen
+    return None, True, seen
+
+
+def _is_normal_for(base: AF, h: AF) -> bool:
+    return all(a not in base.args or b not in base.args for a, b in h.attacks - base.attacks)
+
+
+def _is_strong_for(base: AF, h: AF) -> bool:
+    return _is_normal_for(base, h) and all(
+        not (a in base.args and b not in base.args) for a, b in h.attacks - base.attacks
+    )
+
+
+def _valid_expansion(f: AF, g: AF, h: AF, notion: str) -> bool:
+    if notion == "N":
+        return _is_normal_for(f, h) and _is_normal_for(g, h)
+    if notion == "S":
+        return _is_strong_for(f, h) and _is_strong_for(g, h)
+    if notion == "L":
+        return h.args <= (f.args | g.args)
+    return True
+
+
+def _oracle_expansions(f: AF, g: AF, notion: str, budget):
+    """Expansions H by (fresh-argument count, attack count, lexicographic
+    form); fresh arguments occur in an attack, isolated ones come from the
+    symmetric difference of the argument sets."""
+    old = sorted(f.args | g.args)
+    sym_diff = sorted(f.args ^ g.args)
+    boring = f.attacks & g.attacks
+    max_fresh = 0 if notion == "L" else budget.fresh_args
+    for n_fresh in range(max_fresh + 1):
+        fresh = [f"{FRESH_PREFIX}{i}" for i in range(n_fresh)]
+        pool = old + fresh
+        slots = sorted((a, b) for a in pool for b in pool if (a, b) not in boring)
+        for n_att in range(budget.max_attacks + 1):
+            for attacks in itertools.combinations(slots, n_att):
+                used = {a for pair in attacks for a in pair}
+                if any(x not in used for x in fresh):
+                    continue
+                iso_pool = [a for a in sym_diff if a not in used]
+                for k_iso in range(len(iso_pool) + 1):
+                    for iso in itertools.combinations(iso_pool, k_iso):
+                        h = AF(used | set(iso), attacks)
+                        if _valid_expansion(f, g, h, notion):
+                            yield h
+
+
+def _oracle_deletions(f: AF, g: AF, notion: str, budget):
+    old = sorted(f.args | g.args)
+    all_attacks = sorted(f.attacks | g.attacks)
+    arg_choices = [()] if notion == "LD" else [
+        c for size in range(len(old) + 1) for c in itertools.combinations(old, size)
+    ]
+    att_choices = [()] if notion == "ND" else [
+        c
+        for size in range(min(budget.max_attacks, len(all_attacks)) + 1)
+        for c in itertools.combinations(all_attacks, size)
+    ]
+    for args in arg_choices:
+        for atts in att_choices:
+            yield DeletionWitness(frozenset(args), frozenset(atts))
 
 
 # -- finite logics -----------------------------------------------------------

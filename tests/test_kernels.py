@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -12,11 +13,10 @@ from afkit.kernels import (
     decide_equivalence,
     kernel,
     search_counterexample,
-    _expansion_candidates,
 )
-from afkit.semantics import extensions, labellings
+from afkit.semantics import SEMANTICS, EnumerationLimitError, extensions, labellings
 
-from oracles import all_afs, random_af
+from oracles import all_afs, random_af, witness_oracle
 
 
 def fs(*xs):
@@ -423,9 +423,81 @@ class TestWitnessSearch:
     def test_budget_valve_boundary(self):
         f = AF("a", [])
         budget = SearchBudget(1, 2)
-        total = sum(1 for _ in _expansion_candidates(f, f, "E", budget))
+        total = search_counterexample(f, f, "E", "stb", budget).scanned
         assert total == 11
         r = search_counterexample(f, f, "E", "stb", budget, max_candidates=total)
-        assert r.witness is None and r.complete
+        assert r.witness is None and r.complete and r.scanned == total
         r = search_counterexample(f, f, "E", "stb", budget, max_candidates=total - 1)
-        assert r.witness is None and not r.complete
+        assert r.witness is None and not r.complete and r.scanned == total - 1
+
+    def test_matches_string_level_oracle(self, monkeypatch):
+        # Notion, semantics and flavour cycle through all 196 combinations;
+        # a tenth of the searches run under a low enumeration cap.
+        rng = random.Random(2024)
+        notions = ("E", "N", "S", "L", "ND", "D", "LD")
+        outcomes = collections.Counter()
+
+        def run(search):
+            try:
+                return search()
+            except AFError as e:
+                return type(e), str(e)
+
+        def draw_af():
+            names = rng.sample("abcd", rng.randint(0, 4))
+            return AF(names, [(a, b) for a in names for b in names if rng.random() < 0.3])
+
+        for k in range(1500):
+            notion, sigma = notions[k % 7], SEMANTICS[k // 7 % 14]
+            flavor = ("extension", "labelling")[k // 98 % 2]
+            f = draw_af()
+            g = f if rng.random() < 0.3 else draw_af()
+            budget = SearchBudget(rng.randint(0, 2), rng.randint(0, 3))
+            cut = rng.choice([None, 0, 1, 5, 30])
+            cap = rng.choice([None] * 9 + ["2"])
+            if cap:
+                monkeypatch.setenv("AFKIT_MAX_ARGS", cap)
+            else:
+                monkeypatch.delenv("AFKIT_MAX_ARGS", raising=False)
+            want = run(lambda: witness_oracle(f, g, notion, sigma, budget, flavor, cut))
+            got = run(
+                lambda: (
+                    (r := search_counterexample(f, g, notion, sigma, budget, flavor, cut)).witness,
+                    r.complete,
+                    r.scanned,
+                )
+            )
+            assert got == want, (notion, sigma, flavor, f, g, budget, cut, cap)
+            if isinstance(got[0], type):
+                outcomes[got[0].__name__] += 1
+            else:
+                outcomes["found" if got[0] else "complete" if got[1] else "cut"] += 1
+        assert set(outcomes) == {"found", "complete", "cut", "AFError", "EnumerationLimitError"}
+        assert min(outcomes.values()) >= 20, outcomes
+
+
+class TestWitnessStructure:
+    def test_builds_only_the_returned_witness(self, monkeypatch):
+        f = AF("ab", [("a", "b")])
+        f3 = AF("abc", [("a", "b"), ("b", "b"), ("b", "c"), ("c", "a")])
+        g3 = AF("abc", [("b", "b"), ("b", "c"), ("c", "a")])
+        g_del = AF("ab", [("a", "b"), ("b", "a")])
+        built = []
+        init = AF.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(AF, "__init__", counting_init)
+        r = search_counterexample(f, f, "E", "prf", SearchBudget(1, 2))
+        assert r.witness is None and r.complete and r.scanned == 37
+        assert built == []
+        r = search_counterexample(f3, g3, "N", "prf", SearchBudget(1, 3))
+        assert r.found and r.scanned > 1
+        assert len(built) == 1 and built[0] is r.witness
+        built.clear()
+        r = search_counterexample(f, g_del, "ND", "prf", SearchBudget(0, 0))
+        assert isinstance(r.witness, DeletionWitness) and built == []
+        AF("a", [])
+        assert len(built) == 1  # the counting patch is live

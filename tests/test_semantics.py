@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from afkit import semantics
 from afkit.core import AF, AFError, sccs
@@ -195,6 +196,16 @@ class TestEngineAgainstOracles:
     @given(f=five_six_arg_afs())
     def test_five_six_args(self, sigma, f):
         assert as_set(extensions(f, sigma)) == ORACLES[sigma](f)
+
+    @pytest.mark.parametrize("sigma", semantics.SEMANTICS)
+    @settings(max_examples=15, deadline=None)
+    @given(f=five_six_arg_afs(), data=st.data())
+    def test_within_is_the_induced_subframework(self, sigma, f, data):
+        within = data.draw(st.integers(0, f.full_mask))
+        inside = f.set_of(within)
+        assume(any((a in inside) != (b in inside) for a, b in f.attacks))
+        got = {f.set_of(m) for m in semantics.extension_masks(f, sigma, within)}
+        assert got == as_set(extensions(f.restrict(inside), sigma))
 
 
 class TestEngineStructure:
