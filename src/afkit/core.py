@@ -58,12 +58,6 @@ class Frame:
     def attackers_of_mask(self, mask: int) -> int:
         return _union_over(self.pred, mask)
 
-    def is_conflict_free_mask(self, mask: int) -> bool:
-        for i in bits(mask):
-            if self.succ[i] & mask:
-                return False
-        return True
-
     def loops_mask(self) -> int:
         m = 0
         for i in range(len(self.succ)):

@@ -55,68 +55,61 @@ def check_kernel(tag: str) -> str:
     return tag
 
 
-def _loop(f: AF, a: str) -> bool:
-    return (a, a) in f.attacks
+def _settled(f: Frame, loops: int, i: int, j: int, extra: int) -> bool:
+    """Each target of j attacks i, is attacked by i, loops, or is in extra."""
+    return f.succ[j] & ~(f.succ[i] | f.pred[i] | loops | extra) == 0
+
+
+def _drop_adm(f: Frame, loops: int, i: int, j: int) -> bool:
+    return loops >> i & 1 and (f.pred[i] | loops) >> j & 1
+
+
+def _drop_grd(f: Frame, loops: int, i: int, j: int) -> bool:
+    return loops >> j & 1 and (f.succ[j] | loops) >> i & 1
+
+
+def _drop_com(f: Frame, loops: int, i: int, j: int) -> bool:
+    return loops >> i & 1 and loops >> j & 1
+
+
+# kernel -> drop(f, loops, i, j): does the kernel delete the attack from index
+# i to index j != i? `loops` is the self-loop mask of f.
+_DROP = {
+    "k_stb": lambda f, loops, i, j: loops >> i & 1,
+    "k_adm": _drop_adm,
+    "k_grd": _drop_grd,
+    "k_com": _drop_com,
+    "ks_adm": lambda f, loops, i, j: _drop_adm(f, loops, i, j)
+    or loops >> j & 1 and _settled(f, loops, i, j, f.pred[j]),
+    "ks_grd": lambda f, loops, i, j: _drop_grd(f, loops, i, j)
+    or loops >> j & 1 and _settled(f, loops, i, j, 0),
+    "ks_com": lambda f, loops, i, j: _drop_com(f, loops, i, j)
+    or loops >> j & 1 and not f.succ[j] >> i & 1 and _settled(f, loops, i, j, f.pred[j]),
+    "ks_stg": lambda f, loops, i, j: loops >> i & 1 or loops | 1 << i == f.full_mask,
+}
 
 
 def kernel(f: AF, kind: str) -> AF:
-    """Apply the selected kernel; arguments are always preserved."""
+    """Apply the selected kernel; arguments and self-loops are always preserved.
+
+    k_nav adds attacks; every other kernel but the identity deletes the
+    attacks its `_DROP` test accepts.
+    """
     check_kernel(kind)
     if kind == "identity":
         return f
-    r = f.attacks
-    args = f.names
-
-    def keep(a: str, b: str) -> bool:
-        if a == b:
-            return True
-        if kind == "k_stb":
-            return not _loop(f, a)
-        if kind == "k_adm":
-            return not (_loop(f, a) and ((b, a) in r or _loop(f, b)))
-        if kind == "k_grd":
-            return not (_loop(f, b) and (_loop(f, a) or (b, a) in r))
-        if kind == "k_com":
-            return not (_loop(f, a) and _loop(f, b))
-        if kind == "ks_adm":
-            first = _loop(f, a) and ((b, a) in r or _loop(f, b))
-            second = _loop(f, b) and all(
-                (a, c) in r or (c, a) in r or _loop(f, c) or (c, b) in r
-                for c in args
-                if (b, c) in r
-            )
-            return not (first or second)
-        if kind == "ks_grd":
-            first = _loop(f, b) and (_loop(f, a) or (b, a) in r)
-            second = _loop(f, b) and all(
-                (a, c) in r or (c, a) in r or _loop(f, c) for c in args if (b, c) in r
-            )
-            return not (first or second)
-        if kind == "ks_com":
-            first = _loop(f, a) and _loop(f, b)
-            second = (
-                _loop(f, b)
-                and (b, a) not in r
-                and all(
-                    (a, c) in r or (c, a) in r or _loop(f, c) or (c, b) in r
-                    for c in args
-                    if (b, c) in r
-                )
-            )
-            return not (first or second)
-        if kind == "ks_stg":
-            return not (_loop(f, a) or all(_loop(f, c) for c in args if c != a))
-        raise UnknownKernelError(kind)  # pragma: no cover
-
+    loops = f.loops_mask()
     if kind == "k_nav":
+        # (a, b), b != a, for every b when a loops, else for b attacking a or looping
         extra = [
-            (a, b)
-            for a in args
-            for b in args
-            if a != b and (_loop(f, a) or (b, a) in r or _loop(f, b))
+            (f.names[i], f.names[j])
+            for i in range(f.n)
+            for j in bits((f.full_mask if loops >> i & 1 else f.pred[i] | loops) & ~(1 << i))
         ]
-        return AF(args, list(r) + extra)
-    return AF(args, [(a, b) for a, b in r if keep(a, b)])
+        return AF(f.names, list(f.attacks) + extra)
+    drop, index = _DROP[kind], f.index
+    kept = [(a, b) for a, b in f.attacks if a == b or not drop(f, loops, index[a], index[b])]
+    return AF(f.names, kept)
 
 
 # -- characterization tables ---------------------------------------------------
@@ -219,21 +212,23 @@ _LAB_TABLE: dict[str, dict[str, Optional[str]]] = {
 }
 
 
-def characterizing_kernel(notion: str, sigma: str, flavor: str = "extension") -> Optional[str]:
-    """The kernel whose equality decides the notion, or None when the cell is
-    open / only characterized through a non-kernel criterion."""
+def _cell(notion: str, sigma: str, flavor: str) -> Optional[str]:
+    """The table cell for the notion, semantics and flavor (None when open or
+    for ordinary equivalence), after validating all three."""
     if notion not in NOTIONS:
         raise AFError(f"unknown equivalence notion: {notion!r}")
     if flavor not in FLAVORS:
         raise AFError(f"unknown flavor: {flavor!r}")
     check_semantics(sigma)
-    if notion == "ordinary":
-        return None
     table = _EXT_TABLE if flavor == "extension" else _LAB_TABLE
-    cell = table.get(notion, {}).get(sigma)
-    if cell == CRITERION:
-        return None
-    return cell
+    return table.get(notion, {}).get(sigma)
+
+
+def characterizing_kernel(notion: str, sigma: str, flavor: str = "extension") -> Optional[str]:
+    """The kernel whose equality decides the notion, or None when the cell is
+    open / only characterized through a non-kernel criterion."""
+    cell = _cell(notion, sigma, flavor)
+    return None if cell == CRITERION else cell
 
 
 @dataclass(frozen=True)
@@ -247,11 +242,6 @@ class EquivalenceVerdict:
         return self.answer != "unsupported"
 
 
-def _nl_restricted(f: AF, shared: set[str]) -> set[str]:
-    sub = f.restrict(shared)
-    return {a for a in sub.names if (a, a) not in sub.attacks}
-
-
 def _normal_deletion_criterion(f: AF, g: AF, sigma: str) -> EquivalenceVerdict:
     """Three-condition theorem for normal deletion equivalence of adm/com/grd."""
     shared = set(f.names) & set(g.names)
@@ -262,8 +252,8 @@ def _normal_deletion_criterion(f: AF, g: AF, sigma: str) -> EquivalenceVerdict:
         (a, a) in g.attacks for a in only_g
     ):
         return EquivalenceVerdict("not_equivalent", "criterion", "non-shared argument without self-loop")
-    nl_f = _nl_restricted(f, shared)
-    nl_g = _nl_restricted(g, shared)
+    nl_f = {a for a in shared if (a, a) not in f.attacks}
+    nl_g = {a for a in shared if (a, a) not in g.attacks}
     if sigma == "adm":
         # counter-attack if attacked
         ok = all(
@@ -296,11 +286,7 @@ def decide_equivalence(
     f: AF, g: AF, notion: str, sigma: str, flavor: str = "extension"
 ) -> EquivalenceVerdict:
     """Decide the equivalence notion for f and g, syntactically where possible."""
-    if notion not in NOTIONS:
-        raise AFError(f"unknown equivalence notion: {notion!r}")
-    if flavor not in FLAVORS:
-        raise AFError(f"unknown flavor: {flavor!r}")
-    check_semantics(sigma)
+    cell = _cell(notion, sigma, flavor)
     if notion == "ordinary":
         if flavor == "extension":
             same = extensions(f, sigma) == extensions(g, sigma)
@@ -311,16 +297,12 @@ def decide_equivalence(
         return EquivalenceVerdict(
             "equivalent" if same else "not_equivalent", "criterion", "semantic comparison"
         )
-    table = _EXT_TABLE if flavor == "extension" else _LAB_TABLE
-    cell = table.get(notion, {}).get(sigma)
     if cell is None:
         return EquivalenceVerdict("unsupported", "none", "cell open in the literature")
-    if cell == CRITERION:
-        if flavor == "extension" and notion == "W" and sigma == "stb":
+    if cell == CRITERION:  # extension flavor only: W for stb, ND for adm/grd/com
+        if notion == "W":
             return _weak_stable_criterion(f, g)
-        if flavor == "extension" and notion == "ND":
-            return _normal_deletion_criterion(f, g, sigma)
-        return EquivalenceVerdict("unsupported", "none", "cell open in the literature")
+        return _normal_deletion_criterion(f, g, sigma)
     if cell == "identity":
         same = f == g
         return EquivalenceVerdict(
@@ -478,6 +460,8 @@ def search_counterexample(
     """
     if notion not in EXPANSION_NOTIONS + DELETION_NOTIONS:
         raise AFError(f"witness search does not handle notion {notion!r}")
+    if flavor not in FLAVORS:
+        raise AFError(f"unknown flavor: {flavor!r}")
     check_semantics(sigma)
     if notion in EXPANSION_NOTIONS:
         candidates = _expansion_candidates(f, g, notion, budget)

@@ -138,6 +138,17 @@ def _maximal(masks: list[int], key: Callable[[int], int] | None = None) -> list[
     return out
 
 
+def _greatest_below_meet(adm: list[int], tops: list[int], within: int) -> list[int]:
+    """The ⊆-maximal masks of adm inside the meet of tops (`within` when tops
+    is empty). With adm the admissible sets and tops the preferred
+    (semi-stable) extensions this is the ideal (eager) extension: unique and
+    complete."""
+    bound = within
+    for m in tops:
+        bound &= m
+    return _maximal([m for m in adm if m & ~bound == 0])
+
+
 def _characteristic(f: Frame, m: int, within: int) -> int:
     """Gamma(m): everything in `within` defended by m, i.e. not attacked from
     `within` by an argument that m does not attack."""
@@ -244,13 +255,8 @@ def extension_masks(f: Frame, sigma: str, within: int) -> list[int]:
     if sigma == "grd":
         return _grounded_trace(f, within)[-1:]
     if sigma in ("id", "eag"):
-        # The greatest admissible set inside the meet of the preferred
-        # (semi-stable) extensions. It is unique and complete.
         adm = _adm_masks(f, within)
-        bound = within
-        for m in _maximal(adm, None if sigma == "id" else in_range):
-            bound &= m
-        return _maximal([m for m in adm if m & ~bound == 0])
+        return _greatest_below_meet(adm, _maximal(adm, None if sigma == "id" else in_range), within)
     if sigma == "sad":
         return _sad_masks(f, within)
     if sigma in ("cf2", "stg2"):

@@ -6,20 +6,26 @@ of a framework. Informativeness between classes is decided through a small
 region model: relative to a pair (P, M) of sets, an element lives in exactly one
 of four regions (only P, only M, both, neither), every basic function is a union
 of regions, and a family of functions determines another function iff membership
-is a function of the visible region signature. That model also yields the data
-reductions used when a semantics is re-derived from a more informative class.
+is a function of the visible region signature. The same model computes both the
+neighborhoods (read off the range/anti-range pair) and the data reductions used
+when a semantics is re-derived from a more informative class; the criteria run
+on masks over the elements of the class data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable
 
-from .core import AF, AFError, anti_range, range_of
+from .core import AF, AFError, bits
 from .semantics import (
     ExtensionSet,
-    check_semantics,
+    _greatest_below_meet,
+    _maximal,
     cf_masks,
+    check_semantics,
     extension_key,
     sort_extensions,
 )
@@ -111,30 +117,42 @@ def more_informative(x: str, y: str) -> bool:
     return all(_derives(xs, b) for b in ys)
 
 
-def _apply_basic(basic: str, p: frozenset[str], m: frozenset[str]) -> frozenset[str]:
-    if basic == "+":
-        return p
-    if basic == "-":
-        return m
-    if basic == "±":
-        return p - m
-    if basic == "∓":
-        return m - p
-    if basic == "∩":
-        return p & m
-    if basic == "∪":
-        return p | m
-    if basic == "Δ":
-        return (p | m) - (p & m)
-    raise AFError(f"unknown basic neighborhood function: {basic!r}")
+def _plan(source: tuple[str, ...], wanted: tuple[str, ...]):
+    """How each wanted basic function reads off the source components: its
+    regions, each as (components holding the region, components not holding
+    it). Exact when the source derives every wanted function."""
+    return [
+        sorted({
+            (
+                tuple(k for k, c in enumerate(source) if region in BASIC_REGIONS[c]),
+                tuple(k for k, c in enumerate(source) if region not in BASIC_REGIONS[c]),
+            )
+            for region in BASIC_REGIONS[basic]
+        })
+        for basic in wanted
+    ]
+
+
+def _apply_plan(plan, parts: tuple) -> tuple:
+    """The wanted parts from the source parts, which are all frozensets or all
+    masks: a region's elements lie in each part holding it and in no other
+    (`x ^ (x & y)` removes y from x for either type)."""
+    out = []
+    for regions in plan:
+        chunks = []
+        for held, not_held in regions:
+            x = reduce(and_, (parts[k] for k in held))
+            for k in not_held:
+                x ^= x & parts[k]
+            chunks.append(x)
+        out.append(reduce(or_, chunks))
+    return tuple(out)
 
 
 def neighborhood(x: str, s_plus: Iterable[str], s_minus: Iterable[str]) -> tuple[frozenset[str], ...]:
     """Apply the neighborhood function coordinate-wise to a (range, anti-range) pair."""
-    name = parse_class(x)
-    p = frozenset(s_plus)
-    m = frozenset(s_minus)
-    return tuple(_apply_basic(b, p, m) for b in REPRESENTATIVES[name])
+    plan = _plan(REPRESENTATIVES["+−"], REPRESENTATIVES[parse_class(x)])
+    return _apply_plan(plan, (frozenset(s_plus), frozenset(s_minus)))
 
 
 Entry = tuple[frozenset[str], tuple[frozenset[str], ...]]
@@ -155,10 +173,11 @@ class VerificationClassData:
 def verification_class(f: AF, x: str) -> VerificationClassData:
     """One digest entry per conflict-free set of f."""
     name = parse_class(x)
+    plan = _plan(REPRESENTATIVES["+−"], REPRESENTATIVES[name])
     entries = []
-    for mask in cf_masks(f):
-        s = f.set_of(mask)
-        entries.append((s, neighborhood(name, range_of(f, s), anti_range(f, s))))
+    for m in cf_masks(f):
+        pair = (m | f.attacked_by_mask(m), m | f.attackers_of_mask(m))
+        entries.append((f.set_of(m), tuple(map(f.set_of, _apply_plan(plan, pair)))))
     entries.sort(key=lambda e: extension_key(e[0]))
     return VerificationClassData(name, tuple(entries))
 
@@ -168,41 +187,19 @@ class InsufficientClassError(AFError):
 
 
 def reduce_data(data: VerificationClassData, target: str) -> VerificationClassData:
-    """Re-express class data in a (weakly) less informative class via element
-    signature classification."""
+    """Re-express class data in a (weakly) less informative class: each
+    target part is the union of its regions, read off the source parts."""
     target_name = parse_class(target)
-    source = REPRESENTATIVES[data.class_id]
-    wanted = REPRESENTATIVES[target_name]
     if not more_informative(data.class_id, target_name):
         raise InsufficientClassError(
             f"class {data.class_id} cannot be reduced to {target_name}"
         )
-    # Map each visible region signature to target membership. The
-    # more_informative check above guarantees this is a function; in
-    # particular the all-absent signature (the neither-region) never lands
-    # in the target, so unseen elements are correctly dropped.
-    tables = []
-    for basic in wanted:
-        table: dict[tuple[bool, ...], bool] = {}
-        for region in _REGIONS:
-            table[_signature(source, region)] = region in BASIC_REGIONS[basic]
-        tables.append(table)
-    new_entries = []
-    for base, info in data.entries:
-        elements: set[str] = set()
-        for part in info:
-            elements |= part
-        new_info = []
-        for table in tables:
-            new_info.append(
-                frozenset(
-                    e
-                    for e in elements
-                    if table[tuple(e in info[i] for i in range(len(source)))]
-                )
-            )
-        new_entries.append((base, tuple(new_info)))
-    return VerificationClassData(target_name, tuple(new_entries))
+    # more_informative guarantees that no target region has the neither-
+    # region's all-absent signature, so every region is read off at least
+    # one source part and unseen elements are correctly dropped.
+    plan = _plan(REPRESENTATIVES[data.class_id], REPRESENTATIVES[target_name])
+    entries = tuple((base, _apply_plan(plan, info)) for base, info in data.entries)
+    return VerificationClassData(target_name, entries)
 
 
 EXACT_CLASS: dict[str, str] = {
@@ -230,24 +227,14 @@ def exact_class(sigma: str) -> str:
 
 
 # -- criteria ------------------------------------------------------------------
-
-
-def _maximal_sets(sets, key=None) -> list[frozenset[str]]:
-    """The sets whose key (default: the set itself) is ⊂-maximal among all keys."""
-    keys = [key(s) if key else s for s in sets]
-    return [s for s, k in zip(sets, keys) if not any(k < o for o in keys)]
-
-
-def _greatest_adm_below_meet(entries, args, tops):
-    bound = args
-    for s in tops:
-        bound &= s
-    return _maximal_sets([s for s in _gamma_adm(entries, args) if s <= bound])
+#
+# Each criterion reads the class data as masks over one index: `entries` is a
+# list of (base, info) with info the masks of the exact class's components,
+# and `args` is the argument mask.
 
 
 def _gamma_nav(entries, args):
-    bases = [b for b, _ in entries]
-    return _maximal_sets(bases)
+    return _maximal([b for b, _ in entries])
 
 
 def _gamma_stb(entries, args):
@@ -256,7 +243,7 @@ def _gamma_stb(entries, args):
 
 def _gamma_stg(entries, args):
     ranges = {b: info[0] for b, info in entries}
-    return _maximal_sets(list(ranges), ranges.get)
+    return _maximal(list(ranges), ranges.get)
 
 
 def _gamma_adm(entries, args):
@@ -264,60 +251,53 @@ def _gamma_adm(entries, args):
 
 
 def _gamma_prf(entries, args):
-    return _maximal_sets(_gamma_adm(entries, args))
+    return _maximal(_gamma_adm(entries, args))
 
 
 def _gamma_id(entries, args):
-    return _greatest_adm_below_meet(entries, args, _gamma_prf(entries, args))
+    adm = _gamma_adm(entries, args)
+    return _greatest_below_meet(adm, _maximal(adm), args)
 
 
 def _gamma_semi(entries, args):
     adm = set(_gamma_adm(entries, args))
     ranges = {b: info[0] for b, info in entries if b in adm}
-    return _maximal_sets(list(ranges), ranges.get)
+    return _maximal(list(ranges), ranges.get)
 
 
 def _gamma_eag(entries, args):
-    return _greatest_adm_below_meet(entries, args, _gamma_semi(entries, args))
+    return _greatest_below_meet(_gamma_adm(entries, args), _gamma_semi(entries, args), args)
 
 
 def _gamma_sad(entries, args):
     """Chain criterion: a set is reachable when, step by step, the attackers new
-    to the step lie inside the previous set's attacked-and-unattacking digest."""
-    anti = {b: info[0] for b, info in entries}
-    pm = {b: info[1] for b, info in entries}
-    attackers = {b: anti[b] - b for b in anti}
-    bases = sorted(anti, key=extension_key)
-    reachable: set[frozenset[str]] = {frozenset()} if frozenset() in anti else set()
-    changed = True
-    while changed:
-        changed = False
-        for b in bases:
-            if b in reachable:
-                continue
-            for t in reachable:
-                if t < b and (attackers[b] - attackers[t]) <= pm[t]:
-                    reachable.add(b)
-                    changed = True
-                    break
-    return sorted(reachable, key=extension_key)
+    to the step lie inside the previous set's attacked-and-unattacking digest.
+    A strict subset is a smaller integer, so one ascending pass decides every
+    set after all its possible predecessors."""
+    digest = {b: (anti & ~b, pm) for b, (anti, pm) in entries}
+    reachable: list[int] = []
+    for b in sorted(digest):
+        attackers = digest[b][0]
+        if b == 0 or any(
+            t & ~b == 0 and attackers & ~digest[t][0] & ~digest[t][1] == 0 for t in reachable
+        ):
+            reachable.append(b)
+    return reachable
 
 
 def _gamma_grd(entries, args):
     sad = _gamma_sad(entries, args)
-    return [s for s in sad if all(t <= s for t in sad)]
+    return [s for s in sad if all(t & ~s == 0 for t in sad)]
 
 
 def _gamma_com(entries, args):
-    ranges = {b: info[0] for b, info in entries}
-    anti = {b: info[1] for b, info in entries}
-    attackers = {b: anti[b] - b for b in anti}
-    admissible = [b for b in ranges if not attackers[b] - ranges[b]]
-    out = []
-    for s in admissible:
-        if all(attackers[o] - ranges[s] for o in ranges if s < o):
-            out.append(s)
-    return out
+    digest = {b: (plus, minus & ~b) for b, (plus, minus) in entries}
+    return [
+        s
+        for s, (plus, attackers) in digest.items()
+        if attackers & ~plus == 0
+        and all(a & ~plus for o, (_, a) in digest.items() if o != s and s & ~o == 0)
+    ]
 
 
 _GAMMA = {
@@ -344,5 +324,13 @@ def verify(sigma: str, data: VerificationClassData, args: Iterable[str]) -> Exte
             f"semantics {sigma} needs class {needed}, got {data.class_id}"
         )
     reduced = reduce_data(data, needed)
-    result = _GAMMA[sigma](list(reduced.entries), frozenset(args))
-    return sort_extensions(result)
+    args = frozenset(args)
+    names = sorted(args.union(*(b.union(*info) for b, info in reduced.entries)))
+    index = {a: i for i, a in enumerate(names)}
+
+    def mask(s: frozenset[str]) -> int:
+        return sum(1 << index[a] for a in s)
+
+    entries = [(mask(b), tuple(map(mask, info))) for b, info in reduced.entries]
+    result = _GAMMA[sigma](entries, mask(args))
+    return sort_extensions(frozenset(names[i] for i in bits(m)) for m in result)

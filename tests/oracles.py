@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here works on plain frozensets straight from the definitions, with
-no shared code paths with afkit's bitmask implementations. The one exception
+no shared code paths with afkit's bitmask implementations (`kernel_oracle`
+states each kernel over argument names and attack pairs). The one exception
 is `witness_oracle`, the string-level witness search: it builds every
 candidate scenario as a whole framework and compares those through afkit's
 `extensions`/`labellings`, so it checks the mask-level search's candidate
@@ -214,6 +215,72 @@ def random_af(rng, pool, p_attack=0.3):
         (a, b) for a in names for b in names if rng.random() < p_attack
     ]
     return AF(names, attacks)
+
+
+# -- kernels -----------------------------------------------------------------
+
+
+def kernel_oracle(f: AF, kind: str) -> AF:
+    """The kernel constructions stated attack by attack over argument names:
+    which attacks (a, b), a != b, each kernel keeps (k_nav: adds)."""
+    r = f.attacks
+    args = f.names
+    if kind == "identity":
+        return f
+
+    def loop(a: str) -> bool:
+        return (a, a) in r
+
+    def keep(a: str, b: str) -> bool:
+        if a == b:
+            return True
+        if kind == "k_stb":
+            return not loop(a)
+        if kind == "k_adm":
+            return not (loop(a) and ((b, a) in r or loop(b)))
+        if kind == "k_grd":
+            return not (loop(b) and (loop(a) or (b, a) in r))
+        if kind == "k_com":
+            return not (loop(a) and loop(b))
+        if kind == "ks_adm":
+            first = loop(a) and ((b, a) in r or loop(b))
+            second = loop(b) and all(
+                (a, c) in r or (c, a) in r or loop(c) or (c, b) in r
+                for c in args
+                if (b, c) in r
+            )
+            return not (first or second)
+        if kind == "ks_grd":
+            first = loop(b) and (loop(a) or (b, a) in r)
+            second = loop(b) and all(
+                (a, c) in r or (c, a) in r or loop(c) for c in args if (b, c) in r
+            )
+            return not (first or second)
+        if kind == "ks_com":
+            first = loop(a) and loop(b)
+            second = (
+                loop(b)
+                and (b, a) not in r
+                and all(
+                    (a, c) in r or (c, a) in r or loop(c) or (c, b) in r
+                    for c in args
+                    if (b, c) in r
+                )
+            )
+            return not (first or second)
+        if kind == "ks_stg":
+            return not (loop(a) or all(loop(c) for c in args if c != a))
+        raise AFError(f"unknown kernel: {kind!r}")
+
+    if kind == "k_nav":
+        extra = [
+            (a, b)
+            for a in args
+            for b in args
+            if a != b and (loop(a) or (b, a) in r or loop(b))
+        ]
+        return AF(args, list(r) + extra)
+    return AF(args, [(a, b) for a, b in r if keep(a, b)])
 
 
 # -- witness search ----------------------------------------------------------

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from afkit.core import AF, AFError, delete, loops, union_af
 from afkit.kernels import (
@@ -16,7 +17,8 @@ from afkit.kernels import (
 )
 from afkit.semantics import SEMANTICS, EnumerationLimitError, extensions, labellings
 
-from oracles import all_afs, random_af, witness_oracle
+from fixtures import five_six_arg_afs
+from oracles import all_afs, kernel_oracle, random_af, witness_oracle
 
 
 def fs(*xs):
@@ -48,6 +50,20 @@ class TestKernelConstructions:
     def test_unknown(self):
         with pytest.raises(AFError):
             kernel(AF("a", []), "k_xyz")
+
+    def test_matches_string_level_oracle_exhaustive(self):
+        # all 528 frameworks on two or three arguments
+        frameworks = list(all_afs(["a", "b"])) + list(all_afs(["a", "b", "c"]))
+        assert len(frameworks) == 528
+        for f in frameworks:
+            for k in KERNEL_IDS:
+                assert kernel(f, k) == kernel_oracle(f, k), (k, f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=five_six_arg_afs())
+    def test_matches_string_level_oracle_five_six_args(self, f):
+        for k in KERNEL_IDS:
+            assert kernel(f, k) == kernel_oracle(f, k), (k, f)
 
 
 class TestKernelFacts:
@@ -405,6 +421,14 @@ class TestWitnessSearch:
         assert extensions(delete(f, w.args, w.attacks), "prf") != extensions(
             delete(g, w.args, w.attacks), "prf"
         )
+
+    def test_unknown_flavor_rejected(self, f_six, g_six):
+        with pytest.raises(AFError, match="unknown flavor: 'bogus'"):
+            decide_equivalence(f_six, g_six, "E", "stb", "bogus")
+        with pytest.raises(AFError, match="unknown flavor: 'bogus'"):
+            search_counterexample(f_six, g_six, "E", "stb", flavor="bogus")
+        with pytest.raises(AFError, match="unknown flavor: 'bogus'"):
+            search_counterexample(f_six, g_six, "D", "prf", flavor="bogus", max_candidates=0)
 
     def test_budget_valve_reported(self, f_six, g_six_wide):
         r = search_counterexample(

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings
 
 from afkit.core import AF
-from afkit.semantics import extensions
+from afkit.semantics import extensions, sort_extensions
 from afkit.verifiability import (
     EXACT_CLASS,
     REPRESENTATIVES,
+    VERIFIABLE_SEMANTICS,
     InsufficientClassError,
     exact_class,
     more_informative,
@@ -15,8 +17,8 @@ from afkit.verifiability import (
     verify,
 )
 
-from fixtures import EXACTNESS_FIXTURES, representative_of
-from oracles import all_afs
+from fixtures import EXACTNESS_FIXTURES, five_six_arg_afs, representative_of
+from oracles import ORACLES, all_afs
 
 
 def fs(*xs):
@@ -32,6 +34,22 @@ class TestNeighborhood:
 
     def test_symmetric_difference(self):
         assert neighborhood("Δ", {"a", "b"}, {"b", "c"}) == (fs("a", "c"),)
+
+    @pytest.mark.parametrize(
+        "basic,expected",
+        [
+            ("+", fs("a", "b")),
+            ("-", fs("b", "c")),
+            ("±", fs("a")),
+            ("∓", fs("c")),
+            ("∩", fs("b")),
+            ("∪", fs("a", "b", "c")),
+            ("Δ", fs("a", "c")),
+        ],
+    )
+    def test_basic_functions(self, basic, expected):
+        # range {a, b}, anti-range {b, c}: one element in each region but "neither"
+        assert neighborhood(basic, {"a", "b"}, {"b", "c"}) == (expected,)
 
     def test_composite(self):
         assert neighborhood("+−", {"a"}, {"b"}) == (fs("a"), fs("b"))
@@ -157,7 +175,8 @@ class TestVerify:
         for f in all_afs(["a", "b"]):
             for sigma in EXACT_CLASS:
                 data = verification_class(f, exact_class(sigma))
-                assert verify(sigma, data, f.args) == extensions(f, sigma), (sigma, f)
+                want = sort_extensions(ORACLES[sigma](f))
+                assert verify(sigma, data, f.args) == want, (sigma, f)
 
     def test_monotone_in_informativeness(self):
         for f in all_afs(["a", "b"]):
@@ -168,9 +187,12 @@ class TestVerify:
                         assert verify(sigma, data, f.args) == extensions(f, sigma)
 
     def test_reduce_data_roundtrip(self, f_neigh):
-        top = verification_class(f_neigh, "+−")
-        for cls in REPRESENTATIVES:
-            assert reduce_data(top, cls) == verification_class(f_neigh, cls)
+        for f in [f_neigh, *all_afs(["a", "b"])]:
+            for x in REPRESENTATIVES:
+                data = verification_class(f, x)
+                for y in REPRESENTATIVES:
+                    if more_informative(x, y):
+                        assert reduce_data(data, y) == verification_class(f, y), (x, y, f)
 
     def test_oracle_equivalence_sampled_four_args(self):
         import random
@@ -182,7 +204,15 @@ class TestVerify:
             f = random_af(rng, "abcd", 0.3)
             for sigma in EXACT_CLASS:
                 data = verification_class(f, exact_class(sigma))
-                assert verify(sigma, data, f.args) == extensions(f, sigma), (sigma, f)
+                want = sort_extensions(ORACLES[sigma](f))
+                assert verify(sigma, data, f.args) == want, (sigma, f)
+
+    @pytest.mark.parametrize("sigma", VERIFIABLE_SEMANTICS)
+    @settings(max_examples=15, deadline=None)
+    @given(f=five_six_arg_afs())
+    def test_oracle_equivalence_five_six_args(self, sigma, f):
+        data = verification_class(f, exact_class(sigma))
+        assert verify(sigma, data, f.args) == sort_extensions(ORACLES[sigma](f)), f
 
     def test_layered_counterexample_framework(self):
         # the local grd criterion would wrongly accept {u, x} here
