@@ -2,9 +2,13 @@
 the canonical characterization construction, consequence operators, Galois
 checks, and the bridge to argumentation frameworks at toy scale.
 
-A finite logic is a total map from every theory (subset of a finite language)
-to a set of opaque interpretation ids. Everything here is decided by brute
-force over the (exponentially many) theories, so the language is capped.
+A finite logic maps every theory (subset of a finite language) to a set of
+opaque interpretation ids. Theories are bitmasks over the n atoms, T = 2^n of
+them, so the language is capped. Strong equivalence is partition refinement
+under t ↦ t ∪ {a}, O(n²·T); unions over supersets are one superset zeta
+transform, O(n·T) (O(m·2^m) over the m = n + n² argument and attack slots of
+frameworks on n arguments). The output, one id set per theory and one framework
+set per framework, is the cost floor.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
-from .core import AF, AFError
+from .core import AF, AFError, bits
 from .kernels import characterizing_kernel, kernel
 
 MAX_ATOMS = 12
@@ -42,8 +46,7 @@ class FiniteLogic:
         if len(set(self.atoms)) != len(self.atoms):
             raise AFError("duplicate atoms")
         interp = set(self.interpretations)
-        expected = {frozenset(c) for r in range(len(self.atoms) + 1)
-                    for c in itertools.combinations(self.atoms, r)}
+        expected = set(_theories_by_mask(self.atoms))
         if set(self.table) != expected:
             missing = sorted(_fmt_theory(t) for t in expected - set(self.table))
             extra = sorted(_fmt_theory(t) for t in set(self.table) - expected)
@@ -73,14 +76,6 @@ def make_logic(atoms, interpretations, model_map, legend=None) -> FiniteLogic:
 class EquivalencePartition:
     blocks: tuple[tuple[Theory, ...], ...]
 
-    @property
-    def representatives(self) -> tuple[Theory, ...]:
-        return tuple(b[0] for b in self.blocks)
-
-    @property
-    def covers(self) -> tuple[Theory, ...]:
-        return tuple(frozenset().union(*b) for b in self.blocks)
-
     def block_of(self, theory: Iterable[str]) -> tuple[Theory, ...]:
         t = frozenset(theory)
         for b in self.blocks:
@@ -89,50 +84,78 @@ class EquivalencePartition:
         raise AFError(f"theory {_fmt_theory(t)} outside the partition")
 
 
+def _theories_by_mask(atoms: tuple[str, ...]) -> list[Theory]:
+    return [frozenset(a for i, a in enumerate(atoms) if m >> i & 1) for m in range(1 << len(atoms))]
+
+
+def _renumber(keys) -> list[int]:
+    """Dense ids for keys, in order of first occurrence."""
+    seen: dict = {}
+    return [seen.setdefault(k, len(seen)) for k in keys]
+
+
+def _strong_ids(logic: FiniteLogic) -> tuple[list[Theory], list[int]]:
+    """Theories by mask and their strong-equivalence ids: the coarsest refinement of "same
+    models" keeping t, t ∪ {a} together for every atom a (Moore), at most n + 1 rounds."""
+    theories = _theories_by_mask(logic.atoms)
+    steps = [1 << i for i in range(len(logic.atoms))]
+    ids, new = None, _renumber(logic.table[t] for t in theories)
+    while new != ids:  # a numbering by first occurrence is canonical per partition
+        ids, new = new, _renumber((c, *(new[m | b] for b in steps)) for m, c in enumerate(new))
+    return theories, ids
+
+
+def _superset_union(rows: list[int], width: int) -> None:
+    """Superset zeta transform in place: afterwards rows[m] is the union of
+    the original rows[s] over every mask s ⊇ m of `width` bits (Yates)."""
+    for i in range(width):
+        bit = 1 << i
+        for m in range(len(rows)):
+            if not m & bit:
+                rows[m] |= rows[m | bit]
+
+
+def _up_classes(masks, keys, labels, width: int) -> list[frozenset]:
+    """Per position i, the labels in the key classes of all positions with masks ⊇ masks[i]:
+    one class bit per mask (row 0 on masks no position has), `_superset_union`, members."""
+    classes: dict[int, set] = {}
+    rows = [0] * (1 << width)
+    for m, c, label in zip(masks, _renumber(keys), labels):
+        classes.setdefault(c, set()).add(label)
+        rows[m] = 1 << c
+    _superset_union(rows, width)
+    return [frozenset().union(*(classes[c] for c in bits(rows[m]))) for m in masks]
+
+
+def _meets(models: list) -> bool:
+    """models[m] = models[m minus its lowest bit] ∩ models[that bit] for all m ≠ 0: by
+    induction, models[m] = models[0] ∩ ⋂ models[{i}] over i ∈ m, i.e. binary intersection."""
+    return all(models[m] == models[m & (m - 1)] & models[m & -m] for m in range(1, len(models)))
+
+
 def strong_eq_classes(logic: FiniteLogic) -> EquivalencePartition:
-    """Partition of all theories by strong equivalence, decided by brute force
-    over all extending theories."""
-    theories = logic.theories
-    signatures: dict[Theory, tuple] = {}
-    for t in theories:
-        signatures[t] = tuple(logic.table[t | u] for u in theories)
-    groups: dict[tuple, list[Theory]] = {}
-    for t in theories:
-        groups.setdefault(signatures[t], []).append(t)
-    blocks = [tuple(sorted(g, key=theory_key)) for g in groups.values()]
-    blocks.sort(key=lambda b: theory_key(b[0]))
-    return EquivalencePartition(tuple(blocks))
+    """Partition of all theories by strong equivalence."""
+    theories, ids = _strong_ids(logic)
+    groups: dict[int, list[Theory]] = {}
+    for t, c in sorted(zip(theories, ids), key=lambda p: theory_key(p[0])):
+        groups.setdefault(c, []).append(t)
+    return EquivalencePartition(tuple(map(tuple, groups.values())))
 
 
 def canonical_characterization(logic: FiniteLogic) -> FiniteLogic:
     """The canonical finite-theory characterization logic: the models of a theory
     are (ids of) all theories strongly equivalent to some supertheory of it."""
-    part = strong_eq_classes(logic)
-    theories = logic.theories
-    ids = {t: f"t{i}" for i, t in enumerate(theories)}
-    legend = {ids[t]: _fmt_theory(t) for t in theories}
-    block_of = {t: b for b in part.blocks for t in b}
-    table: dict[Theory, frozenset[str]] = {}
-    for t in theories:
-        out: set[str] = set()
-        for s in theories:
-            if t <= s:
-                out.update(ids[m] for m in block_of[s])
-        table[t] = frozenset(out)
-    return FiniteLogic(logic.atoms, tuple(ids[t] for t in theories), table, legend)
+    theories, cls = _strong_ids(logic)
+    ids = {t: f"t{i}" for i, t in enumerate(sorted(theories, key=theory_key))}
+    models = _up_classes(range(len(theories)), cls, map(ids.get, theories), len(logic.atoms))
+    legend = {i: _fmt_theory(t) for t, i in ids.items()}
+    return FiniteLogic(logic.atoms, tuple(ids.values()), dict(zip(theories, models)), legend)
 
 
 def has_intersection_property(logic: FiniteLogic) -> bool:
-    """models(T) equals the intersection of the models of T's singletons
-    (the empty intersection being the full interpretation set)."""
-    full = frozenset(logic.interpretations)
-    for t in logic.theories:
-        meet = full
-        for atom in t:
-            meet &= logic.table[frozenset((atom,))]
-        if logic.table[t] != meet:
-            return False
-    return True
+    """models(T) is the intersection of its singletons' models (all interpretations for ∅)."""
+    models = [logic.table[t] for t in _theories_by_mask(logic.atoms)]
+    return models[0] == frozenset(logic.interpretations) and _meets(models)
 
 
 def is_characterization(candidate: FiniteLogic, target: FiniteLogic) -> bool:
@@ -140,50 +163,37 @@ def is_characterization(candidate: FiniteLogic, target: FiniteLogic) -> bool:
     coincides with strong target-equivalence, and binary intersection holds."""
     if candidate.atoms != target.atoms:
         raise AFError("characterization check requires a shared language")
-    part = strong_eq_classes(target)
-    block_of = {t: b for b in part.blocks for t in b}
-    ts = target.theories
-    for t1 in ts:
-        for t2 in ts:
-            if (candidate.table[t1] == candidate.table[t2]) != (block_of[t1] is block_of[t2]):
-                return False
-    for t1 in ts:
-        for t2 in ts:
-            if candidate.table[t1 | t2] != candidate.table[t1] & candidate.table[t2]:
-                return False
-    return True
+    theories, cls = _strong_ids(target)
+    cand = [candidate.table[t] for t in theories]
+    # both number their groups in order of first occurrence by mask
+    return _renumber(cand) == cls and _meets(cand)
 
 
 def canonical_consequence(logic: FiniteLogic, theory: Iterable[str]) -> Theory:
     """Union of all theories whose models include the models of the given one."""
-    t = frozenset(theory)
-    base = logic.models(t)
-    out: set[str] = set()
-    for s in logic.theories:
-        if base <= logic.table[s]:
-            out |= s
-    return frozenset(out)
+    base = logic.models(theory)
+    return frozenset().union(*(s for s, models in logic.table.items() if base <= models))
 
 
 def consequence_properties(logic: FiniteLogic) -> dict[str, bool]:
-    cn = {t: canonical_consequence(logic, t) for t in logic.theories}
-    increasing = all(t <= cn[t] for t in logic.theories)
-    monotone = all(
-        cn[t1] <= cn[t2] for t1 in logic.theories for t2 in logic.theories if t1 <= t2
-    )
-    idempotent = all(cn[cn[t]] <= cn[t] for t in logic.theories)
+    theories = _theories_by_mask(logic.atoms)
+    # Cn(t) depends on models(t) only: one scan per distinct model set
+    rep = {logic.table[t]: t for t in theories}
+    cn_of = {models: canonical_consequence(logic, t) for models, t in rep.items()}
+    cn = {t: cn_of[logic.table[t]] for t in theories}
+    increasing = all(t <= cn[t] for t in theories)
+    # monotone on every one-atom step t ⊂ t ∪ {a}, hence on every t1 ⊆ t2
+    monotone = all(cn[t] <= cn[theories[m | 1 << i]]
+                   for m, t in enumerate(theories) for i in range(len(logic.atoms)))
+    idempotent = all(cn[cn[t]] <= cn[t] for t in theories)
     return {"increasing": increasing, "monotone": monotone, "idempotent": idempotent}
 
 
 def galois_check(logic: FiniteLogic) -> bool:
     """Whether the model function forms a Galois correspondence with its
-    canonical theory function. By the intersection theorem for finite logics
-    this holds exactly when the intersection property does, so it is decided
-    in O(|theories|·|atoms|) rather than over all interpretation sets."""
+    canonical theory function. By the intersection theorem for finite logics this
+    holds exactly when the intersection property does: O(|theories|) intersections."""
     return has_intersection_property(logic)
-
-
-# -- argumentation bridge --------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -202,13 +212,8 @@ def all_afs_over(universe: Iterable[str]) -> tuple[AF, ...]:
         for args in itertools.combinations(names, r):
             slots = [(x, y) for x in args for y in args]
             for n_att in range(len(slots) + 1):
-                for atts in itertools.combinations(slots, n_att):
-                    out.append(AF(args, atts))
+                out.extend(AF(args, atts) for atts in itertools.combinations(slots, n_att))
     return tuple(out)
-
-
-def _dsub(f: AF, g: AF) -> bool:
-    return f.args <= g.args and f.attacks <= g.attacks
 
 
 def rho_logic(universe: Iterable[str], sigma: str) -> RhoLogic:
@@ -222,15 +227,9 @@ def rho_logic(universe: Iterable[str], sigma: str) -> RhoLogic:
     if k is None:
         raise AFError(f"no expansion-equivalence kernel for semantics {sigma!r}")
     afs = all_afs_over(names)
-    kernels = {f: kernel(f, k) for f in afs}
-    classes: dict[AF, list[AF]] = {}
-    for f in afs:
-        classes.setdefault(kernels[f], []).append(f)
-    rho: dict[AF, frozenset[AF]] = {}
-    for f in afs:
-        out: set[AF] = set()
-        for g in afs:
-            if _dsub(f, g):
-                out.update(classes[kernels[g]])
-        rho[f] = frozenset(out)
+    # one bit per argument, then one per attack slot (x, y)
+    slots = [*names, *itertools.product(names, names)]
+    bit = {slot: 1 << i for i, slot in enumerate(slots)}
+    masks = [sum(bit[slot] for slot in (*f.args, *f.attacks)) for f in afs]
+    rho = dict(zip(afs, _up_classes(masks, (kernel(f, k) for f in afs), afs, len(slots))))
     return RhoLogic(names, sigma, k, afs, rho)

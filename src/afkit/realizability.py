@@ -257,11 +257,13 @@ def defense_formula_cnf(sets: Iterable[Iterable[str]], a: str) -> frozenset[froz
     disjuncts = [frozenset(s - {a}) for s in cand if a in s]
     if any(not d for d in disjuncts):
         return frozenset()  # {a} itself occurs: tautology
-    clauses: set[frozenset[str]] = set()
-    for combo in itertools.product(*disjuncts):
-        clauses.add(frozenset(combo))
-    minimal = {c for c in clauses if not any(o < c for o in clauses)}
-    return frozenset(minimal)
+    # multiply in one disjunct at a time, keeping only minimal clauses: a
+    # clause subsumed now stays subsumed in every later product
+    clauses: set[frozenset[str]] = {frozenset()}
+    for d in disjuncts:
+        grown = {c | {x} for c in clauses for x in d}
+        clauses = {c for c in grown if not any(o < c for o in grown)}
+    return frozenset(clauses)
 
 
 def _clause_order(clauses: frozenset[frozenset[str]]) -> list[frozenset[str]]:

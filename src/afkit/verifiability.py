@@ -163,6 +163,14 @@ class VerificationClassData:
     class_id: str
     entries: tuple[Entry, ...]
 
+    def __post_init__(self):
+        if self.class_id not in REPRESENTATIVES:
+            raise AFError(f"class data needs a representative class id, got {self.class_id!r}")
+        width = len(REPRESENTATIVES[self.class_id])
+        for base, info in self.entries:
+            if len(info) != width:
+                raise AFError(f"entry {sorted(base)} has {len(info)} parts, class {self.class_id} has {width}")
+
     def info(self, s: frozenset[str]) -> tuple[frozenset[str], ...]:
         for base, info in self.entries:
             if base == s:

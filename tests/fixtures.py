@@ -70,10 +70,12 @@ EXACTNESS_FIXTURES = [
 ]
 
 
-def random_logic(seed: int, max_atoms: int = 3, max_interps: int = 4) -> FiniteLogic:
+def random_logic(
+    seed: int, max_atoms: int = 3, max_interps: int = 4, min_atoms: int = 1
+) -> FiniteLogic:
     """Seeded uniform model table over a small language."""
     rng = random.Random(seed)
-    n_atoms = rng.randint(1, max_atoms)
+    n_atoms = rng.randint(min_atoms, max_atoms)
     atoms = tuple("abcdefghijkl"[:n_atoms])
     n_interp = rng.randint(1, max_interps)
     interps = tuple(f"i{k}" for k in range(n_interp))

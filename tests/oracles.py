@@ -15,12 +15,14 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from afkit.charlogic import FiniteLogic, theory_key
 from afkit.core import AF, AFError, delete, union_af
 from afkit.kernels import (
     DELETION_NOTIONS,
     EXPANSION_NOTIONS,
     FRESH_PREFIX,
     DeletionWitness,
+    characterizing_kernel,
 )
 from afkit.semantics import check_semantics, extensions, labellings
 
@@ -422,3 +424,73 @@ def galois_oracle(logic) -> bool:
         if not k <= logic.models(th(k)):
             return False
     return True
+
+
+def strong_eq_oracle(logic):
+    """Blocks of strong equivalence straight from the definition: one
+    signature per theory, its models under every extension by a theory."""
+    theories = logic.theories
+    groups = {}
+    for t in theories:
+        groups.setdefault(tuple(logic.table[t | u] for u in theories), []).append(t)
+    blocks = [tuple(sorted(g, key=theory_key)) for g in groups.values()]
+    return tuple(sorted(blocks, key=lambda b: theory_key(b[0])))
+
+
+def canonical_characterization_oracle(logic) -> FiniteLogic:
+    """The canonical characterization over all pairs of theories: the models
+    of t are the ids of every block that holds a superset of t."""
+    theories = logic.theories
+    ids = {t: f"t{i}" for i, t in enumerate(theories)}
+    block_of = {t: b for b in strong_eq_oracle(logic) for t in b}
+    table = {
+        t: frozenset(ids[m] for s in theories if t <= s for m in block_of[s])
+        for t in theories
+    }
+    legend = {ids[t]: "{" + ",".join(sorted(t)) + "}" for t in theories}
+    return FiniteLogic(logic.atoms, tuple(ids[t] for t in theories), table, legend)
+
+
+def is_characterization_oracle(candidate, target) -> bool:
+    """Same grouping as strong target-equivalence, and binary intersection,
+    both over all pairs of theories."""
+    block_of = {t: b for b in strong_eq_oracle(target) for t in b}
+    ts = target.theories
+    cand = candidate.table
+    for t1 in ts:
+        for t2 in ts:
+            if (cand[t1] == cand[t2]) != (block_of[t1] is block_of[t2]):
+                return False
+            if cand[t1 | t2] != cand[t1] & cand[t2]:
+                return False
+    return True
+
+
+def consequence_properties_oracle(logic) -> dict:
+    """Cn(t) = th(models(t)) for every theory, monotonicity over all pairs."""
+    th = canonical_theory_function(logic)
+    ts = logic.theories
+    cn = {t: th(logic.table[t]) for t in ts}
+    return {
+        "increasing": all(t <= cn[t] for t in ts),
+        "monotone": all(cn[t1] <= cn[t2] for t1 in ts for t2 in ts if t1 <= t2),
+        "idempotent": all(cn[cn[t]] <= cn[t] for t in ts),
+    }
+
+
+def rho_oracle(universe, sigma) -> dict:
+    """rho'(F) over all pairs of frameworks on the universe: the kernel classes
+    of every G with F's arguments and attacks among G's."""
+    k = characterizing_kernel("E", sigma, "extension")
+    afs = [f for args in powerset(universe) for f in all_afs(args)]
+    kernels = {f: kernel_oracle(f, k) for f in afs}
+    classes = {}
+    for f in afs:
+        classes.setdefault(kernels[f], []).append(f)
+    return {
+        f: frozenset(
+            h for g in afs if f.args <= g.args and f.attacks <= g.attacks
+            for h in classes[kernels[g]]
+        )
+        for f in afs
+    }

@@ -16,10 +16,19 @@ from afkit.charlogic import (
     strong_eq_classes,
 )
 from afkit.core import AFError, union_af
-from afkit.kernels import kernel
+from afkit.kernels import characterizing_kernel, kernel
+from afkit.semantics import SEMANTICS
 
 from fixtures import random_intersection_logic, random_logic
-from oracles import galois_oracle, is_antimonotone
+from oracles import (
+    canonical_characterization_oracle,
+    consequence_properties_oracle,
+    galois_oracle,
+    is_antimonotone,
+    is_characterization_oracle,
+    rho_oracle,
+    strong_eq_oracle,
+)
 
 
 def fs(*xs):
@@ -183,6 +192,61 @@ class TestIntersectionAndGalois:
                 assert anti
             if anti:
                 assert mono
+
+
+class TestAgainstPairOracles:
+    """The mask constructions against the pair loops they replaced."""
+
+    @staticmethod
+    def logics():
+        # 0-6 atoms; one or two interpretations make large strong classes
+        for seed in range(140):
+            yield random_logic(seed, max_atoms=6, max_interps=1 + seed % 4, min_atoms=0)
+        yield from (random_intersection_logic(seed) for seed in range(20))
+
+    def test_partition_characterization_consequence(self):
+        merged = 0
+        for i, logic in enumerate(self.logics()):
+            part = strong_eq_classes(logic)
+            assert part.blocks == strong_eq_oracle(logic), i
+            merged += len(part.blocks) < len(logic.table)
+            char = canonical_characterization(logic)
+            assert char == canonical_characterization_oracle(logic), i  # table, ids, legend
+            assert consequence_properties(logic) == consequence_properties_oracle(logic), i
+        assert merged == 88  # partitions with a block of two or more theories
+
+    def test_is_characterization(self):
+        holds = total = 0
+        for i, logic in enumerate(self.logics()):
+            char = canonical_characterization(logic)
+            top = char.theories[-1]
+            dropped = dict(char.table)
+            dropped[top] = frozenset(sorted(dropped[top])[1:])
+            candidates = [
+                char,
+                logic,
+                random_logic(i + 1000, max_atoms=6, max_interps=3, min_atoms=0),
+                FiniteLogic(char.atoms, char.interpretations, dropped),
+            ]
+            for cand in candidates:
+                if cand.atoms != logic.atoms:
+                    continue
+                expected = is_characterization_oracle(cand, logic)
+                assert is_characterization(cand, logic) == expected, i
+                holds += expected
+                total += 1
+        assert (holds, total) == (266, 507)  # both answers are exercised
+
+    @pytest.mark.parametrize("sigma", [
+        s for s in SEMANTICS if characterizing_kernel("E", s, "extension") is not None
+    ])
+    def test_rho_logic_one_two_args(self, sigma):
+        for universe in (["a"], ["a", "b"]):
+            assert rho_logic(universe, sigma).rho_prime == rho_oracle(universe, sigma)
+
+    @pytest.mark.parametrize("sigma", ["grd", "stb"])
+    def test_rho_logic_three_args(self, sigma):
+        assert rho_logic(["a", "b", "c"], sigma).rho_prime == rho_oracle("abc", sigma)
 
 
 class TestValidation:

@@ -2,13 +2,22 @@
 output plus the documented exit codes (0 affirmative, 1 negative, 2 error,
 3 unsupported)."""
 
+import contextlib
+import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afkit.cli
+from afkit import kernels, realizability, verifiability
 from afkit.cli import main
 from afkit.realizability import RealizationDefect
+from afkit.semantics import LABELLING_SEMANTICS, SEMANTICS
 
 F6 = "arg(a).\narg(b).\narg(c).\narg(d).\natt(b,a).\natt(b,c).\natt(c,c).\natt(d,c).\n"
 G6 = "arg(b).\narg(c).\narg(d).\natt(b,c).\natt(c,b).\natt(c,c).\natt(c,d).\n"
@@ -38,6 +47,21 @@ MONO_LF = (
     "models({}) = {1, 2}\nmodels(a) = {1, 2}\nmodels(b) = {2}\nmodels(a,b) = {}\n"
 )
 ONE_LF = "atoms a\ninterpretations 1\nmodels({}) = {}\nmodels(a) = {1}\n"
+
+
+def _six_atom_lf() -> str:
+    """A fixed 6-atom logic whose strong partition merges some theories."""
+    atoms = "abcdef"
+    lines = ["atoms " + ", ".join(atoms), "interpretations i0, i1, i2, i3"]
+    for m in range(64):
+        t = [a for i, a in enumerate(atoms) if m >> i & 1]
+        keep = (len(t) <= 3, "a" not in t or "b" in t, bin(m & 0b110100).count("1") % 2 == 0, m % 7 != 3)
+        ids = [f"i{k}" for k in range(4) if keep[k]]
+        lines.append(f"models({','.join(t) or '{}'}) = {{{', '.join(ids)}}}")
+    return "\n".join(lines) + "\n"
+
+
+SIX_LF = _six_atom_lf()
 
 
 def run(tmp_path, capsys, argv, files):
@@ -288,6 +312,26 @@ class TestRhoLogic:
         assert out == self.EXPECTED.replace("k_stb", "k_adm")
 
 
+class TestPinnedOutput:
+    """SHA-256 of stdout, taken before the charlogic constructions moved onto
+    masks: the rows, their order and every member list stay byte-identical."""
+
+    @pytest.mark.parametrize("argv,files,digest", [
+        (["rho-logic", "--universe", "a,b,c", "--semantics", "grd"], {},
+         "68c58aba59a5144fa1562e2205726106c705b434b301e077dc8e4f49d2195744"),
+        (["rho-logic", "--universe", "a,b,c", "--semantics", "grd", "--output", "json"], {},
+         "3de235e0a96789d3ce1773b15e12c3dd37f6a63c8b554c0519855b093c0bbeda"),
+        (["charlogic", "--characterize", "l.lf"], {"l.lf": SIX_LF},
+         "c08151426e534a8a4b1a5d1fb6942a55f633312f14d8e867ae303b26016ca075"),
+        (["charlogic", "--characterize", "--output", "json", "l.lf"], {"l.lf": SIX_LF},
+         "706663e9def47b029fbb75cb306289cc909a831600d016038aaca643861fc928"),
+    ])
+    def test_digest(self, tmp_path, capsys, argv, files, digest):
+        rc, out = run(tmp_path, capsys, argv, files)
+        assert rc == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestFullSurfaceSmoke:
     """Every enum value reachable through the CLI runs without error."""
 
@@ -408,3 +452,111 @@ class TestErrors:
         )
         assert rc == 0
         assert json.loads(out) == [["b", "d"]]
+
+
+# -- fuzz: every subcommand on small random inputs ------------------------------
+
+NAMES = st.sampled_from(["a", "b", "c", "d"])
+GARBAGE = st.text(alphabet="arg().,{}=-#ab1 \n", max_size=30)
+
+
+@st.composite
+def apx_text(draw, max_args=4):
+    if draw(st.integers(0, 7)) == 0:
+        return draw(GARBAGE)
+    args = draw(st.lists(NAMES, max_size=max_args, unique=True))
+    pairs = st.tuples(st.sampled_from(args), st.sampled_from(args)) if args else st.nothing()
+    atts = draw(st.lists(pairs, max_size=6 if args else 0))
+    return "".join(f"arg({a}).\n" for a in args) + "".join(f"att({a},{b}).\n" for a, b in atts)
+
+
+@st.composite
+def set_text(draw):
+    if draw(st.integers(0, 7)) == 0:
+        return draw(GARBAGE)
+    sets = draw(st.lists(st.lists(NAMES, max_size=3, unique=True), min_size=1, max_size=4))
+    return "".join((",".join(s) or "-") + "\n" for s in sets)
+
+
+@st.composite
+def logic_text(draw):
+    if draw(st.integers(0, 7)) == 0:
+        return draw(GARBAGE)
+    atoms = "abc"[: draw(st.integers(0, 3))]
+    interps = [f"i{k}" for k in range(draw(st.integers(1, 3)))]
+    lines = ["atoms " + ", ".join(atoms), "interpretations " + ", ".join(interps)]
+    for m in range(1 << len(atoms)):
+        t = ",".join(a for i, a in enumerate(atoms) if m >> i & 1) or "{}"
+        models = draw(st.lists(st.sampled_from(interps), unique=True))
+        lines.append(f"models({t}) = {{{', '.join(models)}}}")
+    return "\n".join(lines) + "\n"
+
+
+COMMANDS = ["enumerate", "labellings", "kernel", "equiv", "witness", "analyze-set",
+            "realize", "classify", "verify-class", "charlogic", "rho-logic"]
+
+
+@st.composite
+def cli_cases(draw, cmd):
+    """An argv for the subcommand and the files it reads."""
+    def pick(xs):
+        return draw(st.sampled_from(list(xs)))
+
+    files = {}
+    if cmd in ("enumerate", "labellings", "kernel", "classify", "verify-class"):
+        files["f.apx"] = draw(apx_text())
+        opt = {
+            "enumerate": ["--semantics", pick(SEMANTICS)],
+            "labellings": ["--semantics", pick(LABELLING_SEMANTICS)],
+            "kernel": ["--kind", pick(kernels.KERNEL_IDS)],
+            "classify": ["--semantics", pick(realizability.CLASSIFIABLE_SEMANTICS)],
+            "verify-class": ["--semantics", pick(verifiability.VERIFIABLE_SEMANTICS)]
+            + (["--class", pick(["+", "+−", "∓", "eps", "bogus"])] if draw(st.booleans()) else []),
+        }[cmd]
+        argv = [cmd, *opt, "f.apx"]
+    elif cmd in ("equiv", "witness"):
+        files["f.apx"] = draw(apx_text(max_args=3))
+        files["g.apx"] = draw(apx_text(max_args=3))
+        if cmd == "equiv":
+            opt = ["--notion", pick(kernels.NOTIONS)] + (["--labelling"] if draw(st.booleans()) else [])
+        else:
+            opt = ["--notion", pick(kernels.EXPANSION_NOTIONS + kernels.DELETION_NOTIONS),
+                   "--fresh", str(draw(st.integers(0, 1))),
+                   "--max-attacks", str(draw(st.integers(0, 2)))]
+        argv = [cmd, *opt, "--semantics", pick(SEMANTICS), "f.apx", "g.apx"]
+    elif cmd in ("analyze-set", "realize"):
+        files["s.set"] = draw(set_text())
+        opt = [] if cmd == "analyze-set" else [
+            "--semantics", pick(realizability.SIGNATURE_SEMANTICS),
+            "--variant", pick(["finite", "compact", "analytic"]),
+        ]
+        argv = [cmd, *opt, "s.set"]
+    elif cmd == "charlogic":
+        files["l.lf"] = draw(logic_text())
+        mode = pick([[], ["--characterize"], ["--check-intersection"],
+                     ["--consequence", pick(["{}", "a", "a,b", "z"])]])
+        argv = [cmd, *mode, "l.lf"]
+    else:
+        # up to two valid names keeps each run small; four hits the cap
+        universe = pick(["", "a", "a,b", "b,a", "a,1x!", "a,b,c,d"])
+        argv = [cmd, "--universe", universe, "--semantics", pick(SEMANTICS)]
+    if draw(st.booleans()):
+        argv.insert(1, "--output=json")
+    return argv, files
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_fuzz_every_subcommand(cmd, data):
+    argv, files = data.draw(cli_cases(cmd))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        for name, text in files.items():
+            (Path(d) / name).write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([str(Path(d) / a) if a in files else a for a in argv])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if rc != 2 and "--output=json" in argv:
+        json.loads(out.getvalue())

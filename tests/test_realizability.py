@@ -205,6 +205,13 @@ class TestDefenseFormula:
         with pytest.raises(AFError):
             defense_formula_cnf(s_defense, "zz")
 
+    def test_sixteen_disjuncts_stay_small(self):
+        # the full product has 2^16 clauses; subsumption after each disjunct
+        # keeps at most two
+        xs = [f"x{i}" for i in range(1, 17)]
+        sets = [{"a", x, "y"} for x in xs]
+        assert defense_formula_cnf(sets, "a") == {fs("y"), frozenset(xs)}
+
     def test_truth_table_equivalence(self):
         rng = random.Random(3)
         universe = "abcdef"

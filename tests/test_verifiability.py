@@ -1,13 +1,14 @@
 import pytest
 from hypothesis import given, settings
 
-from afkit.core import AF
+from afkit.core import AF, AFError
 from afkit.semantics import extensions, sort_extensions
 from afkit.verifiability import (
     EXACT_CLASS,
     REPRESENTATIVES,
     VERIFIABLE_SEMANTICS,
     InsufficientClassError,
+    VerificationClassData,
     exact_class,
     more_informative,
     neighborhood,
@@ -84,6 +85,18 @@ class TestVerificationClass:
     def test_empty_framework(self):
         data = verification_class(AF([], []), "+−")
         assert data.entries == ((fs(), (fs(), fs())),)
+
+
+    def test_data_validated_against_class(self):
+        # an info tuple shorter than the class, and a class id that is an
+        # alias rather than a representative
+        with pytest.raises(AFError):
+            verify("stb", VerificationClassData("+", ((frozenset(), ()),)), [])
+        with pytest.raises(AFError):
+            VerificationClassData("+", ((fs("a"), (fs("a"), fs())),))
+        with pytest.raises(AFError):
+            VerificationClassData("plus", ((frozenset(), (frozenset(),)),))
+        assert VerificationClassData("ε", ((frozenset(), ()),)).info(frozenset()) == ()
 
 
 class TestInformativeness:
