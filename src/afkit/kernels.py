@@ -21,7 +21,6 @@ from .core import AF, AFError, Frame, bits
 from .semantics import (
     LABELLING_SEMANTICS,
     check_labelling_semantics,
-    check_limit,
     check_semantics,
     extension_masks,
     extensions,
@@ -469,7 +468,7 @@ def search_counterexample(
         candidates = _deletion_candidates(f, g, notion, budget)
 
     def outcome(frame: Frame, within: int):
-        masks = extension_masks(frame, sigma, within)
+        masks = extension_masks(frame, sigma, within, cap)
         if flavor != "labelling":
             return set(masks)
         labels = set()
@@ -490,8 +489,6 @@ def search_counterexample(
                 check_labelling_semantics(sigma)
             cap = config.max_enum_args()
         scanned += 1
-        check_limit(fa, f_args, cap)
-        check_limit(ga, g_args, cap)
         if outcome(fa, f_args) != outcome(ga, g_args):
             return SearchResult(witness(), True, scanned)
     return SearchResult(None, True, scanned)

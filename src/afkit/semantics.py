@@ -3,12 +3,17 @@
 Every semantics is computed from bitmasks over one framework by
 `extension_masks`, for the subframework on any sub-mask of its arguments
 (attacks across the sub-mask's boundary are ignored), so callers never build
-a subframework to evaluate one. The enumerator walks conflict-free candidate sets only (supersets of a
-conflicting pair are pruned at the search-tree level), which keeps the sweep
-feasible even when a framework carries many self-attacking helper arguments.
-Each filter stage (admissible, complete, ⊆- or range-maximal) runs at most
-once per call. cf2 and stg2 follow SCC-recursiveness (Baroni, Giacomin &
-Guida 2005) over sub-masks of the same framework: no subframework is built.
+a subframework to evaluate one. Candidates come from a sweep of conflict-free
+sets (supersets of a conflicting pair are pruned at the search-tree level, so
+self-attacking helper arguments cost nothing). The sweep is output-sensitive
+where theory allows: every complete extension contains the grounded extension
+G (Dung 1995), so com, stb, prf, semi, id and eag sweep only G joined with the
+conflict-free sets of the arguments outside G and its range; grd is the
+characteristic iteration alone, and each strongly admissible set is built
+once, along its own characteristic chain, with no sweep at all. Each filter
+stage (admissible, complete, ⊆- or range-maximal) runs at most once per call.
+cf2 and stg2 follow SCC-recursiveness (Baroni, Giacomin & Guida 2005) over
+sub-masks of the same framework: no subframework is built.
 """
 
 from __future__ import annotations
@@ -35,6 +40,10 @@ SEMANTICS = (
     "cf2",
     "stg2",
 )
+
+# Semantics whose extensions are all complete, so each contains the grounded
+# extension and their sweep starts there.
+COMPLETE_FAMILY = ("com", "stb", "prf", "semi", "id", "eag")
 
 # Semantics whose labellings are in one-to-one correspondence with extensions
 # via E -> (E, E+, A \ E-plus).
@@ -104,14 +113,15 @@ def cf_masks(f: Frame, within: int | None = None) -> list[int]:
     return out
 
 
-def check_limit(f: Frame, within: int, cap: int) -> None:
-    """Refuse the subframework on `within` when it has more than `cap`
-    non-self-attacking arguments. Self-attacking arguments never enter a
-    conflict-free set, so the subset sweep is exponential only in the rest."""
+def check_limit(f: Frame, within: int, cap: int, where: str = "") -> None:
+    """Refuse a sweep over the arguments in `within` when more than `cap` of
+    them are non-self-attacking. Self-attacking arguments never enter a
+    conflict-free set, so the subset sweep is exponential only in the rest.
+    `where` qualifies the count in the message."""
     relevant = bin(within & ~f.loops_mask()).count("1")
     if relevant > cap:
         raise EnumerationLimitError(
-            f"framework has {relevant} non-self-attacking arguments, exceeding the "
+            f"framework has {relevant} non-self-attacking arguments{where}, exceeding the "
             f"enumeration cap of {cap} (raise {config.ENV_MAX_ARGS} to override)"
         )
 
@@ -166,33 +176,38 @@ def _grounded_trace(f: Frame, within: int) -> list[int]:
         trace.append(nxt)
 
 
-def _adm_masks(f: Frame, within: int) -> list[int]:
+def _adm_masks(f: Frame, within: int, root: int = 0) -> list[int]:
+    """The admissible sets containing `root`, itself admissible: root | m for
+    the conflict-free sets m outside root and its range that root | m
+    defends. root defends itself, so its attackers in `within` lie in its
+    range: nothing else is in conflict with it. With root = 0 these are all
+    the admissible sets."""
+    root_out = f.attacked_by_mask(root)
     return [
-        m
-        for m in cf_masks(f, within)
-        if f.attackers_of_mask(m) & within & ~f.attacked_by_mask(m) == 0
+        root | m
+        for m in cf_masks(f, within & ~(root | root_out))
+        if f.attackers_of_mask(m) & within & ~(root_out | f.attacked_by_mask(m)) == 0
     ]
 
 
 def _sad_masks(f: Frame, within: int) -> list[int]:
-    """Strongly admissible sets via the layered construction: start from the
-    unattacked arguments and repeatedly adjoin any arguments defended so far."""
-    known = {0}
-    frontier = [0]
-    while frontier:
-        m = frontier.pop()
-        fresh = _characteristic(f, m, within) & ~m
-        if not fresh:
-            continue
-        addable = list(bits(fresh))
-        for sub in range(1, 1 << len(addable)):
-            ext = m
-            for j in bits(sub):
-                ext |= 1 << addable[j]
-            if ext not in known:
-                known.add(ext)
-                frontier.append(ext)
-    return sorted(known)
+    """Strongly admissible sets, each produced once. A set S is strongly
+    admissible iff its own characteristic chain, m -> Gamma(m) & S from the
+    empty set, reaches S. Walking that chain, the arguments Gamma(m) newly
+    defends at node m are split into a part adjoined now and a rest excluded
+    for the branch: S cannot take the rest later, since its chain would have
+    taken them at m."""
+    out = []
+    stack = [(0, 0)]
+    while stack:
+        m, excluded = stack.pop()
+        out.append(m)
+        fresh = _characteristic(f, m, within) & ~(m | excluded)
+        part = fresh
+        while part:
+            stack.append((m | part, excluded | fresh & ~part))
+            part = (part - 1) & fresh
+    return out
 
 
 def _scc_recursive_masks(f: Frame, stage: bool, within: int) -> list[int]:
@@ -228,35 +243,47 @@ def _scc_recursive_masks(f: Frame, stage: bool, within: int) -> list[int]:
     return [m for m in everything if member(within, m)]
 
 
-def extension_masks(f: Frame, sigma: str, within: int) -> list[int]:
+def extension_masks(f: Frame, sigma: str, within: int, cap: int | None = None) -> list[int]:
     """The sigma-extensions of the subframework of f on the arguments in the
     mask `within`, as masks in no particular order. Attacks crossing the
-    boundary of `within` are ignored. No enumeration cap is applied."""
+    boundary of `within` are ignored. With a `cap`, a sweep over more than cap
+    non-self-attacking arguments is refused (see `check_limit`): grd sweeps
+    none, the complete family only those outside the grounded extension and
+    its range, and every other semantics all of `within`."""
 
     def in_range(m: int) -> int:
         return (m | f.attacked_by_mask(m)) & within
 
+    if sigma == "grd":
+        return _grounded_trace(f, within)[-1:]
+    if sigma in COMPLETE_FAMILY:
+        root = _grounded_trace(f, within)[-1]
+        if cap is not None:
+            swept = within & ~(root | f.attacked_by_mask(root))
+            check_limit(f, swept, cap, " outside the grounded extension and its range")
+        # S | G is admissible for every admissible S, so the admissible sets
+        # containing G change neither maximality nor the greatest admissible
+        # set below a meet.
+        adm = _adm_masks(f, within, root)
+        if sigma == "stb":
+            return [m for m in adm if in_range(m) == within]
+        if sigma == "com":
+            return [m for m in adm if _characteristic(f, m, within) == m]
+        if sigma == "prf":
+            return _maximal(adm)
+        if sigma == "semi":
+            return _maximal(adm, in_range)
+        return _greatest_below_meet(adm, _maximal(adm, None if sigma == "id" else in_range), within)
+    if cap is not None:
+        check_limit(f, within, cap)
     if sigma == "cf":
         return cf_masks(f, within)
     if sigma == "nav":
         return _maximal(cf_masks(f, within))
     if sigma == "stg":
         return _maximal(cf_masks(f, within), in_range)
-    if sigma == "stb":
-        return [m for m in cf_masks(f, within) if in_range(m) == within]
     if sigma == "adm":
         return _adm_masks(f, within)
-    if sigma == "semi":
-        return _maximal(_adm_masks(f, within), in_range)
-    if sigma == "com":
-        return [m for m in _adm_masks(f, within) if _characteristic(f, m, within) == m]
-    if sigma == "prf":
-        return _maximal(_adm_masks(f, within))
-    if sigma == "grd":
-        return _grounded_trace(f, within)[-1:]
-    if sigma in ("id", "eag"):
-        adm = _adm_masks(f, within)
-        return _greatest_below_meet(adm, _maximal(adm, None if sigma == "id" else in_range), within)
     if sigma == "sad":
         return _sad_masks(f, within)
     if sigma in ("cf2", "stg2"):
@@ -267,8 +294,8 @@ def extension_masks(f: Frame, sigma: str, within: int) -> list[int]:
 def extensions(f: AF, sigma: str) -> ExtensionSet:
     """All sigma-extensions of f, ordered by size then lexicographically."""
     check_semantics(sigma)
-    check_limit(f, f.full_mask, config.max_enum_args())
-    return sort_extensions(f.set_of(m) for m in extension_masks(f, sigma, f.full_mask))
+    masks = extension_masks(f, sigma, f.full_mask, config.max_enum_args())
+    return sort_extensions(f.set_of(m) for m in masks)
 
 
 def grounded_iteration(f: AF) -> tuple[frozenset[str], list[frozenset[str]]]:
@@ -280,7 +307,7 @@ def grounded_iteration(f: AF) -> tuple[frozenset[str], list[frozenset[str]]]:
 
 
 def strongly_admissible(f: AF) -> ExtensionSet:
-    """All strongly admissible sets (layered construction)."""
+    """All strongly admissible sets, each built along its characteristic chain."""
     return extensions(f, "sad")
 
 

@@ -35,12 +35,21 @@ F0 = AF("ab", [("a", "b")])
 F0P = AF("ab", [("a", "b"), ("b", "a")])
 
 
+def _afs_on(draw, args, max_attacks):
+    slots = [(x, y) for x in args for y in args]
+    return AF(args, draw(st.lists(st.sampled_from(slots), max_size=max_attacks, unique=True)))
+
+
 @st.composite
 def five_six_arg_afs(draw):
     """Hypothesis strategy: a framework on a..e or a..f with up to 12 attacks."""
-    args = "abcdef"[: draw(st.integers(5, 6))]
-    slots = [(x, y) for x in args for y in args]
-    return AF(args, draw(st.lists(st.sampled_from(slots), max_size=12, unique=True)))
+    return _afs_on(draw, "abcdef"[: draw(st.integers(5, 6))], 12)
+
+
+@st.composite
+def seven_arg_afs(draw):
+    """Hypothesis strategy: a framework on a..g with up to 16 attacks."""
+    return _afs_on(draw, "abcdefg", 16)
 
 
 EXACTNESS_FIXTURES = [

@@ -87,6 +87,23 @@ class TestEnumerate:
         rc, out = run(tmp_path, capsys, ["enumerate", "--semantics", "cf2", "f.apx"], {"f.apx": CYCLE})
         assert (rc, out) == (0, "a1\na2\na3\n")
 
+    def test_cap_counts_only_swept_arguments(self, tmp_path, capsys, monkeypatch):
+        # grd sweeps nothing, so a 30-argument chain answers at the default cap;
+        # 30 isolated arguments under cf are still refused
+        monkeypatch.delenv("AFKIT_MAX_ARGS", raising=False)
+        names = [f"a{i:02d}" for i in range(30)]
+        args = "".join(f"arg({a}).\n" for a in names)
+        chain = args + "".join(f"att({a},{b}).\n" for a, b in zip(names, names[1:]))
+        rc, out = run(tmp_path, capsys, ["enumerate", "--semantics", "grd", "f.apx"], {"f.apx": chain})
+        assert (rc, out) == (0, ",".join(names[::2]) + "\n")
+        path = tmp_path / "g.apx"
+        path.write_text(args, encoding="utf-8")
+        assert main(["enumerate", "--semantics", "cf", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: framework has 30 non-self-attacking arguments, exceeding the enumeration "
+            "cap of 24 (raise AFKIT_MAX_ARGS to override)\n"
+        )
+
 
 class TestLabellings:
     def test_out_labelled_loop(self, tmp_path, capsys):

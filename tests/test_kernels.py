@@ -478,7 +478,7 @@ class TestWitnessSearch:
             g = f if rng.random() < 0.3 else draw_af()
             budget = SearchBudget(rng.randint(0, 2), rng.randint(0, 3))
             cut = rng.choice([None, 0, 1, 5, 30])
-            cap = rng.choice([None] * 9 + ["2"])
+            cap = rng.choice([None] * 9 + ["1"])
             if cap:
                 monkeypatch.setenv("AFKIT_MAX_ARGS", cap)
             else:

@@ -13,7 +13,7 @@ from afkit.semantics import (
     strongly_admissible,
 )
 
-from fixtures import five_six_arg_afs
+from fixtures import five_six_arg_afs, seven_arg_afs
 from oracles import ORACLES, all_afs, cf_oracle, nav_oracle, random_af, sad_selfref_oracle
 
 
@@ -23,6 +23,12 @@ def fs(*xs):
 
 def as_set(exts):
     return set(exts)
+
+
+def _chain(n):
+    """a0000 -> a0001 -> ... -> a<n-1>: the grounded extension takes every other argument."""
+    names = [f"a{i:04d}" for i in range(n)]
+    return AF(names, list(zip(names, names[1:])))
 
 
 class TestExamples:
@@ -191,10 +197,18 @@ class TestSampledLargerFrameworks:
 
 
 class TestEngineAgainstOracles:
-    @pytest.mark.parametrize("sigma", ["nav", "stg", "id", "eag", "cf2", "stg2"])
+    @pytest.mark.parametrize(
+        "sigma", ["nav", "stg", "com", "stb", "prf", "semi", "id", "eag", "sad", "cf2", "stg2"]
+    )
     @settings(max_examples=15, deadline=None)
     @given(f=five_six_arg_afs())
     def test_five_six_args(self, sigma, f):
+        assert as_set(extensions(f, sigma)) == ORACLES[sigma](f)
+
+    @pytest.mark.parametrize("sigma", semantics.COMPLETE_FAMILY + ("sad",))
+    @settings(max_examples=15, deadline=None)
+    @given(f=seven_arg_afs())
+    def test_seven_args(self, sigma, f):
         assert as_set(extensions(f, sigma)) == ORACLES[sigma](f)
 
     @pytest.mark.parametrize("sigma", semantics.SEMANTICS)
@@ -245,6 +259,34 @@ class TestEngineStructure:
             assert as_set(extensions(f, sigma)) == ORACLES[sigma](f)
             assert len(calls) == 1, sigma
 
+    @pytest.mark.parametrize(
+        "f", [AF([f"a{i:02d}" for i in range(20)]), _chain(24)], ids=["isolated20", "chain24"]
+    )
+    def test_complete_family_sweeps_outside_grounded(self, monkeypatch, f):
+        # every complete extension is the grounded one here, and nothing lies
+        # outside it and its range: the sweep is the empty set alone
+        monkeypatch.delenv("AFKIT_MAX_ARGS", raising=False)
+        swept = []
+        sweep = semantics.cf_masks
+
+        def counting(f, *rest):
+            out = sweep(f, *rest)
+            swept.append(len(out))
+            return out
+
+        monkeypatch.setattr(semantics, "cf_masks", counting)
+        grd = extensions(f, "grd")
+        for sigma in semantics.COMPLETE_FAMILY:
+            swept.clear()
+            assert extensions(f, sigma) == grd, sigma
+            assert sum(swept) <= 1, sigma
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=five_six_arg_afs())
+    def test_sad_produces_each_set_once(self, f):
+        masks = semantics._sad_masks(f, f.full_mask)
+        assert len(masks) == len(set(masks))
+
 
 class TestEnumerationCap:
     def test_cap_refuses(self, monkeypatch):
@@ -256,3 +298,29 @@ class TestEnumerationCap:
         monkeypatch.setenv("AFKIT_MAX_ARGS", "2")
         f = AF("abc", [("c", "c")])
         assert fs("a", "b") in as_set(extensions(f, "cf"))
+
+    def test_cap_counts_only_swept_arguments(self, monkeypatch):
+        monkeypatch.delenv("AFKIT_MAX_ARGS", raising=False)
+        chain = _chain(30)
+        grd = fs(*chain.names[::2])
+        for sigma in ("grd", "com", "prf", "stb"):
+            assert extensions(chain, sigma) == (grd,), sigma
+        # sad and the sweeps that do not start at the grounded extension
+        # still count every non-self-attacking argument
+        for sigma in ("sad", "adm", "cf"):
+            with pytest.raises(EnumerationLimitError):
+                extensions(chain, sigma)
+        # 13 mutual attacks: the grounded extension is empty, all 26 are swept
+        pairs = [(a, b) for a, b in zip("acegikmoqsuwy", "bdfhjlnprtvxz")]
+        mutual = AF("abcdefghijklmnopqrstuvwxyz", pairs + [(b, a) for a, b in pairs])
+        with pytest.raises(EnumerationLimitError, match="26 non-self-attacking arguments outside"):
+            extensions(mutual, "com")
+
+    def test_long_chain_needs_no_recursion(self, monkeypatch):
+        monkeypatch.setenv("AFKIT_MAX_ARGS", "2000")
+        chain = _chain(1200)
+        grd = fs(*chain.names[::2])
+        for sigma in ("grd", "com", "prf", "stb"):
+            assert extensions(chain, sigma) == (grd,), sigma
+        sad = strongly_admissible(chain)
+        assert len(sad) == 601 and sad[-1] == grd
