@@ -3,17 +3,27 @@
 Every semantics is computed from bitmasks over one framework by
 `extension_masks`, for the subframework on any sub-mask of its arguments
 (attacks across the sub-mask's boundary are ignored), so callers never build
-a subframework to evaluate one. Candidates come from a sweep of conflict-free
-sets (supersets of a conflicting pair are pruned at the search-tree level, so
-self-attacking helper arguments cost nothing). The sweep is output-sensitive
-where theory allows: every complete extension contains the grounded extension
-G (Dung 1995), so com, stb, prf, semi, id and eag sweep only G joined with the
-conflict-free sets of the arguments outside G and its range; grd is the
-characteristic iteration alone, and each strongly admissible set is built
-once, along its own characteristic chain, with no sweep at all. Each filter
-stage (admissible, complete, ⊆- or range-maximal) runs at most once per call.
-cf2 and stg2 follow SCC-recursiveness (Baroni, Giacomin & Guida 2005) over
-sub-masks of the same framework: no subframework is built.
+a subframework to evaluate one. Each semantics draws its candidates from a
+family that theory shows contains all its extensions:
+
+- cf and adm sweep every conflict-free set (supersets of a conflicting pair
+  are pruned at the search-tree level, so self-attacking helper arguments
+  cost nothing);
+- the complete family (com, stb, prf, semi, id, eag) sweeps only the
+  grounded extension G joined with the conflict-free sets of the arguments
+  outside G and its range, since every complete extension contains G
+  (Dung 1995); grd is the characteristic iteration alone, and each strongly
+  admissible set is built once, along its own characteristic chain;
+- the naive family (nav, stg, cf2, stg2) enumerates only the naive
+  (⊆-maximal conflict-free) sets, the maximal cliques of the compatibility
+  graph, by Bron–Kerbosch with pivoting. A stage extension is naive, since
+  an argument that could join it lies outside its range and would enlarge
+  it; cf2 and stg2 extensions are naive (Baroni, Giacomin & Guida 2005).
+
+Each filter stage (admissible, complete, ⊆- or range-maximal) runs at most
+once per call. cf2 and stg2 follow SCC-recursiveness over sub-masks of the
+same framework: no subframework is built, and each base case enumerates the
+naive sets of its own sub-mask.
 """
 
 from __future__ import annotations
@@ -113,12 +123,56 @@ def cf_masks(f: Frame, within: int | None = None) -> list[int]:
     return out
 
 
+def _naive_masks(f: Frame, within: int) -> list[int]:
+    """The ⊆-maximal conflict-free subsets of the mask `within`, each once.
+
+    These are the maximal cliques of the compatibility graph on the
+    non-self-attacking arguments (two are adjacent when neither attacks the
+    other), found by Bron–Kerbosch with Tomita's pivot: a node (r, p, x)
+    extends the set r by the candidates p, while x holds the arguments that
+    would also extend r but whose sets an earlier sibling's branch reports;
+    only the candidates outside the pivot's neighbourhood open a branch. An
+    explicit stack replaces the recursion, and siblings are pushed at once
+    since each one's (p, x) depends only on those before it. The cost is
+    O(3^(n/3)) in the worst case (Tomita, Tanaka & Takahashi 2006), and one
+    node per member on inputs with a single naive set.
+    """
+    succ, pred = f.succ, f.pred
+    free = 0
+    for i in bits(within):
+        if not (succ[i] >> i) & 1:
+            free |= 1 << i
+    nbr = [0] * f.n
+    for i in bits(free):
+        nbr[i] = free & ~(succ[i] | pred[i] | 1 << i)
+    out = []
+    stack = [(0, free, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                out.append(r)
+            continue
+        best = -1
+        for u in bits(p | x):
+            covered = (p & nbr[u]).bit_count()
+            if covered > best:
+                best, pivot = covered, u
+        for v in bits(p & ~nbr[pivot]):
+            stack.append((r | 1 << v, p & nbr[v], x & nbr[v]))
+            p &= ~(1 << v)
+            x |= 1 << v
+    return out
+
+
 def check_limit(f: Frame, within: int, cap: int, where: str = "") -> None:
     """Refuse a sweep over the arguments in `within` when more than `cap` of
     them are non-self-attacking. Self-attacking arguments never enter a
     conflict-free set, so the subset sweep is exponential only in the rest.
     `where` qualifies the count in the message."""
-    relevant = bin(within & ~f.loops_mask()).count("1")
+    if within.bit_count() <= cap:
+        return
+    relevant = (within & ~f.loops_mask()).bit_count()
     if relevant > cap:
         raise EnumerationLimitError(
             f"framework has {relevant} non-self-attacking arguments{where}, exceeding the "
@@ -215,16 +269,19 @@ def _scc_recursive_masks(f: Frame, stage: bool, within: int) -> list[int]:
     an extension of the subframework on `sub` iff, for every component s of
     `sub`, e & s is an extension of the subframework on the part of s that
     e outside s does not attack (UP). A single component takes the base
-    semantics. Components and base extensions are memoised per sub-mask."""
-    everything = cf_masks(f, within)
+    semantics. Components and base extensions are memoised per sub-mask.
+    Every cf2 and stg2 extension is naive, so the naive sets of `within` are
+    the only candidates."""
+    everything = _naive_masks(f, within)
     comps_of: dict[int, list[int]] = {}
     base_of: dict[int, set[int]] = {}
 
     def base(sub: int) -> set[int]:
         if sub not in base_of:
-            key = (lambda m: (m | f.attacked_by_mask(m)) & sub) if stage else None
-            sweep = everything if sub == within else cf_masks(f, sub)
-            base_of[sub] = set(_maximal(sweep, key))
+            naive = everything if sub == within else _naive_masks(f, sub)
+            if stage:
+                naive = _maximal(naive, lambda m: (m | f.attacked_by_mask(m)) & sub)
+            base_of[sub] = set(naive)
         return base_of[sub]
 
     def member(sub: int, e: int) -> bool:
@@ -279,9 +336,10 @@ def extension_masks(f: Frame, sigma: str, within: int, cap: int | None = None) -
     if sigma == "cf":
         return cf_masks(f, within)
     if sigma == "nav":
-        return _maximal(cf_masks(f, within))
+        return _naive_masks(f, within)
     if sigma == "stg":
-        return _maximal(cf_masks(f, within), in_range)
+        # a range-maximal conflict-free set is also ⊆-maximal
+        return _maximal(_naive_masks(f, within), in_range)
     if sigma == "adm":
         return _adm_masks(f, within)
     if sigma == "sad":

@@ -32,6 +32,13 @@ G_KER = "arg(a).\narg(b).\narg(c).\natt(b,b).\natt(b,c).\natt(c,a).\n"
 F_SIMPLE = "arg(a).\narg(b).\narg(c).\narg(d).\natt(a,b).\natt(b,a).\natt(a,c).\natt(b,d).\n"
 F_NEIGH = "arg(a).\narg(b).\narg(c).\natt(a,b).\natt(b,a).\natt(b,b).\natt(c,b).\n"
 F_COM1 = "arg(a).\narg(b).\natt(b,b).\natt(b,a).\n"
+# Components {a,b}, the odd cycle {c,d,e} (where d attacks both others), the
+# self-attacker f, then g and h: nav, stg, cf2 and stg2 all differ.
+NAIVE_AF = (
+    "arg(a).\narg(b).\narg(c).\narg(d).\narg(e).\narg(f).\narg(g).\narg(h).\n"
+    "att(a,b).\natt(b,a).\natt(b,c).\natt(c,d).\natt(d,e).\natt(e,c).\natt(d,c).\n"
+    "att(e,f).\natt(f,f).\natt(f,g).\natt(g,h).\n"
+)
 SET_ANTICHAIN = "a,b\na,c\nb,c\n"
 SET_TIGHT = "a,b\na,c\nb,d\nc,d\n"
 SET_EMPTYEXT = "-\n"
@@ -330,8 +337,10 @@ class TestRhoLogic:
 
 
 class TestPinnedOutput:
-    """SHA-256 of stdout, taken before the charlogic constructions moved onto
-    masks: the rows, their order and every member list stay byte-identical."""
+    """SHA-256 of stdout, each taken before the code behind it was rewritten
+    (the charlogic constructions onto masks, the naive family onto its own
+    enumeration): the rows, their order and every member list stay
+    byte-identical."""
 
     @pytest.mark.parametrize("argv,files,digest", [
         (["rho-logic", "--universe", "a,b,c", "--semantics", "grd"], {},
@@ -342,6 +351,22 @@ class TestPinnedOutput:
          "c08151426e534a8a4b1a5d1fb6942a55f633312f14d8e867ae303b26016ca075"),
         (["charlogic", "--characterize", "--output", "json", "l.lf"], {"l.lf": SIX_LF},
          "706663e9def47b029fbb75cb306289cc909a831600d016038aaca643861fc928"),
+        (["enumerate", "--semantics", "nav", "f.apx"], {"f.apx": NAIVE_AF},
+         "7dd9e1d765fa09a32cd3e4d067a4de72d30b55de059efd5ec1cd4cb48f06cda2"),
+        (["enumerate", "--semantics", "nav", "--output", "json", "f.apx"], {"f.apx": NAIVE_AF},
+         "68c3fa5bf3034c0fabb462c1f5882c02b9ea2366b329e891f83d6660a9657b76"),
+        (["enumerate", "--semantics", "stg", "f.apx"], {"f.apx": NAIVE_AF},
+         "2665f46fcd34b229b08123120dfbc6a6f5dd3fbe6c7d5ff6200a5a2983f8c7cd"),
+        (["enumerate", "--semantics", "stg", "--output", "json", "f.apx"], {"f.apx": NAIVE_AF},
+         "0d658fc195511478b8e96be497ead568f326e2c4dc889efbe64695215e7dff03"),
+        (["enumerate", "--semantics", "cf2", "f.apx"], {"f.apx": NAIVE_AF},
+         "0843fd3183082849c2830944842d52c262510f2b8dfcf4cae7678eb7b53df98f"),
+        (["enumerate", "--semantics", "cf2", "--output", "json", "f.apx"], {"f.apx": NAIVE_AF},
+         "4a40a32610dce7821146a04f8fe8ca98ddfdc3a6a7df6f4d0c0b196e28b18e1e"),
+        (["enumerate", "--semantics", "stg2", "f.apx"], {"f.apx": NAIVE_AF},
+         "8bde5dd76951cc6b47c1c263dfc9156560fb3e7ff1122ed62378b591abbabf46"),
+        (["enumerate", "--semantics", "stg2", "--output", "json", "f.apx"], {"f.apx": NAIVE_AF},
+         "2652642518393190bf32d3d9d1379759f8ee422c4ebfaa6a948da96bc9478132"),
     ])
     def test_digest(self, tmp_path, capsys, argv, files, digest):
         rc, out = run(tmp_path, capsys, argv, files)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -205,7 +207,9 @@ class TestEngineAgainstOracles:
     def test_five_six_args(self, sigma, f):
         assert as_set(extensions(f, sigma)) == ORACLES[sigma](f)
 
-    @pytest.mark.parametrize("sigma", semantics.COMPLETE_FAMILY + ("sad",))
+    @pytest.mark.parametrize(
+        "sigma", semantics.COMPLETE_FAMILY + ("sad", "nav", "stg", "cf2", "stg2")
+    )
     @settings(max_examples=15, deadline=None)
     @given(f=seven_arg_afs())
     def test_seven_args(self, sigma, f):
@@ -245,19 +249,41 @@ class TestEngineStructure:
         AF("a", [])
         assert len(built) == 1  # the counting patch is live
 
-    def test_one_sweep(self, monkeypatch, f_layers, three_cycle):
+    @staticmethod
+    def _count_sweeps(monkeypatch) -> list[str]:
+        """Record the name of each conflict-free or naive sweep made."""
         calls = []
-        sweep = semantics.cf_masks
-        monkeypatch.setattr(
-            semantics, "cf_masks", lambda f, *rest: calls.append(f) or sweep(f, *rest)
-        )
-        # id/eag on several components; cf2/stg2 on a single one, where the
-        # base case covers the whole framework
-        cases = [(f_layers, "id"), (f_layers, "eag"), (three_cycle, "cf2"), (three_cycle, "stg2")]
-        for f, sigma in cases:
+        for name in ("cf_masks", "_naive_masks"):
+            sweep = getattr(semantics, name)
+            monkeypatch.setattr(
+                semantics, name,
+                lambda f, *rest, name=name, sweep=sweep: calls.append(name) or sweep(f, *rest),
+            )
+        return calls
+
+    def test_one_sweep(self, monkeypatch, f_layers, three_cycle):
+        calls = self._count_sweeps(monkeypatch)
+        # id/eag on several components sweep conflict-free sets; cf2/stg2 on
+        # a single component, where the base case covers the whole framework,
+        # enumerate its naive sets once
+        cases = [
+            (f_layers, "id", "cf_masks"), (f_layers, "eag", "cf_masks"),
+            (three_cycle, "cf2", "_naive_masks"), (three_cycle, "stg2", "_naive_masks"),
+        ]
+        for f, sigma, sweep in cases:
             calls.clear()
             assert as_set(extensions(f, sigma)) == ORACLES[sigma](f)
-            assert len(calls) == 1, sigma
+            assert calls == [sweep], sigma
+
+    @pytest.mark.parametrize("n", [20, 400])
+    def test_naive_family_is_output_sized(self, monkeypatch, n):
+        # one naive set among 2^n conflict-free ones
+        monkeypatch.setenv("AFKIT_MAX_ARGS", "2000")
+        f = AF([f"a{i:03d}" for i in range(n)])
+        calls = self._count_sweeps(monkeypatch)
+        for sigma in ("nav", "stg", "cf2", "stg2"):
+            assert extensions(f, sigma) == (f.args,), sigma
+        assert "cf_masks" not in calls
 
     @pytest.mark.parametrize(
         "f", [AF([f"a{i:02d}" for i in range(20)]), _chain(24)], ids=["isolated20", "chain24"]
@@ -280,6 +306,23 @@ class TestEngineStructure:
             swept.clear()
             assert extensions(f, sigma) == grd, sigma
             assert sum(swept) <= 1, sigma
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=st.one_of(five_six_arg_afs(), seven_arg_afs()), data=st.data())
+    def test_naive_produces_each_set_once(self, f, data):
+        within = data.draw(st.integers(0, f.full_mask))
+        masks = semantics._naive_masks(f, within)
+        assert len(masks) == len(set(masks))
+        assert {f.set_of(m) for m in masks} == nav_oracle(f.restrict(f.set_of(within)))
+
+    def test_naive_on_every_conflict_graph(self):
+        # the naive sets depend only on the symmetric conflict relation
+        edges = list(itertools.combinations("abcde", 2))
+        for k in range(1 << len(edges)):
+            f = AF("abcde", [e for i, e in enumerate(edges) if k >> i & 1])
+            masks = semantics._naive_masks(f, f.full_mask)
+            assert len(masks) == len(set(masks))
+            assert {f.set_of(m) for m in masks} == nav_oracle(f), f
 
     @settings(max_examples=40, deadline=None)
     @given(f=five_six_arg_afs())
