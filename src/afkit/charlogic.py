@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .core import AF, AFError, bits
-from .kernels import characterizing_kernel, kernel
 
 MAX_ATOMS = 12
 
@@ -220,7 +219,9 @@ def rho_logic(universe: Iterable[str], sigma: str) -> RhoLogic:
     """Enumerate every framework over the universe and compute, for each one,
     the union of the strong equivalence classes of its superframeworks.
     Strong equivalence is decided by the characterizing kernel of sigma."""
-    names = tuple(sorted(universe))
+    from .kernels import characterizing_kernel, kernel
+
+    names = tuple(sorted(set(universe)))
     if len(names) > 3:
         raise AFError(f"rho-logic universe capped at 3 arguments, got {len(names)}")
     k = characterizing_kernel("E", sigma, "extension")

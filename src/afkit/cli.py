@@ -11,8 +11,16 @@ import json
 import sys
 from typing import Iterable
 
-from . import charlogic as cl
-from . import formats, kernels, realizability, verifiability
+from . import formats
+from .config import (
+    CLASSIFIABLE_SEMANTICS,
+    DELETION_NOTIONS,
+    EXPANSION_NOTIONS,
+    KERNEL_IDS,
+    NOTIONS,
+    SIGNATURE_SEMANTICS,
+    VERIFIABLE_SEMANTICS,
+)
 from .core import AF, AFError
 from .semantics import (
     LABELLING_SEMANTICS,
@@ -66,6 +74,8 @@ def _ext_lines(sets) -> str:
 
 
 # -- subcommand handlers ---------------------------------------------------------
+# Each handler imports the library module it uses, and the parser's choice lists
+# come from config, so a process loads only what its subcommand needs.
 
 
 def cmd_enumerate(ns) -> int:
@@ -95,6 +105,8 @@ def cmd_labellings(ns) -> int:
 
 
 def cmd_kernel(ns) -> int:
+    from . import kernels
+
     f = _load_af(ns.file, ns.format)
     out = kernels.kernel(f, ns.kind)
     _emit(formats.emit_af(out, ns.format).rstrip("\n"), _af_json(out), ns.output == "json")
@@ -102,6 +114,8 @@ def cmd_kernel(ns) -> int:
 
 
 def cmd_equiv(ns) -> int:
+    from . import kernels
+
     f = _load_af(ns.f, ns.format)
     g = _load_af(ns.g, ns.format)
     flavor = "labelling" if ns.labelling else "extension"
@@ -119,6 +133,8 @@ def cmd_equiv(ns) -> int:
 
 
 def cmd_witness(ns) -> int:
+    from . import kernels
+
     f = _load_af(ns.f, ns.format)
     g = _load_af(ns.g, ns.format)
     budget = kernels.SearchBudget(fresh_args=ns.fresh, max_attacks=ns.max_attacks)
@@ -151,6 +167,8 @@ def cmd_witness(ns) -> int:
 
 
 def cmd_analyze_set(ns) -> int:
+    from . import realizability
+
     sets = formats.parse_extension_set(_read(ns.setfile))
     a = realizability.analyze(sets)
     flags = {
@@ -171,6 +189,8 @@ def cmd_analyze_set(ns) -> int:
 
 
 def cmd_realize(ns) -> int:
+    from . import realizability
+
     sets = formats.parse_extension_set(_read(ns.setfile))
     variant = {"finite": "finite", "compact": "finite_compact", "analytic": "finite_analytic"}[
         ns.variant
@@ -196,6 +216,8 @@ def cmd_realize(ns) -> int:
 
 
 def cmd_classify(ns) -> int:
+    from . import realizability
+
     f = _load_af(ns.file, ns.format)
     compact = realizability.is_compact(f, ns.semantics)
     implicit = realizability.implicit_conflicts(f, ns.semantics)
@@ -213,6 +235,8 @@ def cmd_classify(ns) -> int:
 
 
 def cmd_verify_class(ns) -> int:
+    from . import verifiability
+
     f = _load_af(ns.file, ns.format)
     exact = verifiability.exact_class(ns.semantics)
     use = verifiability.parse_class(ns.cls) if ns.cls else exact
@@ -238,6 +262,8 @@ def cmd_verify_class(ns) -> int:
 
 
 def cmd_charlogic(ns) -> int:
+    from . import charlogic as cl
+
     logic = formats.parse_logic(_read(ns.logicfile))
     as_json = ns.output == "json"
     if ns.consequence is not None:
@@ -294,6 +320,8 @@ def cmd_charlogic(ns) -> int:
 
 
 def cmd_rho_logic(ns) -> int:
+    from . import charlogic as cl
+
     universe = [t.strip() for t in ns.universe.split(",") if t.strip()]
     rho = cl.rho_logic(universe, ns.semantics)
     lines = [f"kernel: {rho.kernel_id}", f"frameworks: {len(rho.afs)}"]
@@ -337,13 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_labellings)
 
     p = sub.add_parser("kernel", help="kernelized framework")
-    p.add_argument("--kind", required=True, choices=kernels.KERNEL_IDS)
+    p.add_argument("--kind", required=True, choices=KERNEL_IDS)
     common(p)
     p.add_argument("file")
     p.set_defaults(handler=cmd_kernel)
 
     p = sub.add_parser("equiv", help="decide an equivalence notion")
-    p.add_argument("--notion", required=True, choices=kernels.NOTIONS)
+    p.add_argument("--notion", required=True, choices=NOTIONS)
     p.add_argument("--semantics", required=True, choices=SEMANTICS)
     p.add_argument("--labelling", action="store_true")
     common(p)
@@ -352,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_equiv)
 
     p = sub.add_parser("witness", help="search a distinguishing scenario")
-    p.add_argument("--notion", required=True, choices=kernels.EXPANSION_NOTIONS + kernels.DELETION_NOTIONS)
+    p.add_argument("--notion", required=True, choices=EXPANSION_NOTIONS + DELETION_NOTIONS)
     p.add_argument("--semantics", required=True, choices=SEMANTICS)
     p.add_argument("--fresh", type=int, default=1)
     p.add_argument("--max-attacks", type=int, default=3)
@@ -367,20 +395,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_analyze_set)
 
     p = sub.add_parser("realize", help="signature membership and witness framework")
-    p.add_argument("--semantics", required=True, choices=realizability.SIGNATURE_SEMANTICS)
+    p.add_argument("--semantics", required=True, choices=SIGNATURE_SEMANTICS)
     p.add_argument("--variant", choices=("finite", "compact", "analytic"), default="finite")
     common(p)
     p.add_argument("setfile")
     p.set_defaults(handler=cmd_realize)
 
     p = sub.add_parser("classify", help="compact/analytic classification")
-    p.add_argument("--semantics", required=True, choices=realizability.CLASSIFIABLE_SEMANTICS)
+    p.add_argument("--semantics", required=True, choices=CLASSIFIABLE_SEMANTICS)
     common(p)
     p.add_argument("file")
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("verify-class", help="verification class data and reconstruction")
-    p.add_argument("--semantics", required=True, choices=verifiability.VERIFIABLE_SEMANTICS)
+    p.add_argument("--semantics", required=True, choices=VERIFIABLE_SEMANTICS)
     p.add_argument("--class", dest="cls", default=None)
     common(p)
     p.add_argument("file")

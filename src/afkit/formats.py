@@ -8,11 +8,13 @@ identical inputs give byte-identical output.
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .core import AF, RESERVED_PREFIX, check_arg_name
-from .charlogic import FiniteLogic, make_logic
 from .semantics import ExtensionSet, sort_extensions
+
+if TYPE_CHECKING:
+    from .charlogic import FiniteLogic
 
 
 class ParseError(ValueError):
@@ -173,6 +175,8 @@ def parse_logic(text: str) -> FiniteLogic:
 
     The models lines must cover every theory of the language exactly once.
     """
+    from .charlogic import make_logic
+
     atoms: list[str] | None = None
     interps: list[str] | None = None
     table: dict[frozenset[str], frozenset[str]] = {}

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import config
+from .config import DELETION_NOTIONS, EXPANSION_NOTIONS, KERNEL_IDS, NOTIONS
 from .core import AF, AFError, Frame, bits
 from .semantics import (
     LABELLING_SEMANTICS,
@@ -27,20 +28,6 @@ from .semantics import (
     labellings,
 )
 
-KERNEL_IDS = (
-    "k_stb",
-    "k_adm",
-    "k_grd",
-    "k_com",
-    "ks_adm",
-    "ks_grd",
-    "ks_com",
-    "ks_stg",
-    "k_nav",
-    "identity",
-)
-
-NOTIONS = ("ordinary", "E", "N", "S", "W", "L", "ND", "D", "LD", "U")
 FLAVORS = ("extension", "labelling")
 
 
@@ -315,14 +302,16 @@ def decide_equivalence(
 
 FRESH_PREFIX = "_w"
 
-EXPANSION_NOTIONS = ("E", "N", "S", "L")
-DELETION_NOTIONS = ("ND", "D", "LD")
-
 
 @dataclass(frozen=True)
 class SearchBudget:
     fresh_args: int = 1
     max_attacks: int = 3
+
+    def __post_init__(self):
+        for name in ("fresh_args", "max_attacks"):
+            if getattr(self, name) < 0:
+                raise AFError(f"search budget {name} must be non-negative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -14,28 +14,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .config import CLASSIFIABLE_SEMANTICS, SIGNATURE_SEMANTICS
 from .core import AF, AFError
 from .semantics import ExtensionSet, check_semantics, extensions, sort_extensions
 
-SIGNATURE_SEMANTICS = ("cf", "nav", "stb", "stg", "adm", "prf", "semi", "grd", "id", "eag")
 VARIANTS = ("finite", "finite_compact", "finite_analytic")
-
-# semantics for which compact / analytic classification is defined
-CLASSIFIABLE_SEMANTICS = (
-    "cf",
-    "nav",
-    "adm",
-    "com",
-    "grd",
-    "stb",
-    "stg",
-    "semi",
-    "prf",
-    "id",
-    "eag",
-    "cf2",
-    "stg2",
-)
 
 BLOCKER_PREFIX = "_bE"
 DEFENSE_PREFIX = "_alpha_"

@@ -19,6 +19,7 @@ from functools import reduce
 from operator import and_, or_
 from typing import Iterable
 
+from .config import EXACT_CLASS, VERIFIABLE_SEMANTICS
 from .core import AF, AFError, bits
 from .semantics import (
     ExtensionSet,
@@ -208,23 +209,6 @@ def reduce_data(data: VerificationClassData, target: str) -> VerificationClassDa
     plan = _plan(REPRESENTATIVES[data.class_id], REPRESENTATIVES[target_name])
     entries = tuple((base, _apply_plan(plan, info)) for base, info in data.entries)
     return VerificationClassData(target_name, entries)
-
-
-EXACT_CLASS: dict[str, str] = {
-    "nav": "ε",
-    "stb": "+",
-    "stg": "+",
-    "adm": "∓",
-    "prf": "∓",
-    "id": "∓",
-    "semi": "+∓",
-    "eag": "+∓",
-    "grd": "−±",
-    "sad": "−±",
-    "com": "+−",
-}
-
-VERIFIABLE_SEMANTICS = tuple(EXACT_CLASS)
 
 
 def exact_class(sigma: str) -> str:

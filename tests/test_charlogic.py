@@ -297,6 +297,11 @@ class TestRhoLogic:
         with pytest.raises(AFError):
             rho_logic(["a", "b", "c", "d"], "stb")
 
+    def test_duplicate_names_counted_once(self):
+        once = rho_logic(["a"], "stb")
+        assert rho_logic(["a", "a"], "stb") == once
+        assert rho_logic(["b", "a", "b", "a", "a"], "stb").afs == rho_logic(["a", "b"], "stb").afs
+
     def test_requires_kernel(self):
         with pytest.raises(AFError):
             rho_logic(["a"], "cf")

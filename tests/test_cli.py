@@ -183,6 +183,16 @@ class TestWitness:
         )
         assert (rc, out) == (1, "none within budget\n")
 
+    @pytest.mark.parametrize("option", [["--max-attacks", "-3"], ["--fresh", "-2"]])
+    def test_negative_budget_exit_2(self, tmp_path, capsys, option):
+        argv = ["witness", "--notion", "E", "--semantics", "stb", "f.apx", "g.apx"]
+        files = {"f.apx": "arg(a).\n", "g.apx": "arg(a).\natt(a,a).\n"}
+        assert run(tmp_path, capsys, argv, files) == (0, "(empty framework)\n")
+        rc = main([str(tmp_path / a) if a in files else a for a in argv[:-2] + option + argv[-2:]])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err.startswith("error: search budget") and captured.err.count("\n") == 1
+
     def test_normal_expansion_witness(self, tmp_path, capsys):
         rc, out = run(
             tmp_path, capsys,
@@ -330,6 +340,10 @@ class TestRhoLogic:
         assert payload["kernel"] == "k_stb"
         assert [row["af"] for row in payload["rows"]] == ["[ | ]", "[a | ]", "[a | a>a]"]
 
+    def test_duplicate_names_counted_once(self, tmp_path, capsys):
+        rc, out = run(tmp_path, capsys, ["rho-logic", "--universe", "a,a", "--semantics", "stb"], {})
+        assert (rc, out) == (0, self.EXPECTED)
+
     def test_preferred_uses_adm_kernel(self, tmp_path, capsys):
         rc, out = run(tmp_path, capsys, ["rho-logic", "--universe", "a", "--semantics", "prf"], {})
         assert rc == 0
@@ -372,6 +386,107 @@ class TestPinnedOutput:
         rc, out = run(tmp_path, capsys, argv, files)
         assert rc == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    # SHA-256 of exit code, stdout and stderr for the top-level and every
+    # subcommand's help, and for one invalid-choice usage error per option
+    # with choices: the parser's text, choices and their order stay as they
+    # were. argparse's layout follows the Python version (these are 3.11's)
+    # and the terminal width, which COLUMNS pins.
+    @pytest.mark.parametrize("argv,digest", [
+        ("--help",
+         "7be409d6438485ff74179541ffff1904d741512af8ce0d54174e38a7e8d3de94"),
+        ("enumerate --help",
+         "243050714211b6b6490dd289589508624f1296d157f330fccd34e96995fc9822"),
+        ("labellings --help",
+         "892aedde1d761d612be3c3f37ad947943792650bdfb2be7302c7f0fdf6e06857"),
+        ("kernel --help",
+         "98b4e91f5498dafa8e0406509944111d21bac0cd7f95b9b5219dae0e9e702d2c"),
+        ("equiv --help",
+         "c597f51081999260e9bce9fb8b5cbb4504417380a6b9292eabd3a7f259739f9e"),
+        ("witness --help",
+         "964348ac4f04cc5a0f20028347e725585e229d3f51672202150ad0af21d1247a"),
+        ("analyze-set --help",
+         "dee8b2f192db199c06c9fd8a44030417790c6413e31a1912ecd571c06a253de7"),
+        ("realize --help",
+         "c40454cbf20991727df260fabb6a214e23b9cdb1d910646d21ce53c02bace8f9"),
+        ("classify --help",
+         "0ec79d5a5e5407178bc69c371ce4bfb9db8dec3aa450b63956a0e0de096daf2a"),
+        ("verify-class --help",
+         "ad3458de8e05283a7eda72374430b1d03e600cca7cfca0121babe2dc02dd1628"),
+        ("charlogic --help",
+         "afb5ee4c3cb3fa48324e542689475b656b964cc9e3ce7c1126340ff0a3094669"),
+        ("rho-logic --help",
+         "1ed8e28cfee82dfa23d3c0bd1fef3b19460d79037e0121c396bca8fe8a886d60"),
+        ("enumerate --semantics bogus f.apx",
+         "dc8f1703f2260f62c89eec42480fc62c48d5635aa56a16bcf0ae392fbe7ae766"),
+        ("enumerate --semantics stb --format bogus f.apx",
+         "74cdf9e36c9cfeeeb7ba9e7a5a69742c9db2439719a5aefaa0d0f3b63ad6f00f"),
+        ("enumerate --semantics stb --output bogus f.apx",
+         "09c7dcba124842d8f79559d832159b89a53a553eba01bda1a97a1845735f6cf9"),
+        ("labellings --semantics cf f.apx",
+         "07456540e323e06fc4e1f967799dfef7c9883699aafd2e3ec3b1ee5db138c137"),
+        ("labellings --semantics stb --format bogus f.apx",
+         "f3a3055f29504dc42f3b8f05bc2cefb6de3f59922f506834beb15d45c240da5a"),
+        ("labellings --semantics stb --output bogus f.apx",
+         "d4fc2bc7c79bf0c4666c24b267da4929c527b2fbf0a60c90169677cf602c3878"),
+        ("kernel --kind bogus f.apx",
+         "dc4c8097de2ad3ecb5248c03a3916af95754a9ac8899bbda5ae5f13c6f7489c6"),
+        ("kernel --kind k_stb --format bogus f.apx",
+         "c1b40c97673769a45dd80ef33980d1ab1ab925ecab9b5b7c99d60d609d2f3752"),
+        ("kernel --kind k_stb --output bogus f.apx",
+         "898e235da9f5ab5ab4c91236a3da77356630630fb0bb92e26f72cf22aeba0b9e"),
+        ("equiv --notion bogus --semantics stb f.apx g.apx",
+         "909bb2f5fe2bc7db4df07d51b844b3efc2b8e4c0eb5fc013908af0fd091a0f3b"),
+        ("equiv --notion E --semantics bogus f.apx g.apx",
+         "6acbd7518e39c7ec1e429466eabebfab798786f461b35f839fc8ccaebee889e0"),
+        ("equiv --notion E --semantics stb --format bogus f.apx g.apx",
+         "c29fe3e4e944c470a31c8c2c881473572491e0eda7e9a2ff8099b1578cc790c2"),
+        ("equiv --notion E --semantics stb --output bogus f.apx g.apx",
+         "eca524bd7fdf2cddec45fcfc7c4aef818c64fcb86b60d8b2d80241be6fa0f745"),
+        ("witness --notion W --semantics stb f.apx g.apx",
+         "4db50b0b2d74ff75d820a086148c786ad598d7c0e5a15c447628ee27290ff575"),
+        ("witness --notion E --semantics bogus f.apx g.apx",
+         "475533d491bac10b9866a1675f91effaab877ad4b254d03ba4d490098ea8a795"),
+        ("witness --notion E --semantics stb --format bogus f.apx g.apx",
+         "8e575a91c151ab11ebb1fea7bac17ed06639c18d2078116eed9cdc71f4d582b4"),
+        ("witness --notion E --semantics stb --output bogus f.apx g.apx",
+         "b8c20f4bdfd9452b88075069b11b0cba8f4ffe02caad565890bb5572fce93f31"),
+        ("analyze-set --output bogus s.set",
+         "ae45cd0bdc630bd701438bbb8ecbcda427c91324431306b270ce39d62cf76b19"),
+        ("realize --semantics com s.set",
+         "9ec5ed560d82fccae40471ff6c95f097d1195e9512bd2e936b76c482cc39a077"),
+        ("realize --semantics stb --variant bogus s.set",
+         "87e35b1704cf3bdcf1fc2656e15bb4c4e1db3a4cd2831a56122654ea902735d2"),
+        ("realize --semantics stb --format bogus s.set",
+         "00036aa08a634e8668b716965d6d1fd34f233688423cee40f8e9d31241e90795"),
+        ("realize --semantics stb --output bogus s.set",
+         "6e55981b7e83951aa152fe451813d81cacb212c84c47ae203822a79f54edae5a"),
+        ("classify --semantics sad f.apx",
+         "2d710d69eae5faf12fb2831b494cbab656d0899395b46456e106311f3494ec98"),
+        ("classify --semantics stb --format bogus f.apx",
+         "6fd229a8ab96c68208aee333ddb6daf2347bc672aed40a9eea0fe30434ef2da9"),
+        ("classify --semantics stb --output bogus f.apx",
+         "d3d3cf721af014c735831cb837ce49e617e0283a95a00d1b1167e757f99d4642"),
+        ("verify-class --semantics cf f.apx",
+         "b28487a6f8cdf1b60d36ea41c6c5cf6931fd961596e1d628dd9174c7eca64872"),
+        ("verify-class --semantics stb --format bogus f.apx",
+         "47b2d39197430f253d7322b40ca06a81539fbbed290ea3f59dc905b1fd98a84e"),
+        ("verify-class --semantics stb --output bogus f.apx",
+         "59e777848d914dab3eed4c960f9b779de31431f8e231fd1ad3eaee5b4f06cf87"),
+        ("charlogic --output bogus l.lf",
+         "1d0d59447157005afb1ee123396a2468b28722ca1c53324c1a9f07b64b25f04a"),
+        ("rho-logic --universe a --semantics bogus",
+         "d0661d3ecc6bf113d6e1061722e51634aed7544f210a4d52f88c713da2ef9b45"),
+        ("rho-logic --universe a --semantics stb --output bogus",
+         "d69af59b29a3e3d7024ded0bae60603e7adec70c1d0044f6cc31d13558872f15"),
+    ])
+    def test_surface_digest(self, monkeypatch, argv, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv.split())
+        text = f"{rc}\0{out.getvalue()}\0{err.getvalue()}"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestFullSurfaceSmoke:

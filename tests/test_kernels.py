@@ -430,6 +430,11 @@ class TestWitnessSearch:
         with pytest.raises(AFError, match="unknown flavor: 'bogus'"):
             search_counterexample(f_six, g_six, "D", "prf", flavor="bogus", max_candidates=0)
 
+    @pytest.mark.parametrize("fresh,attacks", [(-1, 3), (1, -3), (-2, -1)])
+    def test_negative_budget_rejected(self, fresh, attacks):
+        with pytest.raises(AFError, match="must be non-negative"):
+            SearchBudget(fresh, attacks)
+
     def test_budget_valve_reported(self, f_six, g_six_wide):
         r = search_counterexample(
             AF("a", []), AF("a", []), "E", "stb", SearchBudget(1, 2), max_candidates=5
