@@ -132,9 +132,6 @@ class AF(Frame):
         keep_set = set(keep) & set(self.names)
         return AF(keep_set, [(a, b) for a, b in self._attacks if a in keep_set and b in keep_set])
 
-    def attack(self, a: str, b: str) -> bool:
-        return (a, b) in self._attacks
-
 
 def bits(mask: int) -> Iterator[int]:
     """Indices of set bits, ascending."""

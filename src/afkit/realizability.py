@@ -3,9 +3,12 @@ and the compact/analytic classification of frameworks.
 
 Candidate extension-sets are plain collections of argument sets. The structural
 predicates (tight, incomparable, conflict-sensitive, downward-closed) decide
-membership in the finite signatures; where only necessary conditions are known
-(the compact and analytic variants of some semantics) the verdict says so
-explicitly instead of pretending to decide.
+membership in the finite signatures. Those that ask which arguments occur
+jointly, like the canonical framework and the implicit conflicts, index the
+candidate over its own sorted arguments and read each argument's joint-with
+mask. Where only necessary conditions are known (the compact and analytic
+variants of some semantics) the verdict says so explicitly instead of
+pretending to decide.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .config import CLASSIFIABLE_SEMANTICS, SIGNATURE_SEMANTICS
-from .core import AF, AFError
+from .core import AF, AFError, bits
 from .semantics import ExtensionSet, check_semantics, extensions, sort_extensions
 
 VARIANTS = ("finite", "finite_compact", "finite_analytic")
@@ -36,20 +39,39 @@ def args_of(sets: ExtensionSet) -> frozenset[str]:
     return frozenset(out)
 
 
+def _joint_with(masks: Iterable[int], n: int) -> list[int]:
+    """Per index below n, the mask of the indices occurring in a set with it
+    (itself included, if it occurs at all). The relation is symmetric."""
+    joint = [0] * n
+    for m in masks:
+        for i in bits(m):
+            joint[i] |= m
+    return joint
+
+
+def _index(sets: ExtensionSet) -> tuple[list[str], list[int], list[int], int]:
+    """A candidate on its own index: its arguments in sorted order, each set
+    as a mask, each argument's joint-with mask, and the mask of all of them."""
+    names = sorted(args_of(sets))
+    index = {a: i for i, a in enumerate(names)}
+    masks = [sum(1 << index[a] for a in s) for s in sets]
+    return names, masks, _joint_with(masks, len(names)), (1 << len(names)) - 1
+
+
+def _common(m: int, joint: list[int], full: int) -> int:
+    """The arguments occurring jointly with every member of m: by symmetry,
+    the meet of the members' joint-with masks (all of full for m = 0)."""
+    for i in bits(m):
+        full &= joint[i]
+    return full
+
+
 def pairs_of(sets: ExtensionSet) -> frozenset[frozenset[str]]:
     """Unordered pairs of jointly occurring arguments (singletons stand for (a,a))."""
-    out: set[frozenset[str]] = set()
-    for s in sets:
-        for a in s:
-            out.add(frozenset((a,)))
-            for b in s:
-                if a < b:
-                    out.add(frozenset((a, b)))
-    return frozenset(out)
-
-
-def _joint(pairs: frozenset[frozenset[str]], a: str, b: str) -> bool:
-    return (frozenset((a,)) if a == b else frozenset((a, b))) in pairs
+    names, _, joint, _ = _index(sets)
+    return frozenset(
+        frozenset((a, names[j])) for i, a in enumerate(names) for j in bits(joint[i] >> i << i)
+    )
 
 
 def downward_closure(sets: ExtensionSet) -> ExtensionSet:
@@ -73,16 +95,11 @@ def is_downward_closed(sets: ExtensionSet) -> bool:
 
 
 def is_tight(sets: ExtensionSet) -> bool:
-    pairs = pairs_of(sets)
-    universe = args_of(sets)
-    members = set(sets)
-    for s in sets:
-        for a in universe:
-            if s | {a} in members:
-                continue
-            if all(_joint(pairs, a, x) for x in s):
-                return False
-    return True
+    """Every argument a occurring jointly with each member of a set s (or any
+    argument, for s empty) extends s to a set of the candidate."""
+    _, masks, joint, full = _index(sets)
+    members = set(masks)
+    return all(s | 1 << a in members for s in masks for a in bits(_common(s, joint, full) & ~s))
 
 
 def is_dcl_tight(sets: ExtensionSet) -> bool:
@@ -90,26 +107,25 @@ def is_dcl_tight(sets: ExtensionSet) -> bool:
     of a set T in `sets` can take an argument a outside T only if its elements
     all occur jointly with a, so it suffices that the elements of T that do,
     plus a, lie inside some set of `sets`, for every T and every such a."""
-    pairs = pairs_of(sets)
-    universe = args_of(sets)
-    for t in sets:
-        for a in universe - t:
-            grown = {x for x in t if _joint(pairs, a, x)} | {a}
-            if not any(grown <= s for s in sets):
+    _, masks, joint, full = _index(sets)
+    for t in masks:
+        for a in bits(full & ~t):
+            grown = t & joint[a] | 1 << a
+            if not any(grown & ~s == 0 for s in masks):
                 return False
     return True
 
 
 def is_conflict_sensitive(sets: ExtensionSet) -> bool:
-    pairs = pairs_of(sets)
-    members = set(sets)
-    for a_set, b_set in itertools.combinations(sets, 2):
-        union = a_set | b_set
-        if union in members:
-            continue
-        if all(_joint(pairs, x, y) for x in union for y in union):
-            return False
-    return True
+    """The union of two sets is in the candidate unless two of its members
+    never occur jointly. The members of one set do, so it is enough that each
+    member of the second occurs jointly with every member of the first."""
+    _, masks, joint, full = _index(sets)
+    members = set(masks)
+    common = {m: _common(m, joint, full) for m in masks}
+    return not any(
+        a | b not in members and b & ~common[a] == 0 for a, b in itertools.combinations(masks, 2)
+    )
 
 
 @dataclass(frozen=True)
@@ -204,13 +220,8 @@ def decide_signature(sets: Iterable[Iterable[str]], sigma: str, variant: str = "
 
 def canonical_cf(sets: Iterable[Iterable[str]]) -> AF:
     """Symmetric framework attacking exactly the non-jointly-occurring pairs."""
-    cand = normalize_candidate(sets)
-    universe = sorted(args_of(cand))
-    pairs = pairs_of(cand)
-    attacks = [
-        (a, b) for a in universe for b in universe if not _joint(pairs, a, b)
-    ]
-    return AF(universe, attacks)
+    names, _, joint, full = _index(normalize_candidate(sets))
+    return AF(names, [(a, names[b]) for i, a in enumerate(names) for b in bits(full & ~joint[i])])
 
 
 def canonical_stb(sets: Iterable[Iterable[str]]) -> AF:
@@ -339,17 +350,13 @@ def implicit_conflicts(f: AF, sigma: str) -> frozenset[frozenset[str]]:
     check_semantics(sigma)
     if sigma not in CLASSIFIABLE_SEMANTICS:
         raise AFError(f"analyticity is not defined for semantics {sigma!r}")
-    pairs = pairs_of(extensions(f, sigma))
-    out: set[frozenset[str]] = set()
-    for a in f.names:
-        for b in f.names:
-            if a > b:
-                continue
-            if _joint(pairs, a, b):
-                continue
-            if (a, b) in f.attacks or (b, a) in f.attacks:
-                continue
-            out.add(frozenset((a, b)))
+    names = f.names
+    joint = _joint_with(map(f.mask_of, extensions(f, sigma)), f.n)
+    out = set()
+    for i, a in enumerate(names):
+        # the arguments b >= a neither joint with a nor attacking it or attacked by it
+        free = f.full_mask >> i << i & ~(joint[i] | f.succ[i] | f.pred[i])
+        out.update(frozenset((a, names[j])) for j in bits(free))
     return frozenset(out)
 
 

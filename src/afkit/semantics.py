@@ -102,7 +102,10 @@ def cf_masks(f: Frame, within: int | None = None) -> list[int]:
     argument) as bitmasks.
 
     Backtracks over non-self-attacking arguments; including an argument bans
-    its attackers and targets for the rest of the branch.
+    its attackers and targets for the rest of the branch. The sets come in the
+    preorder of that backtracking: the lexicographic order of their ascending
+    indices, so each set comes after its parent, the set without its highest
+    index (`verifiability.verification_class` relies on both).
     """
     if within is None:
         within = f.full_mask
@@ -221,13 +224,26 @@ def _characteristic(f: Frame, m: int, within: int) -> int:
 
 def _grounded_trace(f: Frame, within: int) -> list[int]:
     """The characteristic iteration from the empty set up to its fixpoint, the
-    grounded extension (the repeat itself is not recorded)."""
+    grounded extension (the repeat itself is not recorded).
+
+    Each step takes in the arguments whose attackers in `within` are all
+    attacked by the previous set. Only an argument attacked by one that the
+    previous step newly defeated can join, so only those are re-checked, and
+    each attack is read a bounded number of times over the whole trace."""
+    pred = f.pred
     trace = [0]
-    while True:
-        nxt = _characteristic(f, trace[-1], within)
-        if nxt == trace[-1]:
-            return trace
-        trace.append(nxt)
+    defeated = 0
+    step = within & ~f.attacked_by_mask(within)
+    while step:
+        current = trace[-1] | step
+        trace.append(current)
+        fresh = f.attacked_by_mask(step) & within & ~defeated
+        defeated |= fresh
+        step = 0
+        for x in bits(f.attacked_by_mask(fresh) & within & ~current):
+            if pred[x] & within & ~defeated == 0:
+                step |= 1 << x
+    return trace
 
 
 def _adm_masks(f: Frame, within: int, root: int = 0) -> list[int]:

@@ -6,15 +6,22 @@ of a framework. Informativeness between classes is decided through a small
 region model: relative to a pair (P, M) of sets, an element lives in exactly one
 of four regions (only P, only M, both, neither), every basic function is a union
 of regions, and a family of functions determines another function iff membership
-is a function of the visible region signature. The same model computes both the
-neighborhoods (read off the range/anti-range pair) and the data reductions used
-when a semantics is re-derived from a more informative class; the criteria run
-on masks over the elements of the class data.
+is a function of the visible region signature.
+
+Class data is computed on masks over one index. `verification_class` reads
+each part off the region masks of the framework's own range and anti-range
+masks, built along `cf_masks`; `reduce_data` reads a less informative class's
+parts off the source parts' masks by the same region model; `verify` runs its
+criteria on those masks. The frozenset `entries` are made only when a caller
+reads them. Two criteria check one-argument extensions where the definitions
+range over all pairs of sets: a set is complete iff it is admissible and no
+conflict-free s + a has all its outside attackers in its range, and strongly
+admissible iff it is empty or some s - a is and the step from s - a holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import reduce
 from operator import and_, or_
 from typing import Iterable
@@ -27,7 +34,6 @@ from .semantics import (
     _maximal,
     cf_masks,
     check_semantics,
-    extension_key,
     sort_extensions,
 )
 
@@ -159,18 +165,72 @@ def neighborhood(x: str, s_plus: Iterable[str], s_minus: Iterable[str]) -> tuple
 Entry = tuple[frozenset[str], tuple[frozenset[str], ...]]
 
 
-@dataclass(frozen=True)
 class VerificationClassData:
-    class_id: str
-    entries: tuple[Entry, ...]
+    """The digest of one verification class: per conflict-free set (`base`),
+    the parts of its class function (`info`).
 
-    def __post_init__(self):
-        if self.class_id not in REPRESENTATIVES:
-            raise AFError(f"class data needs a representative class id, got {self.class_id!r}")
-        width = len(REPRESENTATIVES[self.class_id])
-        for base, info in self.entries:
+    Built by `verification_class`, the entries are held as masks over the
+    framework's index (`names`) and the frozenset `entries` are made only when
+    read; built by the constructor from frozenset entries, the masks over the
+    names those entries mention are made only when a reduction or `verify`
+    needs them. Either way it is one immutable value: equality, hash, repr and
+    pickling go by (class_id, entries), as for a frozen dataclass."""
+
+    __slots__ = ("class_id", "_entries", "_names", "_masks")
+
+    def __init__(self, class_id: str, entries: tuple[Entry, ...]):
+        if class_id not in REPRESENTATIVES:
+            raise AFError(f"class data needs a representative class id, got {class_id!r}")
+        width = len(REPRESENTATIVES[class_id])
+        for base, info in entries:
             if len(info) != width:
-                raise AFError(f"entry {sorted(base)} has {len(info)} parts, class {self.class_id} has {width}")
+                raise AFError(f"entry {sorted(base)} has {len(info)} parts, class {class_id} has {width}")
+        self._init(class_id, entries, None, None)
+
+    def _init(self, class_id, entries, names, masks) -> None:
+        put = object.__setattr__
+        put(self, "class_id", class_id)
+        put(self, "_entries", entries)
+        put(self, "_names", names)
+        put(self, "_masks", masks)
+
+    @classmethod
+    def _of_masks(cls, class_id: str, names: tuple[str, ...], masks: list) -> "VerificationClassData":
+        data = cls.__new__(cls)
+        data._init(class_id, None, names, masks)
+        return data
+
+    @property
+    def entries(self) -> tuple[Entry, ...]:
+        if self._entries is None:
+            names, made = self._names, {}
+
+            def set_of(m: int) -> frozenset[str]:
+                if m not in made:
+                    made[m] = frozenset(names[i] for i in bits(m))
+                return made[m]
+
+            object.__setattr__(
+                self, "_entries", tuple((set_of(b), tuple(map(set_of, info))) for b, info in self._masks)
+            )
+        return self._entries
+
+    def indexed(self) -> tuple[tuple[str, ...], list]:
+        """(names, masks): the entries as (base, info) masks over names."""
+        if self._masks is None:
+            entries = self._entries
+            names = tuple(sorted(set().union(*(b.union(*info) for b, info in entries))))
+            index = {a: i for i, a in enumerate(names)}
+
+            def mask(s: frozenset[str]) -> int:
+                m = 0
+                for a in s:
+                    m |= 1 << index[a]
+                return m
+
+            object.__setattr__(self, "_names", names)
+            object.__setattr__(self, "_masks", [(mask(b), tuple(map(mask, info))) for b, info in entries])
+        return self._names, self._masks
 
     def info(self, s: frozenset[str]) -> tuple[frozenset[str], ...]:
         for base, info in self.entries:
@@ -178,17 +238,54 @@ class VerificationClassData:
                 return info
         raise AFError(f"no entry for {sorted(s)}")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.class_id, self.entries) == (other.class_id, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.class_id, self.entries))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(class_id={self.class_id!r}, entries={self.entries!r})"
+
+    def __reduce__(self):
+        return type(self), (self.class_id, self.entries)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
 
 def verification_class(f: AF, x: str) -> VerificationClassData:
-    """One digest entry per conflict-free set of f."""
+    """One digest entry per conflict-free set of f, as masks over f's index,
+    in extension order.
+
+    `cf_masks` yields each set after its parent, the set without its highest
+    index, so each set's attacked and attacking arguments are its parent's
+    plus one row. Each wanted part is a union of the pair's three disjoint
+    regions (only the range, only the anti-range, both), so it is their sum
+    weighted by 0 or 1. `cf_masks` yields the sets of one size in the
+    lexicographic order of their ascending indices, and f's names are sorted,
+    so a stable sort by size is the order of `extension_key`."""
     name = parse_class(x)
-    plan = _plan(REPRESENTATIVES["+−"], REPRESENTATIVES[name])
+    weights = [tuple(r in BASIC_REGIONS[c] for r in "ABC") for c in REPRESENTATIVES[name]]
+    succ, pred = f.succ, f.pred
+    attacked, attacking = {0: 0}, {0: 0}
     entries = []
     for m in cf_masks(f):
-        pair = (m | f.attacked_by_mask(m), m | f.attackers_of_mask(m))
-        entries.append((f.set_of(m), tuple(map(f.set_of, _apply_plan(plan, pair)))))
-    entries.sort(key=lambda e: extension_key(e[0]))
-    return VerificationClassData(name, tuple(entries))
+        if m:
+            i = m.bit_length() - 1
+            parent = m ^ 1 << i
+            attacked[m] = attacked[parent] | succ[i]
+            attacking[m] = attacking[parent] | pred[i]
+        plus, minus = m | attacked[m], m | attacking[m]
+        only_plus, only_minus, both = plus & ~minus, minus & ~plus, plus & minus
+        entries.append((m, tuple([only_plus * a + only_minus * b + both * c for a, b, c in weights])))
+    entries.sort(key=lambda e: e[0].bit_count())
+    return VerificationClassData._of_masks(name, f.names, entries)
 
 
 class InsufficientClassError(AFError):
@@ -197,18 +294,23 @@ class InsufficientClassError(AFError):
 
 def reduce_data(data: VerificationClassData, target: str) -> VerificationClassData:
     """Re-express class data in a (weakly) less informative class: each
-    target part is the union of its regions, read off the source parts."""
+    target part is the union of its regions, read off the source parts'
+    masks. Data already in the target class is returned as it is."""
     target_name = parse_class(target)
     if not more_informative(data.class_id, target_name):
         raise InsufficientClassError(
             f"class {data.class_id} cannot be reduced to {target_name}"
         )
+    if target_name == data.class_id:
+        return data
     # more_informative guarantees that no target region has the neither-
     # region's all-absent signature, so every region is read off at least
     # one source part and unseen elements are correctly dropped.
     plan = _plan(REPRESENTATIVES[data.class_id], REPRESENTATIVES[target_name])
-    entries = tuple((base, _apply_plan(plan, info)) for base, info in data.entries)
-    return VerificationClassData(target_name, entries)
+    names, masks = data.indexed()
+    return VerificationClassData._of_masks(
+        target_name, names, [(base, _apply_plan(plan, info)) for base, info in masks]
+    )
 
 
 def exact_class(sigma: str) -> str:
@@ -264,32 +366,48 @@ def _gamma_eag(entries, args):
 def _gamma_sad(entries, args):
     """Chain criterion: a set is reachable when, step by step, the attackers new
     to the step lie inside the previous set's attacked-and-unattacking digest.
-    A strict subset is a smaller integer, so one ascending pass decides every
-    set after all its possible predecessors."""
+    A step from t to a conflict-free b splits into one-argument steps: t ->
+    t + a meets the criterion for any a in b - t, and so does t + a -> b, as no
+    member of b attacks b. So b is reachable iff it is empty or, for some a in
+    b, b - a is reachable and the step from it holds. b - a is a smaller
+    integer, so one ascending pass decides it first."""
     digest = {b: (anti & ~b, pm) for b, (anti, pm) in entries}
-    reachable: list[int] = []
+    reachable: set[int] = set()
+
+    def step(t: int, attackers: int) -> bool:
+        return t in reachable and attackers & ~digest[t][0] & ~digest[t][1] == 0
+
     for b in sorted(digest):
-        attackers = digest[b][0]
-        if b == 0 or any(
-            t & ~b == 0 and attackers & ~digest[t][0] & ~digest[t][1] == 0 for t in reachable
-        ):
-            reachable.append(b)
-    return reachable
+        if b == 0 or any(step(b ^ 1 << i, digest[b][0]) for i in bits(b)):
+            reachable.add(b)
+    return list(reachable)
 
 
 def _gamma_grd(entries, args):
+    # the one set containing every strongly admissible set, if there is one
     sad = _gamma_sad(entries, args)
-    return [s for s in sad if all(t & ~s == 0 for t in sad)]
+    top = reduce(or_, sad, 0)
+    return [top] if top in sad else []
 
 
 def _gamma_com(entries, args):
-    digest = {b: (plus, minus & ~b) for b, (plus, minus) in entries}
-    return [
-        s
-        for s, (plus, attackers) in digest.items()
-        if attackers & ~plus == 0
-        and all(a & ~plus for o, (_, a) in digest.items() if o != s and s & ~o == 0)
-    ]
+    """Admissible sets s such that no conflict-free proper superset o has all
+    its outside attackers in the range of s. Checking o = s + a, for each a
+    outside s, suffices: for a in o, no member of o attacks s + a, so the
+    outside attackers of s + a are among those of o."""
+    attackers = {b: minus & ~b for b, (_, minus) in entries}
+    universe = reduce(or_, attackers, 0)
+
+    def complete(s: int, plus: int) -> bool:
+        if attackers[s] & ~plus:
+            return False
+        for i in bits(universe & ~s):
+            grown = attackers.get(s | 1 << i)
+            if grown is not None and grown & ~plus == 0:
+                return False
+        return True
+
+    return [s for s, (plus, _) in entries if complete(s, plus)]
 
 
 _GAMMA = {
@@ -309,20 +427,18 @@ _GAMMA = {
 
 def verify(sigma: str, data: VerificationClassData, args: Iterable[str]) -> ExtensionSet:
     """Re-derive the sigma-extensions from class data at least as informative as
-    the exact class of sigma."""
+    the exact class of sigma. The criteria run on the data's masks, over its
+    index extended by the arguments of `args` it does not hold."""
     needed = exact_class(sigma)
     if not more_informative(data.class_id, needed):
         raise InsufficientClassError(
             f"semantics {sigma} needs class {needed}, got {data.class_id}"
         )
-    reduced = reduce_data(data, needed)
-    args = frozenset(args)
-    names = sorted(args.union(*(b.union(*info) for b, info in reduced.entries)))
+    names, entries = reduce_data(data, needed).indexed()
     index = {a: i for i, a in enumerate(names)}
-
-    def mask(s: frozenset[str]) -> int:
-        return sum(1 << index[a] for a in s)
-
-    entries = [(mask(b), tuple(map(mask, info))) for b, info in reduced.entries]
-    result = _GAMMA[sigma](entries, mask(args))
+    args = set(args)
+    extra = sorted(args.difference(index))
+    index.update((a, i) for i, a in enumerate(extra, len(names)))
+    names = (*names, *extra)
+    result = _GAMMA[sigma](entries, sum(1 << index[a] for a in args))
     return sort_extensions(frozenset(names[i] for i in bits(m)) for m in result)

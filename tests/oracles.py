@@ -383,6 +383,40 @@ def _oracle_deletions(f: AF, g: AF, notion: str, budget):
             yield DeletionWitness(frozenset(args), frozenset(atts))
 
 
+# -- verification criteria ---------------------------------------------------
+#
+# The quadratic forms of two criteria of `verifiability`, over masked class
+# data as its `_GAMMA` reads it: (base, info) masks of every conflict-free
+# set. The library checks one-argument extensions instead.
+
+
+def gamma_com_pairwise(entries, args):
+    """Admissible sets none of whose conflict-free proper supersets has all its
+    outside attackers in the set's range, over all pairs of entries."""
+    digest = {b: (plus, minus & ~b) for b, (plus, minus) in entries}
+    return [
+        s
+        for s, (plus, attackers) in digest.items()
+        if attackers & ~plus == 0
+        and all(a & ~plus for o, (_, a) in digest.items() if o != s and s & ~o == 0)
+    ]
+
+
+def gamma_sad_scan(entries, args):
+    """The chain criterion from every reachable subset: a set is reachable when
+    it is empty or some reachable proper subset t has the set's attackers
+    new to it inside t's attacked-and-unattacking part."""
+    digest = {b: (anti & ~b, pm) for b, (anti, pm) in entries}
+    reachable: list[int] = []
+    for b in sorted(digest):
+        attackers = digest[b][0]
+        if b == 0 or any(
+            t & ~b == 0 and attackers & ~digest[t][0] & ~digest[t][1] == 0 for t in reachable
+        ):
+            reachable.append(b)
+    return reachable
+
+
 # -- finite logics -----------------------------------------------------------
 
 

@@ -44,6 +44,8 @@ SET_TIGHT = "a,b\na,c\nb,d\nc,d\n"
 SET_EMPTYEXT = "-\n"
 SET_NAV = "a1,b2,b3\na2,b1,b3\na3,b1,b2\nb1,b2,b3\n"
 SET_DEFENSE = "a,b\na,d,e\nb,c,e\n"
+# stg-realizable, and its canonical construction needs one blocker
+SET_STG = "a,b,c\nb,e,f\nc,d,e\n"
 DEMO_LF = (
     "atoms a, b, c\ninterpretations i0, i1, i2, i3\n"
     "models({}) = {i0}\nmodels(a) = {i1}\nmodels(b) = {i2}\nmodels(c) = {i3}\n"
@@ -353,8 +355,8 @@ class TestRhoLogic:
 class TestPinnedOutput:
     """SHA-256 of stdout, each taken before the code behind it was rewritten
     (the charlogic constructions onto masks, the naive family onto its own
-    enumeration): the rows, their order and every member list stay
-    byte-identical."""
+    enumeration, class data and the realizability predicates onto masks):
+    the rows, their order and every member list stay byte-identical."""
 
     @pytest.mark.parametrize("argv,files,digest", [
         (["rho-logic", "--universe", "a,b,c", "--semantics", "grd"], {},
@@ -381,6 +383,29 @@ class TestPinnedOutput:
          "8bde5dd76951cc6b47c1c263dfc9156560fb3e7ff1122ed62378b591abbabf46"),
         (["enumerate", "--semantics", "stg2", "--output", "json", "f.apx"], {"f.apx": NAIVE_AF},
          "2652642518393190bf32d3d9d1379759f8ee422c4ebfaa6a948da96bc9478132"),
+        # the meta layers, before class data and the realizability
+        # predicates moved onto masks: the exact class, the reduction path
+        (["verify-class", "--semantics", "com", "f.apx"], {"f.apx": NAIVE_AF},
+         "196505ceeb8fa8b5d29bfbf7dbff18f94bc368e45ec8a1f17a60289926aea36c"),
+        (["verify-class", "--semantics", "com", "--output", "json", "f.apx"], {"f.apx": NAIVE_AF},
+         "fb52baeafda8505be24353ae341fec5086c8a7d232db275503fb2c826f40e457"),
+        (["verify-class", "--semantics", "stb", "--class", "+−", "f.apx"], {"f.apx": F_SIMPLE},
+         "4fc04f6310201d24dac31d8e8feb4cf090470c703591c157f4957cc3443cdc2a"),
+        (["verify-class", "--semantics", "stb", "--class", "+−", "--output", "json", "f.apx"],
+         {"f.apx": F_SIMPLE},
+         "017759be5b6ad0889cc9f1924bf9f1e30255217b66a4933c594b4babb36ff083"),
+        (["analyze-set", "s.set"], {"s.set": SET_STG},
+         "5dbfe83de95120b4525521904743fea790679b7ebcebfebc4e735cf3be487056"),
+        (["analyze-set", "--output", "json", "s.set"], {"s.set": SET_STG},
+         "135ad71f9a70380d626482f484d1c57acf51616390fb67f2cce4f8d5e9e89f42"),
+        (["realize", "--semantics", "stg", "s.set"], {"s.set": SET_STG},
+         "d728e6d6e53134ee195185f4618b772fc7b9c966f9f1a9dca49e81fca24b9f6c"),
+        (["realize", "--semantics", "stg", "--output", "json", "s.set"], {"s.set": SET_STG},
+         "113cf5fabcc1de5b6fd7339cec63d078b3684ac02a904b9a2909b22cf776fd86"),
+        (["classify", "--semantics", "semi", "f.apx"], {"f.apx": NAIVE_AF},
+         "f0e9111355fbf9d5eb3b540f2e77e87ebd4200a11f130f75692663406ab3436b"),
+        (["classify", "--semantics", "semi", "--output", "json", "f.apx"], {"f.apx": NAIVE_AF},
+         "da3bb9cb3dca4663b65c81d08638d400fbf3383143966abbec4d1e3b57c4589e"),
     ])
     def test_digest(self, tmp_path, capsys, argv, files, digest):
         rc, out = run(tmp_path, capsys, argv, files)

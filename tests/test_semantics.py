@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afkit import semantics
+from afkit import core, semantics
 from afkit.core import AF, AFError, sccs
 from afkit.semantics import (
     EnumerationLimitError,
@@ -74,6 +74,31 @@ class TestGroundedIteration:
 
     def test_self_attacker(self):
         assert grounded_iteration(AF(["a"], [("a", "a")])) == (fs(), [fs()])
+
+    @settings(max_examples=80, deadline=None)
+    @given(f=st.one_of(five_six_arg_afs(), seven_arg_afs()), data=st.data())
+    def test_trace_is_the_characteristic_iteration(self, f, data):
+        # the worklist trace equals Gamma applied over all of `within` at
+        # every step, on any sub-mask
+        within = data.draw(st.integers(0, f.full_mask))
+        want = [0]
+        while semantics._characteristic(f, want[-1], within) != want[-1]:
+            want.append(semantics._characteristic(f, want[-1], within))
+        assert semantics._grounded_trace(f, within) == want
+
+    def test_long_chain_trace_is_linear(self, monkeypatch):
+        # a chain of n arguments takes n/2 steps; re-checking only what the
+        # last step newly defeated keeps the rows read linear in n
+        n = 1200
+        names = [f"a{i:04d}" for i in range(n)]
+        f = AF(names, [(names[i], names[i + 1]) for i in range(n - 1)])
+        rows = []
+        union_over = core._union_over
+        monkeypatch.setattr(core, "_union_over", lambda r, m: rows.append(m.bit_count()) or union_over(r, m))
+        ext, trace = grounded_iteration(f)
+        assert ext == frozenset(names[::2]) and len(trace) == n // 2 + 1
+        assert trace[1] == fs(names[0]) and trace[-2] | {names[-2]} == ext
+        assert sum(rows) < 4 * n
 
 
 class TestStronglyAdmissible:

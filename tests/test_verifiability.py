@@ -1,8 +1,12 @@
+import dataclasses
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings
 
-from afkit.core import AF, AFError
-from afkit.semantics import extensions, sort_extensions
+from afkit.core import AF, AFError, anti_range, range_of
+from afkit.semantics import extension_key, extensions, sort_extensions
 from afkit.verifiability import (
     EXACT_CLASS,
     REPRESENTATIVES,
@@ -18,8 +22,9 @@ from afkit.verifiability import (
     verify,
 )
 
-from fixtures import EXACTNESS_FIXTURES, five_six_arg_afs, representative_of
-from oracles import ORACLES, all_afs
+from afkit import verifiability
+from fixtures import EXACTNESS_FIXTURES, five_six_arg_afs, representative_of, seven_arg_afs
+from oracles import ORACLES, all_afs, gamma_com_pairwise, gamma_sad_scan
 
 
 def fs(*xs):
@@ -97,6 +102,146 @@ class TestVerificationClass:
         with pytest.raises(AFError):
             VerificationClassData("plus", ((frozenset(), (frozenset(),)),))
         assert VerificationClassData("ε", ((frozenset(), ()),)).info(frozenset()) == ()
+
+
+def defined_data(f, x):
+    """Class data through the public constructor, from the definition: the
+    neighborhood of each conflict-free set's range/anti-range pair, in
+    extension order."""
+    entries = [
+        (base, neighborhood(x, range_of(f, base), anti_range(f, base)))
+        for base in extensions(f, "cf")
+    ]
+    return VerificationClassData(x, tuple(sorted(entries, key=lambda e: extension_key(e[0]))))
+
+
+CONTRACT_AFS = [
+    AF("abc", [("a", "b"), ("b", "a"), ("b", "b"), ("c", "b")]),
+    AF("abcdefgh", [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "c"),
+                    ("d", "c"), ("e", "f"), ("f", "f"), ("f", "g"), ("g", "h")]),
+    AF("a", [("a", "a")]),
+    AF([], []),
+    *all_afs(["a", "b"]),
+]
+
+
+class TestClassDataContract:
+    """Class data from verification_class and from the public constructor
+    are one value: the same entries, ==, hash, repr, info(), pickle round
+    trip and frozenness."""
+
+    @pytest.mark.parametrize("x", list(REPRESENTATIVES))
+    def test_same_value_both_ways(self, x):
+        for f in CONTRACT_AFS:
+            built, made = verification_class(f, x), defined_data(f, x)
+            assert built.class_id == made.class_id == x
+            assert built.entries == made.entries
+            assert built == made and made == built and not built != made
+            assert hash(built) == hash(made) == hash((x, made.entries))
+            for d in (built, made):
+                assert repr(d) == f"VerificationClassData(class_id={x!r}, entries={d.entries!r})"
+            assert repr(VerificationClassData(x, built.entries)) == repr(built)
+            for base, info in made.entries:
+                assert built.info(base) == made.info(base) == info
+
+    def test_entries_is_a_tuple_of_frozensets(self, f_neigh):
+        data = verification_class(f_neigh, "+−")
+        assert type(data.entries) is tuple
+        for base, info in data.entries:
+            assert type(base) is frozenset and type(info) is tuple
+            assert all(type(p) is frozenset for p in info)
+        assert data.entries is data.entries
+
+    def test_inequality(self, f_neigh):
+        data = verification_class(f_neigh, "+")
+        assert data != verification_class(f_neigh, "±")
+        assert data != verification_class(AF("abc", [("a", "b")]), "+")
+        assert data != (data.class_id, data.entries)
+        assert data != VerificationClassData("+", tuple(reversed(data.entries)))
+
+    def test_info_of_a_missing_set(self, f_neigh):
+        for data in (verification_class(f_neigh, "+"), defined_data(f_neigh, "+")):
+            with pytest.raises(AFError, match="no entry for"):
+                data.info(fs("a", "b"))
+            with pytest.raises(AFError, match="no entry for"):
+                data.info(fs("z"))
+
+    @pytest.mark.parametrize("x", ["ε", "+", "∩∪", "+−"])
+    def test_pickle_round_trip(self, f_neigh, x):
+        # a frozenset's repr lists its members in an order that follows its
+        # construction, so only the repr's form is compared
+        for d in (verification_class(f_neigh, x), defined_data(f_neigh, x)):
+            back = pickle.loads(pickle.dumps(d))
+            assert type(back) is VerificationClassData
+            assert back == d and hash(back) == hash(d)
+            assert back.entries == d.entries and back.class_id == d.class_id
+            assert repr(back) == f"VerificationClassData(class_id={x!r}, entries={back.entries!r})"
+
+    def test_frozen(self, f_neigh):
+        for d in (verification_class(f_neigh, "+"), defined_data(f_neigh, "+")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                d.class_id = "-"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                d.entries = ()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del d.class_id
+            assert d.class_id == "+"
+
+    def test_reduce_data_across_index_kinds(self):
+        # data from verification_class indexes f's arguments; constructed
+        # data indexes the names its entries mention
+        for f in CONTRACT_AFS:
+            for x in REPRESENTATIVES:
+                built, made = verification_class(f, x), defined_data(f, x)
+                for y in REPRESENTATIVES:
+                    if more_informative(x, y):
+                        want = verification_class(f, y)
+                        assert reduce_data(built, y) == want, (x, y, f)
+                        assert reduce_data(made, y) == want, (x, y, f)
+                        assert reduce_data(made, y).entries == want.entries
+
+    def test_verify_on_constructed_data(self):
+        for f in CONTRACT_AFS:
+            for sigma in VERIFIABLE_SEMANTICS:
+                for x in REPRESENTATIVES:
+                    if more_informative(x, exact_class(sigma)):
+                        want = extensions(f, sigma)
+                        assert verify(sigma, verification_class(f, x), f.args) == want
+                        assert verify(sigma, defined_data(f, x), f.args) == want
+
+    def test_verify_indexes_arguments_outside_the_data(self):
+        # "a" is in no conflict-free set and "z" in no framework; both still
+        # count against the stable range
+        data = verification_class(AF("ab", [("a", "a"), ("b", "a")]), "+")
+        assert verify("stb", data, ["a", "b"]) == (fs("b"),)
+        assert verify("stb", data, ["a", "b", "z"]) == ()
+        assert verify("nav", data, ["a", "b", "z"]) == (fs("b"),)
+
+
+class TestClassDataStructure:
+    def test_no_sets_until_entries_are_read(self, monkeypatch):
+        # the class data and every criterion stay on masks: no framework
+        # set is made, and no entry materialised, until `entries` is read
+        rng = random.Random(14)
+        names = [f"a{i:02d}" for i in range(14)]
+        f = AF(names, rng.sample([(a, b) for a in names for b in names if a != b], 36))
+        want = {sigma: extensions(f, sigma) for sigma in VERIFIABLE_SEMANTICS}
+        made = []
+        set_of = AF.set_of
+        monkeypatch.setattr(AF, "set_of", lambda self, m: made.append(m) or set_of(self, m))
+        top = verification_class(f, "+−")
+        datas = [top]
+        for sigma in VERIFIABLE_SEMANTICS:
+            exact = verification_class(f, exact_class(sigma))
+            reduced = reduce_data(top, exact_class(sigma))
+            assert verify(sigma, exact, f.args) == want[sigma]
+            assert verify(sigma, reduced, f.args) == want[sigma]
+            datas += [exact, reduced]
+        assert made == []
+        assert all(data._entries is None for data in datas)
+        assert len(top.entries) > 200
+        assert top.entries == defined_data(f, "+−").entries
+        assert made  # the counting patch is live
 
 
 class TestInformativeness:
@@ -226,6 +371,28 @@ class TestVerify:
     def test_oracle_equivalence_five_six_args(self, sigma, f):
         data = verification_class(f, exact_class(sigma))
         assert verify(sigma, data, f.args) == sort_extensions(ORACLES[sigma](f)), f
+
+    @pytest.mark.parametrize("sigma", sorted(verifiability._GAMMA))
+    @settings(max_examples=15, deadline=None)
+    @given(f=seven_arg_afs())
+    def test_oracle_equivalence_seven_args(self, sigma, f):
+        # from the exact class, and from the most informative class reduced to it
+        want = sort_extensions(ORACLES[sigma](f))
+        exact = exact_class(sigma)
+        assert verify(sigma, verification_class(f, exact), f.args) == want, f
+        reduced = reduce_data(verification_class(f, "+−"), exact)
+        assert reduced.class_id == exact
+        assert verify(sigma, reduced, f.args) == want, f
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=seven_arg_afs())
+    def test_one_argument_rules(self, f):
+        # com and sad each check one-argument extensions of a set, where the
+        # oracles scan every pair of entries
+        for sigma, oracle in (("com", gamma_com_pairwise), ("sad", gamma_sad_scan)):
+            _, entries = verification_class(f, exact_class(sigma)).indexed()
+            got = verifiability._GAMMA[sigma](entries, f.full_mask)
+            assert sorted(got) == sorted(oracle(entries, f.full_mask)), (sigma, f)
 
     def test_layered_counterexample_framework(self):
         # the local grd criterion would wrongly accept {u, x} here
