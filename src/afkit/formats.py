@@ -215,7 +215,7 @@ def parse_logic(text: str) -> FiniteLogic:
                 if i not in interps:
                     raise ParseError(f"unknown interpretation {i!r}", lineno)
             if theory in table:
-                raise ParseError(f"duplicate models line for theory", lineno)
+                raise ParseError(f"duplicate models line for theory {sorted(theory)}", lineno)
             table[theory] = ids
             continue
         raise ParseError(f"cannot parse line: {line!r}", lineno)

@@ -260,10 +260,6 @@ def defense_formula_cnf(sets: Iterable[Iterable[str]], a: str) -> frozenset[froz
     return frozenset(clauses)
 
 
-def _clause_order(clauses: frozenset[frozenset[str]]) -> list[frozenset[str]]:
-    return sorted(clauses, key=lambda c: (len(c), tuple(sorted(c))))
-
-
 def canonical_def(sets: Iterable[Iterable[str]]) -> AF:
     """canonical_cf plus one self-attacking defense argument per CNF clause,
     attacking the defended argument and attacked by the clause members."""
@@ -272,7 +268,7 @@ def canonical_def(sets: Iterable[Iterable[str]]) -> AF:
     args = list(base.names)
     attacks = list(base.attacks)
     for a in base.names:
-        for j, clause in enumerate(_clause_order(defense_formula_cnf(cand, a))):
+        for j, clause in enumerate(sort_extensions(defense_formula_cnf(cand, a))):
             alpha = f"{DEFENSE_PREFIX}{a}_{j}"
             args.append(alpha)
             attacks.append((alpha, alpha))

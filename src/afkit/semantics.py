@@ -20,10 +20,12 @@ family that theory shows contains all its extensions:
   an argument that could join it lies outside its range and would enlarge
   it; cf2 and stg2 extensions are naive (Baroni, Giacomin & Guida 2005).
 
-Each filter stage (admissible, complete, ⊆- or range-maximal) runs at most
-once per call. cf2 and stg2 follow SCC-recursiveness over sub-masks of the
-same framework: no subframework is built, and each base case enumerates the
-naive sets of its own sub-mask.
+Each filter stage runs at most once per call. The last one, picking by
+⊆- or range-maximality, stability or the meet, is `select`, one selection
+stage that `verifiability.verify` applies to class data as well. cf2 and
+stg2 follow SCC-recursiveness over sub-masks of the same framework: no
+subframework is built, and each base case enumerates the naive sets of its
+own sub-mask.
 """
 
 from __future__ import annotations
@@ -205,15 +207,32 @@ def _maximal(masks: list[int], key: Callable[[int], int] | None = None) -> list[
     return out
 
 
-def _greatest_below_meet(adm: list[int], tops: list[int], within: int) -> list[int]:
-    """The ⊆-maximal masks of adm inside the meet of tops (`within` when tops
-    is empty). With adm the admissible sets and tops the preferred
-    (semi-stable) extensions this is the ideal (eager) extension: unique and
-    complete."""
+def select(
+    sigma: str, sets: list[int], in_range: Callable[[int], int] | None, within: int
+) -> list[int]:
+    """The selection stage of nav, prf (⊆-maximal), stg, semi (range-
+    maximal), stb (range is `within`), id and eag (the greatest set of
+    `sets` below the meet of the preferred, or semi-stable, ones).
+
+    `sets` are conflict-free subsets of `within`, and `in_range(m)` is m's
+    range within `within` (read only for stg, semi, stb and eag). The result
+    is the sigma-extensions of the subframework on `within` when, for nav,
+    stg and stb, `sets` contains every naive set, and, for prf, semi, id and
+    eag, `sets` is the admissible sets or those containing the grounded
+    extension G. Every stable extension is admissible and contains G, so for
+    stb the latter families do as well. S | G is admissible for every
+    admissible S, so dropping the sets without G changes neither maximality
+    nor the greatest admissible set below a meet."""
+    if sigma in ("nav", "prf"):
+        return _maximal(sets)
+    if sigma in ("stg", "semi"):
+        return _maximal(sets, in_range)
+    if sigma == "stb":
+        return [m for m in sets if in_range(m) == within]
     bound = within
-    for m in tops:
+    for m in _maximal(sets, None if sigma == "id" else in_range):
         bound &= m
-    return _maximal([m for m in adm if m & ~bound == 0])
+    return _maximal([m for m in sets if m & ~bound == 0])
 
 
 def _characteristic(f: Frame, m: int, within: int) -> int:
@@ -296,7 +315,7 @@ def _scc_recursive_masks(f: Frame, stage: bool, within: int) -> list[int]:
         if sub not in base_of:
             naive = everything if sub == within else _naive_masks(f, sub)
             if stage:
-                naive = _maximal(naive, lambda m: (m | f.attacked_by_mask(m)) & sub)
+                naive = select("stg", naive, lambda m: (m | f.attacked_by_mask(m)) & sub, sub)
             base_of[sub] = set(naive)
         return base_of[sub]
 
@@ -334,19 +353,10 @@ def extension_masks(f: Frame, sigma: str, within: int, cap: int | None = None) -
         if cap is not None:
             swept = within & ~(root | f.attacked_by_mask(root))
             check_limit(f, swept, cap, " outside the grounded extension and its range")
-        # S | G is admissible for every admissible S, so the admissible sets
-        # containing G change neither maximality nor the greatest admissible
-        # set below a meet.
         adm = _adm_masks(f, within, root)
-        if sigma == "stb":
-            return [m for m in adm if in_range(m) == within]
         if sigma == "com":
             return [m for m in adm if _characteristic(f, m, within) == m]
-        if sigma == "prf":
-            return _maximal(adm)
-        if sigma == "semi":
-            return _maximal(adm, in_range)
-        return _greatest_below_meet(adm, _maximal(adm, None if sigma == "id" else in_range), within)
+        return select(sigma, adm, in_range, within)
     if cap is not None:
         check_limit(f, within, cap)
     if sigma == "cf":
@@ -355,7 +365,7 @@ def extension_masks(f: Frame, sigma: str, within: int, cap: int | None = None) -
         return _naive_masks(f, within)
     if sigma == "stg":
         # a range-maximal conflict-free set is also ⊆-maximal
-        return _maximal(_naive_masks(f, within), in_range)
+        return select("stg", _naive_masks(f, within), in_range, within)
     if sigma == "adm":
         return _adm_masks(f, within)
     if sigma == "sad":

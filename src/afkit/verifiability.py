@@ -11,12 +11,17 @@ is a function of the visible region signature.
 Class data is computed on masks over one index. `verification_class` reads
 each part off the region masks of the framework's own range and anti-range
 masks, built along `cf_masks`; `reduce_data` reads a less informative class's
-parts off the source parts' masks by the same region model; `verify` runs its
-criteria on those masks. The frozenset `entries` are made only when a caller
-reads them. Two criteria check one-argument extensions where the definitions
-range over all pairs of sets: a set is complete iff it is admissible and no
-conflict-free s + a has all its outside attackers in its range, and strongly
-admissible iff it is empty or some s - a is and the step from s - a holds.
+parts off the source parts' masks by the same region model. The frozenset
+`entries` are made only when a caller reads them.
+
+`verify` recomputes extensions from those masks alone. Its own criteria are
+only those of adm, com, sad and grd; nav, stg, stb, prf, semi, id and eag go
+through `semantics.select`, the engine's own selection stage, applied to the
+conflict-free or admissible sets the data shows. Two criteria check
+one-argument extensions where the definitions range over all pairs of sets:
+a set is complete iff it is admissible and no conflict-free s + a has all
+its outside attackers in its range, and strongly admissible iff it is empty
+or some s - a is and the step from s - a holds.
 """
 
 from __future__ import annotations
@@ -26,16 +31,9 @@ from functools import reduce
 from operator import and_, or_
 from typing import Iterable
 
-from .config import EXACT_CLASS, VERIFIABLE_SEMANTICS
+from .config import EXACT_CLASS, VERIFIABLE_SEMANTICS, max_enum_args
 from .core import AF, AFError, bits
-from .semantics import (
-    ExtensionSet,
-    _greatest_below_meet,
-    _maximal,
-    cf_masks,
-    check_semantics,
-    sort_extensions,
-)
+from .semantics import ExtensionSet, cf_masks, check_limit, check_semantics, select, sort_extensions
 
 # region codes: A = only first set, B = only second, C = both, D = neither
 _REGIONS = "ABCD"
@@ -269,8 +267,11 @@ def verification_class(f: AF, x: str) -> VerificationClassData:
     regions (only the range, only the anti-range, both), so it is their sum
     weighted by 0 or 1. `cf_masks` yields the sets of one size in the
     lexicographic order of their ascending indices, and f's names are sorted,
-    so a stable sort by size is the order of `extension_key`."""
+    so a stable sort by size is the order of `extension_key`. The sweep over
+    the conflict-free sets is refused beyond the enumeration cap (see
+    `semantics.check_limit`)."""
     name = parse_class(x)
+    check_limit(f, f.full_mask, max_enum_args())
     weights = [tuple(r in BASIC_REGIONS[c] for r in "ABC") for c in REPRESENTATIVES[name]]
     succ, pred = f.succ, f.pred
     attacked, attacking = {0: 0}, {0: 0}
@@ -322,45 +323,17 @@ def exact_class(sigma: str) -> str:
 
 # -- criteria ------------------------------------------------------------------
 #
-# Each criterion reads the class data as masks over one index: `entries` is a
-# list of (base, info) with info the masks of the exact class's components,
-# and `args` is the argument mask.
-
-
-def _gamma_nav(entries, args):
-    return _maximal([b for b, _ in entries])
-
-
-def _gamma_stb(entries, args):
-    return [b for b, info in entries if info[0] == args]
-
-
-def _gamma_stg(entries, args):
-    ranges = {b: info[0] for b, info in entries}
-    return _maximal(list(ranges), ranges.get)
+# The class data's own criteria are only those of adm, com, sad and grd. Each
+# reads the data as masks over one index: `entries` is a list of (base, info)
+# with info the masks of the exact class's components, and `args` is the
+# argument mask. The other seven semantics apply `semantics.select`, the
+# engine's own selection stage, to a pool that meets its precondition: every
+# conflict-free set for nav, stg and stb, and the admissible sets for prf,
+# semi, id and eag, with ranges read off the `+` part.
 
 
 def _gamma_adm(entries, args):
     return [b for b, info in entries if not info[-1]]  # last component is the ∓ part
-
-
-def _gamma_prf(entries, args):
-    return _maximal(_gamma_adm(entries, args))
-
-
-def _gamma_id(entries, args):
-    adm = _gamma_adm(entries, args)
-    return _greatest_below_meet(adm, _maximal(adm), args)
-
-
-def _gamma_semi(entries, args):
-    adm = set(_gamma_adm(entries, args))
-    ranges = {b: info[0] for b, info in entries if b in adm}
-    return _maximal(list(ranges), ranges.get)
-
-
-def _gamma_eag(entries, args):
-    return _greatest_below_meet(_gamma_adm(entries, args), _gamma_semi(entries, args), args)
 
 
 def _gamma_sad(entries, args):
@@ -411,14 +384,7 @@ def _gamma_com(entries, args):
 
 
 _GAMMA = {
-    "nav": _gamma_nav,
-    "stb": _gamma_stb,
-    "stg": _gamma_stg,
     "adm": _gamma_adm,
-    "prf": _gamma_prf,
-    "id": _gamma_id,
-    "semi": _gamma_semi,
-    "eag": _gamma_eag,
     "sad": _gamma_sad,
     "grd": _gamma_grd,
     "com": _gamma_com,
@@ -440,5 +406,13 @@ def verify(sigma: str, data: VerificationClassData, args: Iterable[str]) -> Exte
     extra = sorted(args.difference(index))
     index.update((a, i) for i, a in enumerate(extra, len(names)))
     names = (*names, *extra)
-    result = _GAMMA[sigma](entries, sum(1 << index[a] for a in args))
+    within = sum(1 << index[a] for a in args)
+    if sigma in _GAMMA:
+        result = _GAMMA[sigma](entries, within)
+    else:
+        parts = REPRESENTATIVES[needed]
+        pool = _gamma_adm(entries, within) if "∓" in parts else [b for b, _ in entries]
+        # ε has no parts and the ∓ class's only part is not a range
+        in_range = {b: info[0] for b, info in entries}.get if "+" in parts else None
+        result = select(sigma, pool, in_range, within)
     return sort_extensions(frozenset(names[i] for i in bits(m)) for m in result)

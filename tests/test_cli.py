@@ -294,6 +294,22 @@ class TestVerifyClass:
         assert out.endswith("extensions:\na,c\n")
 
 
+    @pytest.mark.parametrize("n", [40, 1200])
+    def test_class_sweep_is_capped(self, tmp_path, capsys, monkeypatch, n):
+        # the conflict-free sweep is refused, not run until it hangs or
+        # overflows the stack
+        monkeypatch.delenv("AFKIT_MAX_ARGS", raising=False)
+        path = tmp_path / "f.apx"
+        path.write_text("".join(f"arg(a{i:04d}).\n" for i in range(n)), encoding="utf-8")
+        assert main(["verify-class", "--semantics", "stb", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: framework has {n} non-self-attacking arguments, exceeding the enumeration "
+            "cap of 24 (raise AFKIT_MAX_ARGS to override)\n"
+        )
+
+
 class TestCharlogic:
     def test_characterize_table(self, tmp_path, capsys):
         rc, out = run(tmp_path, capsys, ["charlogic", "--characterize", "l.lf"], {"l.lf": DEMO_LF})
@@ -617,6 +633,65 @@ class TestErrors:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err == f"error: internal {exc.__name__}: boom\n"
+
+    @pytest.mark.parametrize(
+        "text,err",
+        [
+            ("1 a\n#\n#\n", "line 3, column 1: second '#' separator"),
+            ("1 a x\n#\n", "line 1, column 1: cannot parse node line: '1 a x'"),
+            ("1 a\n2 b\n#\n1\n", "line 4, column 1: cannot parse edge line: '1'"),
+        ],
+    )
+    def test_tgf_parse_errors(self, tmp_path, capsys, text, err):
+        path = tmp_path / "f.tgf"
+        path.write_text(text, encoding="utf-8")
+        assert main(["kernel", "--kind", "identity", "--format", "tgf", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize(
+        "text,err",
+        [
+            ("atoms a\natoms b\ninterpretations 1\n", "line 2, column 1: duplicate atoms line"),
+            (
+                "atoms a\ninterpretations 1\ninterpretations 2\n",
+                "line 3, column 1: duplicate interpretations line",
+            ),
+            (
+                "atoms a\nmodels({}) = {}\ninterpretations 1\n",
+                "line 2, column 1: models line before atoms/interpretations",
+            ),
+            (
+                "atoms a\ninterpretations 1\nmodels({}) = {2}\n",
+                "line 3, column 1: unknown interpretation '2'",
+            ),
+            (
+                "atoms a, b\ninterpretations 1\nmodels(a, b) = {1}\nmodels(b,a) = {}\n",
+                "line 4, column 1: duplicate models line for theory ['a', 'b']",
+            ),
+            ("atoms a\ninterpretations 1\nbogus\n", "line 3, column 1: cannot parse line: 'bogus'"),
+            ("atoms a\n", "line 1, column 1: missing interpretations line"),
+            ("atoms a, a\ninterpretations 1\nmodels({}) = {1}\nmodels(a) = {1}\n", "duplicate atoms"),
+        ],
+    )
+    def test_logic_parse_errors(self, tmp_path, capsys, text, err):
+        path = tmp_path / "l.lf"
+        path.write_text(text, encoding="utf-8")
+        assert main(["charlogic", "--characterize", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize(
+        "value,err",
+        [
+            ("abc", "AFKIT_MAX_ARGS must be an integer, got 'abc'"),
+            ("-1", "AFKIT_MAX_ARGS must be non-negative, got -1"),
+        ],
+    )
+    def test_bad_cap_setting(self, tmp_path, capsys, monkeypatch, value, err):
+        monkeypatch.setenv("AFKIT_MAX_ARGS", value)
+        path = tmp_path / "f.apx"
+        path.write_text(F6, encoding="utf-8")
+        assert main(["enumerate", "--semantics", "cf", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     def test_tgf_format_round(self, tmp_path, capsys):
         rc, out = run(

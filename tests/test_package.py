@@ -2,6 +2,7 @@
 ``afkit`` loads no module, a public name loads only its own, and each
 subcommand loads only the modules it uses."""
 
+import ast
 import importlib
 import json
 import os
@@ -108,3 +109,14 @@ def test_choice_list_defined_once(module, name):
     from afkit import config
 
     assert getattr(importlib.import_module(f"afkit.{module}"), name) is getattr(config, name)
+
+
+def test_no_private_name_crosses_a_module():
+    # a helper that another module needs is public: it has a name and a
+    # contract of its own
+    crossings = []
+    for path in sorted(Path(afkit.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "afkit"):
+                crossings += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert crossings == []

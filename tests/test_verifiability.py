@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from afkit.core import AF, AFError, anti_range, range_of
-from afkit.semantics import extension_key, extensions, sort_extensions
+from afkit.semantics import EnumerationLimitError, extension_key, extensions, sort_extensions
 from afkit.verifiability import (
     EXACT_CLASS,
     REPRESENTATIVES,
@@ -90,6 +90,14 @@ class TestVerificationClass:
     def test_empty_framework(self):
         data = verification_class(AF([], []), "+−")
         assert data.entries == ((fs(), (fs(), fs())),)
+
+    def test_sweep_is_capped(self, monkeypatch):
+        # the cap counts only non-self-attacking arguments, as for cf
+        monkeypatch.setenv("AFKIT_MAX_ARGS", "3")
+        loops = [(x, x) for x in "efgh"]
+        assert len(verification_class(AF("abcefgh", loops), "+").entries) == 8
+        with pytest.raises(EnumerationLimitError, match="4 non-self-attacking arguments"):
+            verification_class(AF("abcdefgh", loops), "+")
 
 
     def test_data_validated_against_class(self):
@@ -372,7 +380,7 @@ class TestVerify:
         data = verification_class(f, exact_class(sigma))
         assert verify(sigma, data, f.args) == sort_extensions(ORACLES[sigma](f)), f
 
-    @pytest.mark.parametrize("sigma", sorted(verifiability._GAMMA))
+    @pytest.mark.parametrize("sigma", VERIFIABLE_SEMANTICS)
     @settings(max_examples=15, deadline=None)
     @given(f=seven_arg_afs())
     def test_oracle_equivalence_seven_args(self, sigma, f):
