@@ -188,6 +188,11 @@ def parse_logic(text: str) -> FiniteLogic:
             if atoms is not None:
                 raise ParseError("duplicate atoms line", lineno)
             atoms = [t for t in re.split(r"[,\s]+", line[len("atoms"):].strip()) if t]
+            seen: set[str] = set()
+            for a in atoms:
+                if a in seen:
+                    raise ParseError(f"duplicate atom {a!r}", lineno)
+                seen.add(a)
             continue
         if line.startswith("interpretations"):
             if interps is not None:

@@ -17,9 +17,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .config import CLASSIFIABLE_SEMANTICS, SIGNATURE_SEMANTICS
+from .config import CLASSIFIABLE_SEMANTICS, SIGNATURE_SEMANTICS, max_enum_args
 from .core import AF, AFError, bits
-from .semantics import ExtensionSet, check_semantics, extensions, sort_extensions
+from .semantics import ExtensionSet, check_semantics, extension_masks, extensions, sort_extensions
 
 VARIANTS = ("finite", "finite_compact", "finite_analytic")
 
@@ -328,16 +328,15 @@ def realize(sets: Iterable[Iterable[str]], sigma: str) -> Optional[AF]:
 # -- compact / analytic classification -------------------------------------------
 
 
-def _accepted_args(f: AF, sigma: str) -> frozenset[str]:
-    return args_of(extensions(f, sigma))
-
-
 def is_compact(f: AF, sigma: str) -> bool:
     """No rejected arguments: every argument occurs in some sigma-extension."""
     check_semantics(sigma)
     if sigma not in CLASSIFIABLE_SEMANTICS:
         raise AFError(f"compactness is not defined for semantics {sigma!r}")
-    return _accepted_args(f, sigma) == f.args
+    accepted = 0
+    for m in extension_masks(f, sigma, f.full_mask, max_enum_args()):
+        accepted |= m
+    return accepted == f.full_mask
 
 
 def implicit_conflicts(f: AF, sigma: str) -> frozenset[frozenset[str]]:
@@ -347,7 +346,7 @@ def implicit_conflicts(f: AF, sigma: str) -> frozenset[frozenset[str]]:
     if sigma not in CLASSIFIABLE_SEMANTICS:
         raise AFError(f"analyticity is not defined for semantics {sigma!r}")
     names = f.names
-    joint = _joint_with(map(f.mask_of, extensions(f, sigma)), f.n)
+    joint = _joint_with(extension_masks(f, sigma, f.full_mask, max_enum_args()), f.n)
     out = set()
     for i, a in enumerate(names):
         # the arguments b >= a neither joint with a nor attacking it or attacked by it

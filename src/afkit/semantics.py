@@ -8,7 +8,8 @@ family that theory shows contains all its extensions:
 
 - cf and adm sweep every conflict-free set (supersets of a conflicting pair
   are pruned at the search-tree level, so self-attacking helper arguments
-  cost nothing);
+  cost nothing), and adm reads self-defence off the pair of attacked and
+  attacking arguments the walk carries with each set;
 - the complete family (com, stb, prf, semi, id, eag) sweeps only the
   grounded extension G joined with the conflict-free sets of the arguments
   outside G and its range, since every complete extension contains G
@@ -92,39 +93,40 @@ class Labelling:
     out_set: frozenset[str]
     undec_set: frozenset[str]
 
-    def as_tuple(self):
-        return (self.in_set, self.out_set, self.undec_set)
-
 
 # -- conflict-free candidate sweep --------------------------------------------
 
 
-def cf_masks(f: Frame, within: int | None = None) -> list[int]:
-    """All conflict-free subsets of the mask `within` (default: every
-    argument) as bitmasks.
+def cf_masks(f: Frame, within: int | None = None) -> list[tuple[int, int, int]]:
+    """All conflict-free subsets m of the mask `within` (default: every
+    argument), each as (m, attacked, attacking): m with the masks of the
+    arguments it attacks and of those attacking it, over all of f.
 
-    Backtracks over non-self-attacking arguments; including an argument bans
-    its attackers and targets for the rest of the branch. The sets come in the
-    preorder of that backtracking: the lexicographic order of their ascending
-    indices, so each set comes after its parent, the set without its highest
-    index (`verifiability.verification_class` relies on both).
+    Backtracks over non-self-attacking arguments; including an argument adds
+    its targets and attackers to the branch's pair, and both are banned for
+    the rest of the branch. The sets of one size come in the lexicographic
+    order of their ascending indices (`verifiability.verification_class`
+    relies on it). The walk recurses once per member: a set of d members has
+    2^d conflict-free subsets, so no sweep that could finish needs a deep
+    stack, and one that could not fails fast with RecursionError.
     """
     if within is None:
         within = f.full_mask
-    free = [i for i in bits(within) if not (f.succ[i] >> i) & 1]
-    out = [0]
+    succ, pred = f.succ, f.pred
+    rows = [(1 << i, succ[i], pred[i]) for i in bits(within) if not (succ[i] >> i) & 1]
+    out = [(0, 0, 0)]
 
-    def walk(pos: int, current: int, banned: int) -> None:
-        for k in range(pos, len(free)):
-            i = free[k]
-            bit = 1 << i
+    def walk(pos: int, current: int, attacked: int, attacking: int) -> None:
+        banned = attacked | attacking
+        for k in range(pos, len(rows)):
+            bit, targets, attackers = rows[k]
             if banned & bit:
                 continue
-            nxt = current | bit
-            out.append(nxt)
-            walk(k + 1, nxt, banned | f.succ[i] | f.pred[i])
+            m, hit, hit_by = current | bit, attacked | targets, attacking | attackers
+            out.append((m, hit, hit_by))
+            walk(k + 1, m, hit, hit_by)
 
-    walk(0, 0, 0)
+    walk(0, 0, 0, 0)
     return out
 
 
@@ -274,8 +276,8 @@ def _adm_masks(f: Frame, within: int, root: int = 0) -> list[int]:
     root_out = f.attacked_by_mask(root)
     return [
         root | m
-        for m in cf_masks(f, within & ~(root | root_out))
-        if f.attackers_of_mask(m) & within & ~(root_out | f.attacked_by_mask(m)) == 0
+        for m, attacked, attacking in cf_masks(f, within & ~(root | root_out))
+        if attacking & within & ~(root_out | attacked) == 0
     ]
 
 
@@ -360,7 +362,7 @@ def extension_masks(f: Frame, sigma: str, within: int, cap: int | None = None) -
     if cap is not None:
         check_limit(f, within, cap)
     if sigma == "cf":
-        return cf_masks(f, within)
+        return [m for m, _, _ in cf_masks(f, within)]
     if sigma == "nav":
         return _naive_masks(f, within)
     if sigma == "stg":

@@ -9,10 +9,10 @@ of regions, and a family of functions determines another function iff membership
 is a function of the visible region signature.
 
 Class data is computed on masks over one index. `verification_class` reads
-each part off the region masks of the framework's own range and anti-range
-masks, built along `cf_masks`; `reduce_data` reads a less informative class's
-parts off the source parts' masks by the same region model. The frozenset
-`entries` are made only when a caller reads them.
+each part off the region masks of the range and anti-range that `cf_masks`
+gives with each conflict-free set; `reduce_data` reads a less informative
+class's parts off the source parts' masks by the same region model. The
+frozenset `entries` are made only when a caller reads them.
 
 `verify` recomputes extensions from those masks alone. Its own criteria are
 only those of adm, com, sad and grd; nav, stg, stb, prf, semi, id and eag go
@@ -261,28 +261,20 @@ def verification_class(f: AF, x: str) -> VerificationClassData:
     """One digest entry per conflict-free set of f, as masks over f's index,
     in extension order.
 
-    `cf_masks` yields each set after its parent, the set without its highest
-    index, so each set's attacked and attacking arguments are its parent's
-    plus one row. Each wanted part is a union of the pair's three disjoint
-    regions (only the range, only the anti-range, both), so it is their sum
-    weighted by 0 or 1. `cf_masks` yields the sets of one size in the
-    lexicographic order of their ascending indices, and f's names are sorted,
-    so a stable sort by size is the order of `extension_key`. The sweep over
-    the conflict-free sets is refused beyond the enumeration cap (see
-    `semantics.check_limit`)."""
+    `cf_masks` gives each set with its attacked and attacking arguments, so
+    its range and anti-range are the set joined with each. Each wanted part
+    is a union of the pair's three disjoint regions (only the range, only the
+    anti-range, both), so it is their sum weighted by 0 or 1. `cf_masks`
+    yields the sets of one size in the lexicographic order of their ascending
+    indices, and f's names are sorted, so a stable sort by size is the order
+    of `extension_key`. The sweep over the conflict-free sets is refused
+    beyond the enumeration cap (see `semantics.check_limit`)."""
     name = parse_class(x)
     check_limit(f, f.full_mask, max_enum_args())
     weights = [tuple(r in BASIC_REGIONS[c] for r in "ABC") for c in REPRESENTATIVES[name]]
-    succ, pred = f.succ, f.pred
-    attacked, attacking = {0: 0}, {0: 0}
     entries = []
-    for m in cf_masks(f):
-        if m:
-            i = m.bit_length() - 1
-            parent = m ^ 1 << i
-            attacked[m] = attacked[parent] | succ[i]
-            attacking[m] = attacking[parent] | pred[i]
-        plus, minus = m | attacked[m], m | attacking[m]
+    for m, attacked, attacking in cf_masks(f):
+        plus, minus = m | attacked, m | attacking
         only_plus, only_minus, both = plus & ~minus, minus & ~plus, plus & minus
         entries.append((m, tuple([only_plus * a + only_minus * b + both * c for a, b, c in weights])))
     entries.sort(key=lambda e: e[0].bit_count())

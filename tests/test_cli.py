@@ -6,6 +6,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -634,6 +638,30 @@ class TestErrors:
         assert "Traceback" not in captured.err
         assert captured.err == f"error: internal {exc.__name__}: boom\n"
 
+    @pytest.mark.parametrize("sigma", ["cf", "adm"])
+    def test_deep_sweep_fails_fast(self, tmp_path, sigma):
+        # 1 200 isolated arguments above a raised cap: the conflict-free walk
+        # recurses once per member, so it stops at the recursion limit with
+        # a one-line error. The address-space limit turns a walk that would
+        # run until memory runs out into a failure of this test.
+        path = tmp_path / "f.apx"
+        path.write_text("".join(f"arg(a{i:04d}).\n" for i in range(1200)), encoding="utf-8")
+        src = str(Path(afkit.cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, AFKIT_MAX_ARGS="2000")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "afkit.cli", "enumerate", "--semantics", sigma, str(path)],
+            env=env, capture_output=True, text=True, timeout=20, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "text,err",
         [
@@ -670,7 +698,7 @@ class TestErrors:
             ),
             ("atoms a\ninterpretations 1\nbogus\n", "line 3, column 1: cannot parse line: 'bogus'"),
             ("atoms a\n", "line 1, column 1: missing interpretations line"),
-            ("atoms a, a\ninterpretations 1\nmodels({}) = {1}\nmodels(a) = {1}\n", "duplicate atoms"),
+            ("atoms a, a\ninterpretations 1\nmodels({}) = {1}\nmodels(a) = {1}\n", "line 1, column 1: duplicate atom 'a'"),
         ],
     )
     def test_logic_parse_errors(self, tmp_path, capsys, text, err):

@@ -340,6 +340,31 @@ class TestEngineStructure:
         assert len(masks) == len(set(masks))
         assert {f.set_of(m) for m in masks} == nav_oracle(f.restrict(f.set_of(within)))
 
+    @staticmethod
+    def _check_cf_walk(f, within):
+        walk = semantics.cf_masks(f, within)
+        assert walk == [(m, f.attacked_by_mask(m), f.attackers_of_mask(m)) for m, _, _ in walk]
+        masks = [m for m, _, _ in walk]
+        assert len(masks) == len(set(masks))
+        assert {f.set_of(m) for m in masks} == cf_oracle(f.restrict(f.set_of(within)))
+        # the sets of one size come in the lexicographic order of their ascending indices
+        for size in {m.bit_count() for m in masks}:
+            same = [list(core.bits(m)) for m in masks if m.bit_count() == size]
+            assert same == sorted(same), (f, within, size)
+
+    def test_cf_walk_on_every_small_framework(self):
+        # all 528 frameworks on two or three arguments, under every sub-mask
+        frameworks = list(all_afs(["a", "b"])) + list(all_afs(["a", "b", "c"]))
+        assert len(frameworks) == 528
+        for f in frameworks:
+            for within in range(f.full_mask + 1):
+                self._check_cf_walk(f, within)
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=st.one_of(five_six_arg_afs(), seven_arg_afs()), data=st.data())
+    def test_cf_walk_carries_each_sets_masks(self, f, data):
+        self._check_cf_walk(f, data.draw(st.integers(0, f.full_mask)))
+
     def test_naive_on_every_conflict_graph(self):
         # the naive sets depend only on the symmetric conflict relation
         edges = list(itertools.combinations("abcde", 2))
