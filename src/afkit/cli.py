@@ -192,23 +192,22 @@ def cmd_realize(ns) -> int:
     from . import realizability
 
     sets = formats.parse_extension_set(_read(ns.setfile))
-    variant = {"finite": "finite", "compact": "finite_compact", "analytic": "finite_analytic"}[
-        ns.variant
-    ]
-    verdict = realizability.decide_signature(sets, ns.semantics, variant)
-    lines = []
-    payload = {"answer": verdict.answer, "condition_holds": verdict.condition_holds}
-    rc = EXIT_UNSUPPORTED
-    if verdict.answer == "necessary_only":
-        lines.append(
-            f"necessary_only (condition {'holds' if verdict.condition_holds else 'fails'}; not a decision)"
-        )
-    else:
-        lines.append(verdict.answer)
-        rc = EXIT_OK if verdict.answer == "yes" else EXIT_NO
-    payload["witness"] = None
-    if variant == "finite" and verdict.answer == "yes":
+    variants = {"finite": "finite", "compact": "finite_compact", "analytic": "finite_analytic"}
+    variant = variants[ns.variant]
+    if variant == "finite":  # every finite cell is exact: realize decides, None is "no"
         witness = realizability.realize(sets, ns.semantics)
+        verdict = realizability.SignatureVerdict("no" if witness is None else "yes")
+    else:
+        witness, verdict = None, realizability.decide_signature(sets, ns.semantics, variant)
+    payload = {"answer": verdict.answer, "condition_holds": verdict.condition_holds, "witness": None}
+    if verdict.answer == "necessary_only":
+        rc = EXIT_UNSUPPORTED
+        condition = "holds" if verdict.condition_holds else "fails"
+        lines = [f"necessary_only (condition {condition}; not a decision)"]
+    else:
+        rc = EXIT_OK if verdict.answer == "yes" else EXIT_NO
+        lines = [verdict.answer]
+    if witness is not None:
         lines.append(formats.emit_af(witness, ns.format).rstrip("\n"))
         payload["witness"] = _af_json(witness)
     _emit("\n".join(lines), payload, ns.output == "json")
@@ -219,8 +218,10 @@ def cmd_classify(ns) -> int:
     from . import realizability
 
     f = _load_af(ns.file, ns.format)
-    compact = realizability.is_compact(f, ns.semantics)
     implicit = realizability.implicit_conflicts(f, ns.semantics)
+    # every classifiable semantics is conflict-free, so a self-attacker is always
+    # rejected, and any other rejected argument is an implicit conflict with itself
+    compact = not f.loops_mask() and all(len(p) == 2 for p in implicit)
     analytic = not implicit
     pair_strs = sorted(",".join(_set_list(p)) for p in implicit)
     text = f"compact: {str(compact).lower()}\nanalytic: {str(analytic).lower()}"

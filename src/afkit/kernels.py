@@ -350,7 +350,9 @@ def _expansion_candidates(f: AF, g: AF, notion: str, budget: SearchBudget):
     share. An attack is allowed when it is valid for the notion on its own
     (an N- or S-expansion is valid iff each of its new attacks is)."""
     old = sorted(f.args | g.args)
-    max_fresh = 0 if notion == "L" else budget.fresh_args
+    # a fresh argument takes part in an attack, and an attack touches at most
+    # two, so more than 2 * max_attacks fresh arguments yield no candidate
+    max_fresh = 0 if notion == "L" else min(budget.fresh_args, 2 * budget.max_attacks)
     names = old + [f"{FRESH_PREFIX}{i}" for i in range(max_fresh)]
     index = {a: i for i, a in enumerate(names)}
     sym_diff = [index[a] for a in sorted(f.args ^ g.args)]
@@ -377,7 +379,7 @@ def _expansion_candidates(f: AF, g: AF, notion: str, budget: SearchBudget):
             for a, b in sorted((a, b) for a in pool for b in pool if (a, b) not in boring)
             if allowed(a, b)
         ]
-        for n_att in range(budget.max_attacks + 1):
+        for n_att in range(min(budget.max_attacks, len(slots)) + 1):  # no more attacks than slots
             for attacks in itertools.combinations(slots, n_att):
                 used = 0
                 for i, j in attacks:

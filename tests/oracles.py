@@ -203,6 +203,50 @@ ORACLES = {
 }
 
 
+# -- signature properties of candidate extension-sets, from their definitions --
+
+
+def _joint_pairs(sets):
+    """Pairs(S): the ordered pairs (a, b), a = b included, of arguments that
+    occur together in some set."""
+    return {(a, b) for s in sets for a in s for b in s}
+
+
+def incomparable_oracle(sets) -> bool:
+    return not any(s < t for s in sets for t in sets)
+
+
+def downward_closed_oracle(sets) -> bool:
+    sets = set(sets)
+    return all(t in sets for s in sets for t in powerset(s))
+
+
+def tight_oracle(sets) -> bool:
+    """For every S in the collection and every argument a of it, S ∪ {a} is
+    in the collection or a does not occur together with some member of S."""
+    sets = set(sets)
+    pairs = _joint_pairs(sets)
+    args = frozenset().union(*sets)
+    return all(s | {a} in sets or any((a, b) not in pairs for b in s) for s in sets for a in args)
+
+
+def dcl_tight_oracle(sets) -> bool:
+    """Tightness of the downward closure."""
+    return tight_oracle({t for s in sets for t in powerset(s)})
+
+
+def conflict_sensitive_oracle(sets) -> bool:
+    """For all S, T in the collection, S ∪ T is in it too unless two of its
+    arguments never occur together."""
+    sets = set(sets)
+    pairs = _joint_pairs(sets)
+    return all(
+        s | t in sets or any((a, b) not in pairs for a in s | t for b in s | t)
+        for s in sets
+        for t in sets
+    )
+
+
 def all_afs(names):
     """Every framework on exactly the given argument names."""
     names = sorted(names)

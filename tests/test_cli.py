@@ -199,6 +199,30 @@ class TestWitness:
         assert (rc, captured.out) == (2, "")
         assert captured.err.startswith("error: search budget") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("notion,large,small", [
+        ("E", ["--fresh", "400", "--max-attacks", "2"], ["--fresh", "4", "--max-attacks", "2"]),
+        ("L", ["--max-attacks", "1000000"], ["--max-attacks", "3"]),
+    ])
+    def test_large_budget_scans_only_what_can_yield(self, tmp_path, notion, large, small):
+        # two stable-equivalent frameworks, so every candidate is scanned: a
+        # fresh argument must take part in an attack, and the E scan never
+        # needs more than two fresh arguments per two attacks, nor the L
+        # scan more attacks than its three slots
+        (tmp_path / "f.apx").write_text("arg(a).\narg(b).\natt(a,a).\natt(a,b).\n", encoding="utf-8")
+        (tmp_path / "g.apx").write_text("arg(a).\narg(b).\natt(a,a).\n", encoding="utf-8")
+        src = str(Path(afkit.cli.__file__).resolve().parent.parent)
+        procs = [
+            subprocess.run(
+                [sys.executable, "-m", "afkit.cli", "witness", "--notion", notion, "--semantics", "stb",
+                 *budget, "--output", "json", str(tmp_path / "f.apx"), str(tmp_path / "g.apx")],
+                env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=20,
+            )
+            for budget in (large, small)
+        ]
+        assert [(p.returncode, p.stdout, p.stderr) for p in procs] == [
+            (1, '{"complete": true, "witness": null}\n', "")
+        ] * 2
+
     def test_normal_expansion_witness(self, tmp_path, capsys):
         rc, out = run(
             tmp_path, capsys,
@@ -248,6 +272,16 @@ class TestRealize:
         rc, out = run(tmp_path, capsys, ["realize", "--semantics", "prf", "s.set"], {"s.set": SET_ANTICHAIN})
         assert (rc, out) == (1, "no\n")
 
+    @pytest.mark.parametrize("sigma,setfile,rc", [("nav", SET_NAV, 0), ("prf", SET_ANTICHAIN, 1)])
+    def test_finite_decides_once(self, tmp_path, capsys, monkeypatch, sigma, setfile, rc):
+        # every finite cell is exact, so realize alone answers: None is "no"
+        expected = run(tmp_path, capsys, ["realize", "--semantics", sigma, "--output", "json", "s.set"],
+                       {"s.set": setfile})
+        assert expected[0] == rc
+        monkeypatch.setattr(realizability, "decide_signature", None)
+        assert run(tmp_path, capsys, ["realize", "--semantics", sigma, "--output", "json", "s.set"],
+                   {"s.set": setfile}) == expected
+
     def test_necessary_only_exit_3(self, tmp_path, capsys):
         rc, out = run(
             tmp_path, capsys,
@@ -258,6 +292,16 @@ class TestRealize:
 
 
 class TestClassify:
+    def test_one_enumeration(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        enumerate_masks = realizability.extension_masks
+        monkeypatch.setattr(
+            realizability, "extension_masks", lambda *a: calls.append(a) or enumerate_masks(*a)
+        )
+        rc, out = run(tmp_path, capsys, ["classify", "--semantics", "stb", "f.apx"], {"f.apx": F_SIMPLE})
+        assert (rc, out) == (0, "compact: true\nanalytic: false\nimplicit: c,d\n")
+        assert len(calls) == 1
+
     def test_implicit_conflict(self, tmp_path, capsys):
         rc, out = run(tmp_path, capsys, ["classify", "--semantics", "stb", "f.apx"], {"f.apx": F_SIMPLE})
         assert (rc, out) == (0, "compact: true\nanalytic: false\nimplicit: c,d\n")

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -6,9 +8,12 @@ import pytest
 from afkit import realizability
 from afkit.core import AF, AFError
 from afkit.realizability import (
+    CLASSIFIABLE_SEMANTICS,
     SIGNATURE_SEMANTICS,
+    VARIANTS,
     analyze,
     canonical_cf,
+    canonical_def,
     canonical_stb,
     decide_signature,
     defense_formula_cnf,
@@ -22,7 +27,16 @@ from afkit.realizability import (
 )
 from afkit.semantics import extensions
 
-from oracles import all_afs
+from oracles import (
+    ORACLES,
+    all_afs,
+    conflict_sensitive_oracle,
+    dcl_tight_oracle,
+    downward_closed_oracle,
+    incomparable_oracle,
+    powerset,
+    tight_oracle,
+)
 
 
 def fs(*xs):
@@ -317,3 +331,136 @@ class TestCompactAnalytic:
     def test_sad_not_classifiable(self):
         with pytest.raises(AFError):
             is_compact(AF("a", []), "sad")
+
+
+# every collection of subsets of {a,b,c}, in the order of the bits of its number
+SUBSETS_ABC = [fs(*c) for r in range(4) for c in itertools.combinations("abc", r)]
+FAMILIES_ABC = [[s for i, s in enumerate(SUBSETS_ABC) if bits >> i & 1] for bits in range(256)]
+
+
+def _af_record(f):
+    return None if f is None else [list(f.names), sorted(map(list, f.attacks))]
+
+
+class TestEveryFamilyOverThreeArguments:
+    # SHA-256 of the serialised record below, taken before the module moved
+    # onto one candidate index per call
+    DIGEST = "4d82a309ff59fa7807a4cd190d94b9848da78d584a93899b82396cffd5a174e9"
+
+    def test_sweep_against_definitions_and_pin(self):
+        record = []
+        for fam in FAMILIES_ABC:
+            cand = normalize_candidate(fam)
+            a = analyze(fam)
+            flags = [a.nonempty, a.contains_empty, a.singleton, a.incomparable, a.downward_closed,
+                     a.tight, a.dcl_tight, a.conflict_sensitive]
+            assert flags == [
+                bool(cand), fs() in cand, len(cand) == 1, incomparable_oracle(cand),
+                downward_closed_oracle(cand), tight_oracle(cand), dcl_tight_oracle(cand),
+                conflict_sensitive_oracle(cand),
+            ], fam
+            assert a.args == frozenset().union(*cand)
+            assert a.pairs == {fs(x, y) for s in cand for x in s for y in s}
+            verdicts = []
+            for sigma in SIGNATURE_SEMANTICS:
+                for variant in VARIANTS:
+                    v = decide_signature(fam, sigma, variant)
+                    verdicts.append([sigma, variant, v.answer, v.condition_holds])
+            witnesses = []
+            for sigma in SIGNATURE_SEMANTICS:
+                w = realize(fam, sigma)
+                assert (w is None) == (decide_signature(fam, sigma).answer == "no"), (fam, sigma)
+                if w is not None:
+                    assert ORACLES[sigma](w) == set(cand), (fam, sigma)
+                witnesses.append([sigma, _af_record(w)])
+            cnfs = []
+            for x in sorted(a.args):
+                cnf = defense_formula_cnf(fam, x)
+                disjuncts = [s - {x} for s in cand if x in s]
+                for world in powerset(a.args):
+                    assert any(d <= world for d in disjuncts) == all(c & world for c in cnf), (fam, x)
+                cnfs.append([x, sorted(sorted(c) for c in cnf)])
+            record.append([
+                [sorted(s) for s in cand], flags, sorted(a.args), sorted(sorted(p) for p in a.pairs),
+                verdicts, witnesses, cnfs,
+                [_af_record(build(fam)) for build in (canonical_cf, canonical_stb, canonical_def)],
+            ])
+        text = json.dumps(record, separators=(",", ":"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.DIGEST
+
+    def test_each_public_call_orders_its_candidate_once(self, monkeypatch, s_defense):
+        calls = []
+        order = realizability.sort_extensions
+        monkeypatch.setattr(
+            realizability, "sort_extensions", lambda sets: calls.append(sets) or order(sets)
+        )
+        f = AF("abcd", [("a", "b"), ("b", "a"), ("c", "d"), ("d", "d")])
+        stg_not_nav = [{"a1", "b2", "b3"}, {"a2", "b1", "b3"}, {"a3", "b1", "b2"}]
+        candidates = [[], [set()], s_defense, s_defense + [set()], stg_not_nav]
+        candidates += [extensions(f, sigma) for sigma in SIGNATURE_SEMANTICS]
+        for cand in candidates:
+            public = [
+                ("analyze", lambda: analyze(cand)),
+                ("canonical_cf", lambda: canonical_cf(cand)),
+                ("canonical_stb", lambda: canonical_stb(cand)),
+                ("canonical_def", lambda: canonical_def(cand)),
+                ("is_tight", lambda: is_tight(cand)),
+            ]
+            public += [
+                (f"decide_signature {sigma} {variant}",
+                 lambda sigma=sigma, variant=variant: decide_signature(cand, sigma, variant))
+                for sigma in SIGNATURE_SEMANTICS
+                for variant in VARIANTS
+            ]
+            public += [(f"realize {sigma}", lambda sigma=sigma: realize(cand, sigma))
+                       for sigma in SIGNATURE_SEMANTICS]
+            public += [(f"defense_formula_cnf {x}", lambda x=x: defense_formula_cnf(cand, x))
+                       for x in sorted(analyze(cand).args)]
+            for name, call in public:
+                calls.clear()
+                call()
+                assert len(calls) <= 1, (name, cand)
+        calls.clear()
+        normalize_candidate([{"a"}])
+        assert len(calls) == 1  # the counting patch is live
+
+
+class TestReservedNames:
+    PROBES = [
+        ([{"a1", "_bE0", "b3"}, {"a2", "b1", "b3"}, {"a3", "b1", "_bE0"}], "stg", "_bE0"),
+        ([set(), {"a", "b"}, {"_alpha_a_0"}], "adm", "_alpha_a_0"),
+    ]
+
+    @pytest.mark.parametrize("sets,sigma,name", PROBES)
+    def test_realize_names_the_argument(self, sets, sigma, name):
+        assert decide_signature(sets, sigma).answer == "yes"
+        with pytest.raises(AFError, match=f"reserved: '{name}'"):
+            realize(sets, sigma)
+
+    @pytest.mark.parametrize("sets,sigma,name", PROBES)
+    def test_constructions_with_helpers_reject(self, sets, sigma, name):
+        for build in (canonical_stb, canonical_def):
+            with pytest.raises(AFError, match=f"reserved: '{name}'"):
+                build(sets)
+
+    def test_constructions_without_helpers_accept(self):
+        sets = [{"_x", "a"}, {"b"}]
+        assert canonical_cf(sets) == AF(["_x", "a", "b"], [("_x", "b"), ("a", "b"), ("b", "_x"), ("b", "a")])
+        assert extensions(realize(sets, "nav"), "nav") == normalize_candidate(sets)
+        assert realize([{"_x"}], "grd") == AF(["_x"], [])
+
+
+def test_compact_from_implicit_conflicts_on_every_small_framework():
+    # every classifiable semantics is conflict-free, so a self-attacking
+    # argument is always rejected, and any other rejected argument is an
+    # implicit conflict with itself
+    frameworks = list(all_afs(["a", "b"])) + list(all_afs(["a", "b", "c"]))
+    assert len(frameworks) == 528
+    checked = 0
+    for f in frameworks:
+        for sigma in CLASSIFIABLE_SEMANTICS:
+            implicit = implicit_conflicts(f, sigma)
+            derived = not f.loops_mask() and all(len(p) == 2 for p in implicit)
+            assert is_compact(f, sigma) == derived, (f, sigma)
+            checked += 1
+    assert checked == 528 * 13
