@@ -12,6 +12,7 @@ function returning fresh values.
 
 from __future__ import annotations
 
+import heapq
 import re
 from typing import Iterable, Iterator
 
@@ -211,19 +212,18 @@ def sccs(f: AF) -> list[frozenset[str]]:
             if comp[v] != comp[w] and comp[w] not in out[comp[v]]:
                 out[comp[v]].add(comp[w])
                 indeg[comp[w]] += 1
-    # Kahn with a least-member tie-break for a deterministic topological order
-    least = [min(f.names[v] for v in ms) for ms in members]
-    ready = sorted((c for c in range(n_comps) if indeg[c] == 0), key=lambda c: least[c])
+    # Kahn, taking the ready component with the least member first; names
+    # are sorted, so a component's least member is its first index
+    ready = [(ms[0], c) for c, ms in enumerate(members) if indeg[c] == 0]
+    heapq.heapify(ready)
     order: list[frozenset[str]] = []
     while ready:
-        c = ready.pop(0)
+        c = heapq.heappop(ready)[1]
         order.append(frozenset(f.names[v] for v in members[c]))
-        fresh = []
         for d in out[c]:
             indeg[d] -= 1
             if indeg[d] == 0:
-                fresh.append(d)
-        ready = sorted(ready + fresh, key=lambda c2: least[c2])
+                heapq.heappush(ready, (members[d][0], d))
     return order
 
 

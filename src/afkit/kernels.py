@@ -407,9 +407,9 @@ def _deletion_candidates(f: AF, g: AF, notion: str, budget: SearchBudget):
     old = sorted(f.args | g.args)
     index = {a: i for i, a in enumerate(old)}
     all_attacks = sorted(f.attacks | g.attacks)
-    arg_choices = [()] if notion == "LD" else [
+    arg_choices = [()] if notion == "LD" else (
         c for size in range(len(old) + 1) for c in itertools.combinations(range(len(old)), size)
-    ]
+    )
     att_choices = [()] if notion == "ND" else [
         c
         for size in range(min(budget.max_attacks, len(all_attacks)) + 1)

@@ -84,10 +84,6 @@ def _tight(c: _Candidate) -> bool:
     return all(s | 1 << a in members for s in c.masks for a in bits(c.full & ~s) if s & ~c.joint[a] == 0)
 
 
-def is_tight(sets: Iterable[Iterable[str]]) -> bool:
-    return _tight(_Candidate(sets))
-
-
 def _dcl_tight(c: _Candidate) -> bool:
     """Whether the downward closure is tight, without building it. A subset
     of a set T can take an argument a outside T only if its elements all occur

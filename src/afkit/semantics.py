@@ -337,10 +337,10 @@ def _scc_recursive_masks(f: Frame, stage: bool, within: int) -> list[int]:
     return [m for m in everything if member(within, m)]
 
 
-def extension_masks(f: Frame, sigma: str, within: int, cap: int | None = None) -> list[int]:
+def extension_masks(f: Frame, sigma: str, within: int, cap: int) -> list[int]:
     """The sigma-extensions of the subframework of f on the arguments in the
     mask `within`, as masks in no particular order. Attacks crossing the
-    boundary of `within` are ignored. With a `cap`, a sweep over more than cap
+    boundary of `within` are ignored. A sweep over more than `cap`
     non-self-attacking arguments is refused (see `check_limit`): grd sweeps
     none, the complete family only those outside the grounded extension and
     its range, and every other semantics all of `within`."""
@@ -352,15 +352,13 @@ def extension_masks(f: Frame, sigma: str, within: int, cap: int | None = None) -
         return _grounded_trace(f, within)[-1:]
     if sigma in COMPLETE_FAMILY:
         root = _grounded_trace(f, within)[-1]
-        if cap is not None:
-            swept = within & ~(root | f.attacked_by_mask(root))
-            check_limit(f, swept, cap, " outside the grounded extension and its range")
+        swept = within & ~(root | f.attacked_by_mask(root))
+        check_limit(f, swept, cap, " outside the grounded extension and its range")
         adm = _adm_masks(f, within, root)
         if sigma == "com":
             return [m for m in adm if _characteristic(f, m, within) == m]
         return select(sigma, adm, in_range, within)
-    if cap is not None:
-        check_limit(f, within, cap)
+    check_limit(f, within, cap)
     if sigma == "cf":
         return [m for m, _, _ in cf_masks(f, within)]
     if sigma == "nav":

@@ -26,8 +26,8 @@ or some s - a is and the step from s - a holds.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Iterable
 
@@ -163,72 +163,54 @@ def neighborhood(x: str, s_plus: Iterable[str], s_minus: Iterable[str]) -> tuple
 Entry = tuple[frozenset[str], tuple[frozenset[str], ...]]
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class VerificationClassData:
     """The digest of one verification class: per conflict-free set (`base`),
     the parts of its class function (`info`).
 
-    Built by `verification_class`, the entries are held as masks over the
-    framework's index (`names`) and the frozenset `entries` are made only when
-    read; built by the constructor from frozenset entries, the masks over the
-    names those entries mention are made only when a reduction or `verify`
-    needs them. Either way it is one immutable value: equality, hash, repr and
-    pickling go by (class_id, entries), as for a frozen dataclass."""
+    The entries are held as (base, info) masks over one index of sorted
+    names: the framework's arguments when built by `verification_class`,
+    the names the entries mention when built by the constructor. The
+    frozenset `entries` are made on first read and kept. Equality, hash,
+    repr and pickling go by (class_id, entries)."""
 
-    __slots__ = ("class_id", "_entries", "_names", "_masks")
+    class_id: str
+    _names: tuple[str, ...]
+    _masks: list
 
     def __init__(self, class_id: str, entries: tuple[Entry, ...]):
         if class_id not in REPRESENTATIVES:
             raise AFError(f"class data needs a representative class id, got {class_id!r}")
         width = len(REPRESENTATIVES[class_id])
+        names = tuple(sorted(set().union(*(b.union(*info) for b, info in entries))))
+        bit = {a: 1 << i for i, a in enumerate(names)}
+
+        def mask(s: frozenset[str]) -> int:
+            return sum(map(bit.__getitem__, s))
+
+        masks = []
         for base, info in entries:
             if len(info) != width:
                 raise AFError(f"entry {sorted(base)} has {len(info)} parts, class {class_id} has {width}")
-        self._init(class_id, entries, None, None)
-
-    def _init(self, class_id, entries, names, masks) -> None:
-        put = object.__setattr__
-        put(self, "class_id", class_id)
-        put(self, "_entries", entries)
-        put(self, "_names", names)
-        put(self, "_masks", masks)
+            masks.append((mask(base), tuple(map(mask, info))))
+        self.__dict__.update(class_id=class_id, _names=names, _masks=masks)
 
     @classmethod
     def _of_masks(cls, class_id: str, names: tuple[str, ...], masks: list) -> "VerificationClassData":
         data = cls.__new__(cls)
-        data._init(class_id, None, names, masks)
+        data.__dict__.update(class_id=class_id, _names=names, _masks=masks)
         return data
 
-    @property
+    @cached_property
     def entries(self) -> tuple[Entry, ...]:
-        if self._entries is None:
-            names, made = self._names, {}
+        names, made = self._names, {}
 
-            def set_of(m: int) -> frozenset[str]:
-                if m not in made:
-                    made[m] = frozenset(names[i] for i in bits(m))
-                return made[m]
+        def set_of(m: int) -> frozenset[str]:
+            if m not in made:
+                made[m] = frozenset(names[i] for i in bits(m))
+            return made[m]
 
-            object.__setattr__(
-                self, "_entries", tuple((set_of(b), tuple(map(set_of, info))) for b, info in self._masks)
-            )
-        return self._entries
-
-    def indexed(self) -> tuple[tuple[str, ...], list]:
-        """(names, masks): the entries as (base, info) masks over names."""
-        if self._masks is None:
-            entries = self._entries
-            names = tuple(sorted(set().union(*(b.union(*info) for b, info in entries))))
-            index = {a: i for i, a in enumerate(names)}
-
-            def mask(s: frozenset[str]) -> int:
-                m = 0
-                for a in s:
-                    m |= 1 << index[a]
-                return m
-
-            object.__setattr__(self, "_names", names)
-            object.__setattr__(self, "_masks", [(mask(b), tuple(map(mask, info))) for b, info in entries])
-        return self._names, self._masks
+        return tuple((set_of(b), tuple(map(set_of, info))) for b, info in self._masks)
 
     def info(self, s: frozenset[str]) -> tuple[frozenset[str], ...]:
         for base, info in self.entries:
@@ -249,12 +231,6 @@ class VerificationClassData:
 
     def __reduce__(self):
         return type(self), (self.class_id, self.entries)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def verification_class(f: AF, x: str) -> VerificationClassData:
@@ -300,9 +276,8 @@ def reduce_data(data: VerificationClassData, target: str) -> VerificationClassDa
     # region's all-absent signature, so every region is read off at least
     # one source part and unseen elements are correctly dropped.
     plan = _plan(REPRESENTATIVES[data.class_id], REPRESENTATIVES[target_name])
-    names, masks = data.indexed()
     return VerificationClassData._of_masks(
-        target_name, names, [(base, _apply_plan(plan, info)) for base, info in masks]
+        target_name, data._names, [(base, _apply_plan(plan, info)) for base, info in data._masks]
     )
 
 
@@ -392,7 +367,8 @@ def verify(sigma: str, data: VerificationClassData, args: Iterable[str]) -> Exte
         raise InsufficientClassError(
             f"semantics {sigma} needs class {needed}, got {data.class_id}"
         )
-    names, entries = reduce_data(data, needed).indexed()
+    reduced = reduce_data(data, needed)
+    names, entries = reduced._names, reduced._masks
     index = {a: i for i, a in enumerate(names)}
     args = set(args)
     extra = sorted(args.difference(index))

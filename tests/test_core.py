@@ -123,6 +123,10 @@ class TestSccs:
         assert sccs(f) == [fs("b1"), fs("a1", "a2", "b2")]
         assert set(sccs(f)) == _scc_oracle(f)
 
+    def test_isolated_arguments_in_name_order(self):
+        names = [f"a{i:04d}" for i in range(3000)]
+        assert sccs(AF(reversed(names), [])) == [fs(a) for a in names]
+
     @settings(max_examples=60)
     @given(afs())
     def test_partition_and_oracle(self, f):

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -530,3 +531,17 @@ class TestWitnessStructure:
         assert isinstance(r.witness, DeletionWitness) and built == []
         AF("a", [])
         assert len(built) == 1  # the counting patch is live
+
+    def test_deletion_candidates_made_lazily(self):
+        # ND on 20 pooled arguments has 2^20 argument sets to delete; the
+        # valve at one candidate must not pay for the rest
+        names = [f"a{i:02d}" for i in range(20)]
+        chain = AF(names, list(zip(names, names[1:])))
+        tracemalloc.start()
+        try:
+            r = search_counterexample(chain, AF(names, chain.attacks), "ND", "grd", max_candidates=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.witness is None and not r.complete and r.scanned == 1
+        assert peak < 10 * 2**20, peak

@@ -21,7 +21,6 @@ from afkit.realizability import (
     implicit_conflicts,
     is_analytic,
     is_compact,
-    is_tight,
     normalize_candidate,
     realize,
 )
@@ -167,7 +166,7 @@ class TestDecideSignature:
             cand = normalize_candidate(
                 {a for a in universe if rng.random() < 0.5} for _ in range(rng.randint(0, 5))
             )
-            reference = is_tight(downward_closure(cand))
+            reference = analyze(downward_closure(cand)).tight
             assert analyze(cand).dcl_tight == reference, cand
             not_tight += not reference
         assert not_tight > 0
@@ -404,7 +403,6 @@ class TestEveryFamilyOverThreeArguments:
                 ("canonical_cf", lambda: canonical_cf(cand)),
                 ("canonical_stb", lambda: canonical_stb(cand)),
                 ("canonical_def", lambda: canonical_def(cand)),
-                ("is_tight", lambda: is_tight(cand)),
             ]
             public += [
                 (f"decide_signature {sigma} {variant}",

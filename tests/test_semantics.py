@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afkit import core, semantics
+from afkit import config, core, semantics
 from afkit.core import AF, AFError, sccs
 from afkit.semantics import (
     EnumerationLimitError,
@@ -247,7 +247,7 @@ class TestEngineAgainstOracles:
         within = data.draw(st.integers(0, f.full_mask))
         inside = f.set_of(within)
         assume(any((a in inside) != (b in inside) for a, b in f.attacks))
-        got = {f.set_of(m) for m in semantics.extension_masks(f, sigma, within)}
+        got = {f.set_of(m) for m in semantics.extension_masks(f, sigma, within, config.max_enum_args())}
         assert got == as_set(extensions(f.restrict(inside), sigma))
 
 

@@ -246,7 +246,7 @@ class TestClassDataStructure:
             assert verify(sigma, reduced, f.args) == want[sigma]
             datas += [exact, reduced]
         assert made == []
-        assert all(data._entries is None for data in datas)
+        assert all("entries" not in vars(data) for data in datas)
         assert len(top.entries) > 200
         assert top.entries == defined_data(f, "+−").entries
         assert made  # the counting patch is live
@@ -398,7 +398,7 @@ class TestVerify:
         # com and sad each check one-argument extensions of a set, where the
         # oracles scan every pair of entries
         for sigma, oracle in (("com", gamma_com_pairwise), ("sad", gamma_sad_scan)):
-            _, entries = verification_class(f, exact_class(sigma)).indexed()
+            entries = verification_class(f, exact_class(sigma))._masks
             got = verifiability._GAMMA[sigma](entries, f.full_mask)
             assert sorted(got) == sorted(oracle(entries, f.full_mask)), (sigma, f)
 
