@@ -116,14 +116,16 @@ def _superset_union(rows: list[int], width: int) -> None:
 
 def _up_classes(masks, keys, labels, width: int) -> list[frozenset]:
     """Per position i, the labels in the key classes of all positions with masks ⊇ masks[i]:
-    one class bit per mask (row 0 on masks no position has), `_superset_union`, members."""
+    one class bit per mask (row 0 on masks no position has), `_superset_union`, then one
+    label set per distinct row."""
     classes: dict[int, set] = {}
     rows = [0] * (1 << width)
     for m, c, label in zip(masks, _renumber(keys), labels):
         classes.setdefault(c, set()).add(label)
         rows[m] = 1 << c
     _superset_union(rows, width)
-    return [frozenset().union(*(classes[c] for c in bits(rows[m]))) for m in masks]
+    union = {r: frozenset().union(*(classes[c] for c in bits(r))) for r in {rows[m] for m in masks}}
+    return [union[rows[m]] for m in masks]
 
 
 def _meets(models: list) -> bool:
@@ -219,7 +221,7 @@ def rho_logic(universe: Iterable[str], sigma: str) -> RhoLogic:
     """Enumerate every framework over the universe and compute, for each one,
     the union of the strong equivalence classes of its superframeworks.
     Strong equivalence is decided by the characterizing kernel of sigma."""
-    from .kernels import characterizing_kernel, kernel
+    from .kernels import characterizing_kernel, kernel_attacks
 
     names = tuple(sorted(set(universe)))
     if len(names) > 3:
@@ -231,6 +233,8 @@ def rho_logic(universe: Iterable[str], sigma: str) -> RhoLogic:
     # one bit per argument, then one per attack slot (x, y)
     slots = [*names, *itertools.product(names, names)]
     bit = {slot: 1 << i for i, slot in enumerate(slots)}
-    masks = [sum(bit[slot] for slot in (*f.args, *f.attacks)) for f in afs]
-    rho = dict(zip(afs, _up_classes(masks, (kernel(f, k) for f in afs), afs, len(slots))))
+    masks = [sum(map(bit.__getitem__, (*f.names, *f.attacks))) for f in afs]
+    # a kernel keeps the arguments: its slot mask is f's with the kernel's attacks
+    kernels = (sum(map(bit.__getitem__, (*f.names, *kernel_attacks(f, k)))) for f in afs)
+    rho = dict(zip(afs, _up_classes(masks, kernels, afs, len(slots))))
     return RhoLogic(names, sigma, k, afs, rho)

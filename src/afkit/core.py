@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 ARG_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -125,7 +125,7 @@ class AF(Frame):
         return m
 
     def set_of(self, mask: int) -> frozenset[str]:
-        return frozenset(self.names[i] for i in bits(mask))
+        return names_of(self.names, mask)
 
     # -- structural operations -----------------------------------------------
 
@@ -140,6 +140,17 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def names_of(names: Sequence[str], mask: int) -> frozenset[str]:
+    """The names at the set bits of mask: the one conversion from a mask to a
+    set of arguments (`bits` inlined: every extension passes through it)."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(names[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
 
 
 def _union_over(rows, mask: int) -> int:

@@ -75,27 +75,32 @@ _DROP = {
 }
 
 
-def kernel(f: AF, kind: str) -> AF:
-    """Apply the selected kernel; arguments and self-loops are always preserved.
+def kernel_attacks(f: AF, kind: str) -> list[tuple[str, str]]:
+    """The attacks of `kernel(f, kind)`, each once, without building it.
 
     k_nav adds attacks; every other kernel but the identity deletes the
     attacks its `_DROP` test accepts.
     """
     check_kernel(kind)
     if kind == "identity":
-        return f
+        return list(f.attacks)
     loops = f.loops_mask()
     if kind == "k_nav":
-        # (a, b), b != a, for every b when a loops, else for b attacking a or looping
+        # (a, b), b != a and not yet an attack, for every b when a loops,
+        # else for b attacking a or looping
         extra = [
             (f.names[i], f.names[j])
             for i in range(f.n)
-            for j in bits((f.full_mask if loops >> i & 1 else f.pred[i] | loops) & ~(1 << i))
+            for j in bits((f.full_mask if loops >> i & 1 else f.pred[i] | loops) & ~(f.succ[i] | 1 << i))
         ]
-        return AF(f.names, list(f.attacks) + extra)
+        return list(f.attacks) + extra
     drop, index = _DROP[kind], f.index
-    kept = [(a, b) for a, b in f.attacks if a == b or not drop(f, loops, index[a], index[b])]
-    return AF(f.names, kept)
+    return [(a, b) for a, b in f.attacks if a == b or not drop(f, loops, index[a], index[b])]
+
+
+def kernel(f: AF, kind: str) -> AF:
+    """Apply the selected kernel; arguments and self-loops are always preserved."""
+    return f if kind == "identity" else AF(f.names, kernel_attacks(f, kind))
 
 
 # -- characterization tables ---------------------------------------------------

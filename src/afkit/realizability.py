@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .config import CLASSIFIABLE_SEMANTICS, SIGNATURE_SEMANTICS, max_enum_args
-from .core import AF, RESERVED_PREFIX, AFError, bits
-from .semantics import ExtensionSet, check_semantics, extension_masks, extensions, sort_extensions
+from .core import AF, RESERVED_PREFIX, AFError, bits, names_of
+from .semantics import ExtensionSet, check_semantics, extension_masks, extensions, mask_key, sort_extensions
 
 VARIANTS = ("finite", "finite_compact", "finite_analytic")
 
@@ -54,10 +54,6 @@ class _Candidate:
         self.masks = [sum(1 << index[a] for a in s) for s in self.sets]
         self.joint = _joint_with(self.masks, len(self.names))
         self.full = (1 << len(self.names)) - 1
-
-
-def _mask_key(m: int) -> tuple[int, tuple[int, ...]]:
-    return m.bit_count(), tuple(bits(m))  # extension_key, on sorted names
 
 
 def downward_closure(sets: ExtensionSet) -> ExtensionSet:
@@ -222,7 +218,7 @@ def _stb_af(c: _Candidate) -> AF:
     _check_helper_free(c)
     base = _cf_af(c)
     members = set(c.masks)
-    stable = sorted(extension_masks(base, "stb", base.full_mask, max_enum_args()), key=_mask_key)
+    stable = sorted(extension_masks(base, "stb", base.full_mask, max_enum_args()), key=mask_key)
     args, attacks = list(base.names), list(base.attacks)
     for i, e in enumerate(m for m in stable if m not in members):
         blocker = f"{BLOCKER_PREFIX}{i}"
@@ -257,7 +253,7 @@ def defense_formula_cnf(sets: Iterable[Iterable[str]], a: str) -> frozenset[froz
     c = _Candidate(sets)
     if a not in c.names:
         raise AFError(f"argument {a!r} does not occur in the candidate set")
-    return frozenset(frozenset(c.names[i] for i in bits(k)) for k in _cnf(c, c.names.index(a)))
+    return frozenset(names_of(c.names, k) for k in _cnf(c, c.names.index(a)))
 
 
 def _def_af(c: _Candidate) -> AF:
@@ -265,7 +261,7 @@ def _def_af(c: _Candidate) -> AF:
     base = _cf_af(c)
     args, attacks = list(base.names), list(base.attacks)
     for i, a in enumerate(c.names):
-        for j, clause in enumerate(sorted(_cnf(c, i), key=_mask_key)):
+        for j, clause in enumerate(sorted(_cnf(c, i), key=mask_key)):
             alpha = f"{DEFENSE_PREFIX}{a}_{j}"
             args.append(alpha)
             attacks += [(alpha, alpha), (alpha, a)] + [(c.names[b], alpha) for b in bits(clause)]

@@ -32,10 +32,10 @@ own sub-mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import config
-from .core import AF, AFError, Frame, bits, scc_masks
+from .core import AF, AFError, Frame, bits, names_of, scc_masks
 
 SEMANTICS = (
     "cf",
@@ -62,6 +62,10 @@ COMPLETE_FAMILY = ("com", "stb", "prf", "semi", "id", "eag")
 # via E -> (E, E+, A \ E-plus).
 LABELLING_SEMANTICS = ("stb", "semi", "eag", "prf", "id", "grd", "com")
 
+# Semantics whose `extension_masks` keep the order of the conflict-free walk:
+# those of one size come in the lexicographic order of their ascending indices.
+WALK_ORDER = ("cf", "adm", "com", "stb", "grd")
+
 ExtensionSet = tuple[frozenset[str], ...]
 
 
@@ -84,7 +88,22 @@ def extension_key(e: frozenset[str]):
 
 
 def sort_extensions(sets: Iterable[frozenset[str]]) -> ExtensionSet:
+    """Sets given by name, each once, in extension order (`extension_key`)."""
     return tuple(sorted(set(sets), key=extension_key))
+
+
+def mask_key(m: int) -> tuple[int, tuple[int, ...]]:
+    """`extension_key` of the set that m names over sorted names."""
+    return m.bit_count(), tuple(bits(m))
+
+
+def extension_set(names: Sequence[str], masks: list[int]) -> ExtensionSet:
+    """The sets that the distinct `masks` name over the sorted `names`, in
+    extension order. Those of one size must come in the lexicographic order
+    of their ascending indices (`WALK_ORDER`, or sorted by `mask_key`): one
+    stable sort by size, in place on `masks`, then orders them all."""
+    masks.sort(key=int.bit_count)
+    return tuple([names_of(names, m) for m in masks])
 
 
 @dataclass(frozen=True)
@@ -104,11 +123,12 @@ def cf_masks(f: Frame, within: int | None = None) -> list[tuple[int, int, int]]:
 
     Backtracks over non-self-attacking arguments; including an argument adds
     its targets and attackers to the branch's pair, and both are banned for
-    the rest of the branch. The sets of one size come in the lexicographic
-    order of their ascending indices (`verifiability.verification_class`
-    relies on it). The walk recurses once per member: a set of d members has
-    2^d conflict-free subsets, so no sweep that could finish needs a deep
-    stack, and one that could not fails fast with RecursionError.
+    the rest of the branch. Each set comes once, in pre-order: the
+    lexicographic order of their ascending indices over all sizes, which
+    `extensions` and `verifiability.verification_class` rely on. The walk
+    recurses once per member: a set of d members has 2^d conflict-free
+    subsets, so no sweep that could finish needs a deep stack, and one that
+    could not fails fast with RecursionError.
     """
     if within is None:
         within = f.full_mask
@@ -339,7 +359,10 @@ def _scc_recursive_masks(f: Frame, stage: bool, within: int) -> list[int]:
 
 def extension_masks(f: Frame, sigma: str, within: int, cap: int) -> list[int]:
     """The sigma-extensions of the subframework of f on the arguments in the
-    mask `within`, as masks in no particular order. Attacks crossing the
+    mask `within`, as distinct masks in no particular order, except that the
+    `WALK_ORDER` semantics keep the walk's order within each size: cf and adm
+    come in `cf_masks` pre-order, and com and stb as root | m over it, which
+    keeps the order of the sets of one size. Attacks crossing the
     boundary of `within` are ignored. A sweep over more than `cap`
     non-self-attacking arguments is refused (see `check_limit`): grd sweeps
     none, the complete family only those outside the grounded extension and
@@ -375,11 +398,18 @@ def extension_masks(f: Frame, sigma: str, within: int, cap: int) -> list[int]:
     raise UnknownSemanticsError(f"unknown semantics: {sigma!r}")
 
 
+def _ordered_masks(f: AF, sigma: str) -> list[int]:
+    """The sigma-extensions of f as masks, ready for `extension_set`."""
+    masks = extension_masks(f, sigma, f.full_mask, config.max_enum_args())
+    if sigma not in WALK_ORDER:
+        masks.sort(key=mask_key)
+    return masks
+
+
 def extensions(f: AF, sigma: str) -> ExtensionSet:
     """All sigma-extensions of f, ordered by size then lexicographically."""
     check_semantics(sigma)
-    masks = extension_masks(f, sigma, f.full_mask, config.max_enum_args())
-    return sort_extensions(f.set_of(m) for m in masks)
+    return extension_set(f.names, _ordered_masks(f, sigma))
 
 
 def grounded_iteration(f: AF) -> tuple[frozenset[str], list[frozenset[str]]]:
@@ -395,13 +425,13 @@ def strongly_admissible(f: AF) -> ExtensionSet:
     return extensions(f, "sad")
 
 
-def labelling_of(f: AF, e: frozenset[str]) -> Labelling:
-    m = f.mask_of(e)
-    plus = f.attacked_by_mask(m)
-    return Labelling(frozenset(e), f.set_of(plus), f.set_of(f.full_mask & ~(m | plus)))
-
-
 def labellings(f: AF, sigma: str) -> tuple[Labelling, ...]:
-    """sigma-labellings, one per extension, for the one-to-one family."""
+    """sigma-labellings, one per extension and in its order, for the
+    one-to-one family."""
     check_labelling_semantics(check_semantics(sigma))
-    return tuple(labelling_of(f, e) for e in extensions(f, sigma))
+    full, names, masks = f.full_mask, f.names, _ordered_masks(f, sigma)
+    exts = extension_set(names, masks)  # also sorts masks into their order
+    plus = [f.attacked_by_mask(m) for m in masks]
+    return tuple(
+        Labelling(e, names_of(names, p), names_of(names, full & ~(m | p))) for e, m, p in zip(exts, masks, plus)
+    )

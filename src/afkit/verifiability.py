@@ -32,8 +32,8 @@ from operator import and_, or_
 from typing import Iterable
 
 from .config import EXACT_CLASS, VERIFIABLE_SEMANTICS, max_enum_args
-from .core import AF, AFError, bits
-from .semantics import ExtensionSet, cf_masks, check_limit, check_semantics, select, sort_extensions
+from .core import AF, AFError, bits, names_of
+from .semantics import ExtensionSet, cf_masks, check_limit, check_semantics, extension_set, mask_key, select
 
 # region codes: A = only first set, B = only second, C = both, D = neither
 _REGIONS = "ABCD"
@@ -203,14 +203,10 @@ class VerificationClassData:
 
     @cached_property
     def entries(self) -> tuple[Entry, ...]:
-        names, made = self._names, {}
-
-        def set_of(m: int) -> frozenset[str]:
-            if m not in made:
-                made[m] = frozenset(names[i] for i in bits(m))
-            return made[m]
-
-        return tuple((set_of(b), tuple(map(set_of, info))) for b, info in self._masks)
+        # one frozenset per distinct mask, shared by every part that names it
+        names = self._names
+        made = {m: names_of(names, m) for m in {x for b, info in self._masks for x in (b, *info)}}
+        return tuple((made[b], tuple(map(made.__getitem__, info))) for b, info in self._masks)
 
     def info(self, s: frozenset[str]) -> tuple[frozenset[str], ...]:
         for base, info in self.entries:
@@ -383,4 +379,6 @@ def verify(sigma: str, data: VerificationClassData, args: Iterable[str]) -> Exte
         # ε has no parts and the ∓ class's only part is not a range
         in_range = {b: info[0] for b, info in entries}.get if "+" in parts else None
         result = select(sigma, pool, in_range, within)
-    return sort_extensions(frozenset(names[i] for i in bits(m)) for m in result)
+    # the public constructor keeps its entries in the caller's order, repeats
+    # included, so even the filters of the entries are put in order here
+    return extension_set(names, sorted(set(result), key=mask_key))

@@ -24,7 +24,7 @@ from afkit.kernels import (
     DeletionWitness,
     characterizing_kernel,
 )
-from afkit.semantics import check_semantics, extensions, labellings
+from afkit.semantics import Labelling, check_semantics, extensions, labellings
 
 
 def powerset(xs):
@@ -48,6 +48,11 @@ def plus(f: AF, e):
 
 def minus(f: AF, e):
     return frozenset(a for a, b in f.attacks if b in e)
+
+
+def labelling_oracle(f: AF, e) -> Labelling:
+    """The labelling of extension e: in e, out what e attacks, undec the rest."""
+    return Labelling(frozenset(e), plus(f, e), f.args - e - plus(f, e))
 
 
 def defends(f: AF, e, a) -> bool:

@@ -15,7 +15,7 @@ from afkit.charlogic import (
     rho_logic,
     strong_eq_classes,
 )
-from afkit.core import AFError, union_af
+from afkit.core import AF, AFError, union_af
 from afkit.kernels import characterizing_kernel, kernel
 from afkit.semantics import SEMANTICS
 
@@ -289,6 +289,18 @@ class TestRhoLogic:
                 same_rho = rho.rho_prime[f] == rho.rho_prime[g]
                 same_kernel = kernel(f, "k_stb") == kernel(g, "k_stb")
                 assert same_rho == same_kernel
+
+    def test_each_framework_built_once(self, monkeypatch):
+        # the kernels are read as slot masks, and equal up-classes share one set
+        built = []
+        init = AF.__init__
+        monkeypatch.setattr(AF, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+        for sigma in ("grd", "nav", "cf2"):
+            built.clear()
+            rho = rho_logic(["a", "b"], sigma)
+            assert len(built) == len(rho.afs) == 21
+            values = list(rho.rho_prime.values())
+            assert len({id(v) for v in values}) == len(set(values))
 
     def test_af_count_over_two(self):
         assert len(all_afs_over(["a", "b"])) == 21

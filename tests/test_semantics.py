@@ -12,11 +12,20 @@ from afkit.semantics import (
     extensions,
     grounded_iteration,
     labellings,
+    sort_extensions,
     strongly_admissible,
 )
 
 from fixtures import five_six_arg_afs, seven_arg_afs
-from oracles import ORACLES, all_afs, cf_oracle, nav_oracle, random_af, sad_selfref_oracle
+from oracles import (
+    ORACLES,
+    all_afs,
+    cf_oracle,
+    labelling_oracle,
+    nav_oracle,
+    random_af,
+    sad_selfref_oracle,
+)
 
 
 def fs(*xs):
@@ -347,10 +356,9 @@ class TestEngineStructure:
         masks = [m for m, _, _ in walk]
         assert len(masks) == len(set(masks))
         assert {f.set_of(m) for m in masks} == cf_oracle(f.restrict(f.set_of(within)))
-        # the sets of one size come in the lexicographic order of their ascending indices
-        for size in {m.bit_count() for m in masks}:
-            same = [list(core.bits(m)) for m in masks if m.bit_count() == size]
-            assert same == sorted(same), (f, within, size)
+        # pre-order: the lexicographic order of their ascending indices, over all sizes
+        walk_order = [tuple(core.bits(m)) for m in masks]
+        assert walk_order == sorted(walk_order), (f, within)
 
     def test_cf_walk_on_every_small_framework(self):
         # all 528 frameworks on two or three arguments, under every sub-mask
@@ -379,6 +387,45 @@ class TestEngineStructure:
     def test_sad_produces_each_set_once(self, f):
         masks = semantics._sad_masks(f, f.full_mask)
         assert len(masks) == len(set(masks))
+
+
+class TestOrderContract:
+    """`extension_set` only sorts by size, so the engine must hand it
+    distinct masks, those of one size in lexicographic order."""
+
+    @staticmethod
+    def _check_order(f):
+        for sigma in semantics.SEMANTICS:
+            masks = semantics.extension_masks(f, sigma, f.full_mask, config.max_enum_args())
+            assert len(masks) == len(set(masks)), (f, sigma)
+            if sigma in ("cf", "adm"):
+                assert masks == sorted(masks, key=lambda m: tuple(core.bits(m))), (f, sigma)
+            if sigma in semantics.WALK_ORDER:
+                # com and stb are root | m over the walk: pre-order within each size
+                assert sorted(masks, key=int.bit_count) == sorted(masks, key=semantics.mask_key), (f, sigma)
+            exts = extensions(f, sigma)
+            assert exts == sort_extensions(exts), (f, sigma)
+            if sigma in semantics.LABELLING_SEMANTICS:
+                assert labellings(f, sigma) == tuple(labelling_oracle(f, e) for e in exts), (f, sigma)
+
+    def test_every_small_framework(self):
+        frameworks = list(all_afs(["a", "b"])) + list(all_afs(["a", "b", "c"]))
+        assert len(frameworks) == 528
+        for f in frameworks:
+            self._check_order(f)
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=st.one_of(five_six_arg_afs(), seven_arg_afs()))
+    def test_five_to_seven_args(self, f):
+        self._check_order(f)
+
+    def test_names_of_unequal_length(self):
+        # index order is the names' string order, not their length order
+        f = AF(["a10", "a9", "b", "a1"], [("a9", "b")])
+        assert extensions(f, "cf")[:6] == (
+            fs(), fs("a1"), fs("a10"), fs("a9"), fs("b"), fs("a1", "a10"),
+        )
+        assert extensions(f, "nav") == (fs("a1", "a10", "a9"), fs("a1", "a10", "b"))
 
 
 class TestEnumerationCap:

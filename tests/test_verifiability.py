@@ -217,6 +217,16 @@ class TestClassDataContract:
                         assert verify(sigma, verification_class(f, x), f.args) == want
                         assert verify(sigma, defined_data(f, x), f.args) == want
 
+    def test_verify_on_entries_in_any_order(self):
+        # the public constructor keeps the caller's order and repeats, and
+        # verify still answers in extension order, each set once
+        for f in CONTRACT_AFS:
+            for sigma in VERIFIABLE_SEMANTICS:
+                entries = verification_class(f, exact_class(sigma)).entries
+                for shuffled in (entries[::-1], entries + entries[::-1]):
+                    data = VerificationClassData(exact_class(sigma), shuffled)
+                    assert verify(sigma, data, f.args) == extensions(f, sigma), (f, sigma)
+
     def test_verify_indexes_arguments_outside_the_data(self):
         # "a" is in no conflict-free set and "z" in no framework; both still
         # count against the stable range
