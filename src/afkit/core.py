@@ -209,16 +209,15 @@ def sccs(f: AF) -> list[frozenset[str]]:
     """Strongly connected components, in topological order of the condensation
     (attackers before attacked), ties broken by lexicographically least member.
     """
-    n = f.n
-    comp = _tarjan(f, f.full_mask)
-    n_comps = max(comp) + 1 if n else 0
-    members: list[list[int]] = [[] for _ in range(n_comps)]
-    for v, c in enumerate(comp):
-        members[c].append(v)
+    members = [list(bits(m)) for m in scc_masks(f, f.full_mask)]
+    comp = [0] * f.n
+    for c, ms in enumerate(members):
+        for v in ms:
+            comp[v] = c
     # edges of the condensation
-    out: list[set[int]] = [set() for _ in range(n_comps)]
-    indeg = [0] * n_comps
-    for v in range(n):
+    out: list[set[int]] = [set() for _ in members]
+    indeg = [0] * len(members)
+    for v in range(f.n):
         for w in bits(f.succ[v]):
             if comp[v] != comp[w] and comp[w] not in out[comp[v]]:
                 out[comp[v]].add(comp[w])
@@ -238,61 +237,60 @@ def sccs(f: AF) -> list[frozenset[str]]:
     return order
 
 
-def scc_masks(f: AF, within: int) -> list[int]:
+def scc_masks(f: Frame, within: int) -> list[int]:
     """Strongly connected components of f restricted to the arguments in the
-    mask `within`, as masks, in no particular order."""
-    comps: dict[int, int] = {}
-    for v, c in enumerate(_tarjan(f, within)):
-        if c >= 0:
-            comps[c] = comps.get(c, 0) | 1 << v
-    return list(comps.values())
+    mask `within`, as masks, attackers first: every attack between two of
+    them goes from an earlier one to a later one.
 
-
-def _tarjan(f: AF, within: int) -> list[int]:
-    """Component index per argument of the subframework on `within`, -1 for
-    arguments outside it (iterative Tarjan)."""
-    n = f.n
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
+    Iterative Tarjan, in which each work frame holds its vertex's unvisited
+    successors as a mask. Tarjan completes a component only after every
+    component it attacks, so the completion order is reversed at the end.
+    """
+    succ = f.succ
+    index_of = [-1] * f.n
+    low = [0] * f.n
     stack: list[int] = []
-    comp = [-1] * n
+    on_stack = 0
+    comps: list[int] = []
     counter = 0
-    n_comps = 0
     for root in bits(within):
         if index_of[root] != -1:
             continue
-        work = [(root, iter(bits(f.succ[root] & within)))]
         index_of[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
+        on_stack |= 1 << root
+        work = [[root, succ[root] & within]]
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
+            top = work[-1]
+            v, rest = top
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                w = bit.bit_length() - 1
                 if index_of[w] == -1:
+                    # descend into w, and come back to the rest of v's successors
+                    top[1] = rest
                     index_of[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(bits(f.succ[w] & within))))
-                    advanced = True
+                    on_stack |= bit
+                    work.append([w, succ[w] & within])
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index_of[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comps
-                    if w == v:
-                        break
-                n_comps += 1
-    return comp
+                if on_stack & bit and index_of[w] < low[v]:
+                    low[v] = index_of[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index_of[v]:
+                    m = 0
+                    while True:
+                        w = stack.pop()
+                        m |= 1 << w
+                        if w == v:
+                            break
+                    on_stack ^= m
+                    comps.append(m)
+    comps.reverse()
+    return comps

@@ -336,10 +336,10 @@ class SearchResult:
         return self.witness is not None
 
 
-def _frame(size: int, attacks) -> Frame:
-    """A frame over `size` pool indices with the given (i, j) index attacks."""
-    succ = [0] * size
-    pred = [0] * size
+def _frame(base: Frame, attacks) -> Frame:
+    """A copy of the rows of `base` with the given (i, j) index attacks added."""
+    succ = list(base.succ)
+    pred = list(base.pred)
     for i, j in attacks:
         succ[i] |= 1 << j
         pred[j] |= 1 << i
@@ -353,7 +353,9 @@ def _expansion_candidates(f: AF, g: AF, notion: str, budget: SearchBudget):
     the fresh ones. Fresh arguments always occur in at least one attack;
     isolated candidates only draw on arguments the two frameworks do not
     share. An attack is allowed when it is valid for the notion on its own
-    (an N- or S-expansion is valid iff each of its new attacks is)."""
+    (an N- or S-expansion is valid iff each of its new attacks is). The pool
+    rows of f and g are built once; each candidate's frames copy them with
+    its attacks added."""
     old = sorted(f.args | g.args)
     # a fresh argument takes part in an attack, and an attack touches at most
     # two, so more than 2 * max_attacks fresh arguments yield no candidate
@@ -362,8 +364,9 @@ def _expansion_candidates(f: AF, g: AF, notion: str, budget: SearchBudget):
     index = {a: i for i, a in enumerate(names)}
     sym_diff = [index[a] for a in sorted(f.args ^ g.args)]
     boring = f.attacks & g.attacks
-    f_pairs = [(index[a], index[b]) for a, b in f.attacks]
-    g_pairs = [(index[a], index[b]) for a, b in g.attacks]
+    empty = Frame([0] * len(names), [0] * len(names))
+    f_rows = _frame(empty, [(index[a], index[b]) for a, b in f.attacks])
+    g_rows = _frame(empty, [(index[a], index[b]) for a, b in g.attacks])
     f_mask = sum(1 << index[a] for a in f.args)
     g_mask = sum(1 << index[a] for a in g.args)
 
@@ -391,8 +394,8 @@ def _expansion_candidates(f: AF, g: AF, notion: str, budget: SearchBudget):
                     used |= 1 << i | 1 << j
                 if fresh & ~used:
                     continue  # every fresh argument must take part
-                fa = _frame(len(names), f_pairs + list(attacks))
-                ga = _frame(len(names), g_pairs + list(attacks))
+                fa = _frame(f_rows, attacks)
+                ga = _frame(g_rows, attacks)
                 iso_pool = [i for i in sym_diff if not used >> i & 1]
                 for k_iso in range(len(iso_pool) + 1):
                     for iso in itertools.combinations(iso_pool, k_iso):
@@ -422,13 +425,14 @@ def _deletion_candidates(f: AF, g: AF, notion: str, budget: SearchBudget):
     ]
     f_mask = sum(1 << index[a] for a in f.args)
     g_mask = sum(1 << index[a] for a in g.args)
+    empty = Frame([0] * len(old), [0] * len(old))
     frames = []  # per attack choice, built when first reached
     for args in arg_choices:
         keep = ~sum(1 << i for i in args)
         for k, atts in enumerate(att_choices):
             if k == len(frames):
                 frames.append([
-                    _frame(len(old), [(index[a], index[b]) for a, b in x.attacks if (a, b) not in atts])
+                    _frame(empty, [(index[a], index[b]) for a, b in x.attacks if (a, b) not in atts])
                     for x in (f, g)
                 ])
             fa, ga = frames[k]

@@ -15,18 +15,20 @@ family that theory shows contains all its extensions:
   outside G and its range, since every complete extension contains G
   (Dung 1995); grd is the characteristic iteration alone, and each strongly
   admissible set is built once, along its own characteristic chain;
-- the naive family (nav, stg, cf2, stg2) enumerates only the naive
-  (⊆-maximal conflict-free) sets, the maximal cliques of the compatibility
-  graph, by Bron–Kerbosch with pivoting. A stage extension is naive, since
-  an argument that could join it lies outside its range and would enlarge
-  it; cf2 and stg2 extensions are naive (Baroni, Giacomin & Guida 2005).
+- nav and stg enumerate only the naive (⊆-maximal conflict-free) sets, the
+  maximal cliques of the compatibility graph, by Bron–Kerbosch with
+  pivoting. A stage extension is naive, since an argument that could join it
+  lies outside its range and would enlarge it;
+- cf2 and stg2 are built forward along the strongly connected components,
+  attackers first (SCC-recursiveness, Baroni, Giacomin & Guida 2005): each
+  component takes the extensions of the part that the choices before it
+  leave undefeated, and naive sets are swept only on sub-masks that are a
+  single component, each at most once per call.
 
 Each filter stage runs at most once per call. The last one, picking by
 ⊆- or range-maximality, stability or the meet, is `select`, one selection
 stage that `verifiability.verify` applies to class data as well. cf2 and
-stg2 follow SCC-recursiveness over sub-masks of the same framework: no
-subframework is built, and each base case enumerates the naive sets of its
-own sub-mask.
+stg2 work on sub-masks of the same framework: no subframework is built.
 """
 
 from __future__ import annotations
@@ -322,39 +324,37 @@ def _sad_masks(f: Frame, within: int) -> list[int]:
 
 
 def _scc_recursive_masks(f: Frame, stage: bool, within: int) -> list[int]:
-    """cf2 (naive base) or stg2 (stage base) over sub-masks of `within`: e is
-    an extension of the subframework on `sub` iff, for every component s of
-    `sub`, e & s is an extension of the subframework on the part of s that
-    e outside s does not attack (UP). A single component takes the base
-    semantics. Components and base extensions are memoised per sub-mask.
-    Every cf2 and stg2 extension is naive, so the naive sets of `within` are
-    the only candidates."""
-    everything = _naive_masks(f, within)
-    comps_of: dict[int, list[int]] = {}
-    base_of: dict[int, set[int]] = {}
+    """cf2 (naive base) or stg2 (stage base) of the subframework on `within`,
+    built forward along its components (Cerutti, Giacomin, Vallati & Zanella
+    2014). By SCC-recursiveness (Baroni, Giacomin & Guida 2005), e is an
+    extension on `sub` iff, for every component s of `sub`, e & s is an
+    extension on the part of s that e outside s does not attack (UP); a
+    single component takes the base semantics. Only earlier components attack
+    s, so with the components attackers first, the choices made so far fix
+    UP, no later choice conflicts with them, and as no sub-mask has zero
+    extensions, every partial set extends to an extension. Results are
+    memoised per sub-mask within the call."""
+    memo: dict[int, list[int]] = {}
 
-    def base(sub: int) -> set[int]:
-        if sub not in base_of:
-            naive = everything if sub == within else _naive_masks(f, sub)
-            if stage:
-                naive = select("stg", naive, lambda m: (m | f.attacked_by_mask(m)) & sub, sub)
-            base_of[sub] = set(naive)
-        return base_of[sub]
+    def ext(sub: int) -> list[int]:
+        if sub in memo:
+            return memo[sub]
+        if sub & (sub - 1) == 0:  # at most one argument
+            out = [0] if f.attacked_by_mask(sub) & sub else [sub]
+        else:
+            comps = scc_masks(f, sub)
+            if len(comps) == 1:
+                out = _naive_masks(f, sub)
+                if stage:
+                    out = select("stg", out, lambda m: (m | f.attacked_by_mask(m)) & sub, sub)
+            else:
+                out = [0]
+                for s in comps:
+                    out = [e | x for e in out for x in ext(s & ~f.attacked_by_mask(e))]
+        memo[sub] = out
+        return out
 
-    def member(sub: int, e: int) -> bool:
-        if sub not in comps_of:
-            comps_of[sub] = scc_masks(f, sub)
-        comps = comps_of[sub]
-        if len(comps) <= 1:
-            return e in base(sub)
-        for s in comps:
-            up = s & ~f.attacked_by_mask(e & ~s)
-            part = e & s
-            if part & ~up or not member(up, part):
-                return False
-        return True
-
-    return [m for m in everything if member(within, m)]
+    return ext(within)
 
 
 def extension_masks(f: Frame, sigma: str, within: int, cap: int) -> list[int]:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afkit.core import AF, AFError, anti_range, delete, loops, range_of, scc_masks, sccs, union_af
+from afkit.core import AF, AFError, anti_range, bits, delete, loops, range_of, scc_masks, sccs, union_af
 
 from fixtures import five_six_arg_afs
 from oracles import _scc_oracle
@@ -142,6 +142,26 @@ class TestSccs:
         parts = scc_masks(f, within)
         assert {f.set_of(m) for m in parts} == _scc_oracle(f.restrict(f.set_of(within)))
         assert sum(parts) == within  # disjoint and covering
+
+    @settings(max_examples=60)
+    @given(five_six_arg_afs(), st.integers(0, 63))
+    def test_scc_masks_attackers_first(self, f, within):
+        within &= f.full_mask
+        position = {v: k for k, m in enumerate(scc_masks(f, within)) for v in bits(m)}
+        for v in bits(within):
+            for w in bits(f.succ[v] & within):
+                assert position[v] <= position[w], (f, within)
+
+    @pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+    def test_long_chains(self, forward):
+        # 5 000 singleton components: a deep walk must neither recurse nor
+        # take quadratic time
+        names = [f"a{i:04d}" for i in range(5000)]
+        links = list(zip(names, names[1:]))
+        f = AF(names, links if forward else [(b, a) for a, b in links])
+        order = range(5000) if forward else range(4999, -1, -1)
+        assert sccs(f) == [fs(names[i]) for i in order]
+        assert scc_masks(f, f.full_mask) == [1 << i for i in order]
 
 
 class TestLoops:

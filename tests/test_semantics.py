@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -166,6 +167,20 @@ class TestLabellings:
         with pytest.raises(AFError):
             labellings(AF("a", []), "adm")
 
+    def test_value_contract(self):
+        # equality, hash, frozenness, repr and pickling of the public type
+        lab = Labelling(fs("a"), fs("b"), fs())
+        same = Labelling(fs("a"), fs("b"), fs())
+        assert lab == same and hash(lab) == hash(same) and len({lab, same}) == 1
+        assert lab != Labelling(fs("a"), fs(), fs("b"))
+        assert lab != (fs("a"), fs("b"), fs())
+        for field in ("in_set", "out_set", "undec_set"):
+            with pytest.raises(AttributeError):
+                setattr(lab, field, fs())
+        assert lab == same
+        assert repr(lab) == "Labelling(in_set=frozenset({'a'}), out_set=frozenset({'b'}), undec_set=frozenset())"
+        assert pickle.loads(pickle.dumps(lab)) == lab
+
 
 class TestStructuralProperties:
     def test_oracle_agreement_two_args(self):
@@ -284,14 +299,16 @@ class TestEngineStructure:
         assert len(built) == 1  # the counting patch is live
 
     @staticmethod
-    def _count_sweeps(monkeypatch) -> list[str]:
-        """Record the name of each conflict-free or naive sweep made."""
+    def _count_sweeps(monkeypatch) -> list[tuple[str, int | None]]:
+        """Record the name and the mask swept (None for all of f) of each
+        conflict-free or naive sweep made."""
         calls = []
         for name in ("cf_masks", "_naive_masks"):
             sweep = getattr(semantics, name)
             monkeypatch.setattr(
                 semantics, name,
-                lambda f, *rest, name=name, sweep=sweep: calls.append(name) or sweep(f, *rest),
+                lambda f, *rest, name=name, sweep=sweep: calls.append((name, rest[0] if rest else None))
+                or sweep(f, *rest),
             )
         return calls
 
@@ -307,7 +324,22 @@ class TestEngineStructure:
         for f, sigma, sweep in cases:
             calls.clear()
             assert as_set(extensions(f, sigma)) == ORACLES[sigma](f)
-            assert calls == [sweep], sigma
+            assert [name for name, _ in calls] == [sweep], sigma
+
+    def test_cf2_stg2_sweep_single_components_once(self, monkeypatch):
+        # five 3-cycles in a chain, each attacking the next: the naive sets
+        # are swept only on sub-masks that are one component, each at most once
+        names = [f"c{k}{j}" for k in range(5) for j in range(3)]
+        cycles = [(f"c{k}{j}", f"c{k}{(j + 1) % 3}") for k in range(5) for j in range(3)]
+        f = AF(names, cycles + [(f"c{k}2", f"c{k + 1}0") for k in range(4)])
+        calls = self._count_sweeps(monkeypatch)
+        for sigma in ("cf2", "stg2"):
+            calls.clear()
+            assert as_set(extensions(f, sigma)) == ORACLES[sigma](f), sigma
+            swept = [m for name, m in calls if name == "_naive_masks"]
+            assert len(calls) == len(swept) > 0, sigma
+            assert len(swept) == len(set(swept)), sigma
+            assert all(len(core.scc_masks(f, m)) == 1 for m in swept), sigma
 
     @pytest.mark.parametrize("n", [20, 400])
     def test_naive_family_is_output_sized(self, monkeypatch, n):
@@ -317,7 +349,7 @@ class TestEngineStructure:
         calls = self._count_sweeps(monkeypatch)
         for sigma in ("nav", "stg", "cf2", "stg2"):
             assert extensions(f, sigma) == (f.args,), sigma
-        assert "cf_masks" not in calls
+        assert "cf_masks" not in [name for name, _ in calls]
 
     @pytest.mark.parametrize(
         "f", [AF([f"a{i:02d}" for i in range(20)]), _chain(24)], ids=["isolated20", "chain24"]
