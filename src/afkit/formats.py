@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Iterable
 
-from .core import AF, RESERVED_PREFIX, check_arg_name
+from .core import AF, ARG_NAME_RE, RESERVED_PREFIX
 from .semantics import ExtensionSet, sort_extensions
 
 if TYPE_CHECKING:
@@ -29,7 +29,8 @@ _APX_ATT = re.compile(r"att\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\)\.\Z")
 
 
 def _check_user_name(name: str, lineno: int, col: int) -> str:
-    check_arg_name(name)
+    if not ARG_NAME_RE.match(name):
+        raise ParseError(f"invalid argument name: {name!r}", lineno, col)
     if name.startswith(RESERVED_PREFIX):
         raise ParseError(f"argument names starting with '_' are reserved: {name!r}", lineno, col)
     return name
@@ -93,7 +94,8 @@ def parse_tgf(text: str) -> AF:
                 raise ParseError(f"duplicate node id {node!r}", lineno)
             if label in names.values():
                 raise ParseError(f"duplicate node label {label!r}", lineno)
-            names[node] = _check_user_name(label, lineno, 1)
+            # the label is the line's last token
+            names[node] = _check_user_name(label, lineno, raw.rfind(label) + 1)
         else:
             if len(parts) != 2:
                 raise ParseError(f"cannot parse edge line: {line!r}", lineno)
@@ -143,11 +145,13 @@ def parse_extension_set(text: str) -> ExtensionSet:
         if line == "-":
             sets.append(frozenset())
             continue
-        members = [tok.strip() for tok in line.split(",")]
-        for tok in members:
-            if not tok:
-                raise ParseError("empty argument name", lineno)
-            _check_user_name(tok, lineno, 1)
+        members, col = [], len(raw) - len(raw.lstrip()) + 1
+        for piece in line.split(","):
+            at = col + len(piece) - len(piece.lstrip())
+            if not piece.strip():
+                raise ParseError("empty argument name", lineno, at)
+            members.append(_check_user_name(piece.strip(), lineno, at))
+            col += len(piece) + 1
         sets.append(frozenset(members))
     return sort_extensions(sets)
 

@@ -152,8 +152,10 @@ def cf_masks(f: Frame, within: int | None = None) -> list[tuple[int, int, int]]:
     return out
 
 
-def _naive_masks(f: Frame, within: int) -> list[int]:
-    """The ⊆-maximal conflict-free subsets of the mask `within`, each once.
+def naive_masks(f: Frame, within: int) -> list[int]:
+    """The ⊆-maximal conflict-free subsets of the mask `within`, each once, in
+    no particular order and with no cap. On a symmetric framework without
+    self-attacks they are its stable extensions (Coste-Marquis et al. 2005).
 
     These are the maximal cliques of the compatibility graph on the
     non-self-attacking arguments (two are adjacent when neither attacks the
@@ -344,7 +346,7 @@ def _scc_recursive_masks(f: Frame, stage: bool, within: int) -> list[int]:
         else:
             comps = scc_masks(f, sub)
             if len(comps) == 1:
-                out = _naive_masks(f, sub)
+                out = naive_masks(f, sub)
                 if stage:
                     out = select("stg", out, lambda m: (m | f.attacked_by_mask(m)) & sub, sub)
             else:
@@ -385,10 +387,10 @@ def extension_masks(f: Frame, sigma: str, within: int, cap: int) -> list[int]:
     if sigma == "cf":
         return [m for m, _, _ in cf_masks(f, within)]
     if sigma == "nav":
-        return _naive_masks(f, within)
+        return naive_masks(f, within)
     if sigma == "stg":
         # a range-maximal conflict-free set is also ⊆-maximal
-        return select("stg", _naive_masks(f, within), in_range, within)
+        return select("stg", naive_masks(f, within), in_range, within)
     if sigma == "adm":
         return _adm_masks(f, within)
     if sigma == "sad":

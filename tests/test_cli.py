@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import afkit.cli
 from afkit import kernels, realizability, verifiability
 from afkit.cli import main
-from afkit.realizability import RealizationDefect
 from afkit.semantics import LABELLING_SEMANTICS, SEMANTICS
 
 F6 = "arg(a).\narg(b).\narg(c).\narg(d).\natt(b,a).\natt(b,c).\natt(c,c).\natt(d,c).\n"
@@ -281,6 +280,15 @@ class TestRealize:
         monkeypatch.setattr(realizability, "decide_signature", None)
         assert run(tmp_path, capsys, ["realize", "--semantics", sigma, "--output", "json", "s.set"],
                    {"s.set": setfile}) == expected
+
+    def test_beyond_the_cap(self, tmp_path, capsys):
+        # one set of 30 unattacked arguments: realize enumerates nothing, so
+        # the enumeration cap does not apply
+        names = [f"a{i:02d}" for i in range(30)]
+        rc, out = run(
+            tmp_path, capsys, ["realize", "--semantics", "nav", "s.set"], {"s.set": ",".join(names) + "\n"}
+        )
+        assert (rc, out) == (0, "yes\n" + "".join(f"arg({a}).\n" for a in names))
 
     def test_necessary_only_exit_3(self, tmp_path, capsys):
         rc, out = run(
@@ -667,7 +675,7 @@ class TestErrors:
     def test_usage_error_exit_2(self, tmp_path, capsys):
         assert main(["enumerate", "--semantics", "bogus", "x.apx"]) == 2
 
-    @pytest.mark.parametrize("exc", [RecursionError, RealizationDefect])
+    @pytest.mark.parametrize("exc", [RecursionError, RuntimeError])
     def test_internal_error_exit_2(self, tmp_path, capsys, monkeypatch, exc):
         def crash(ns):
             raise exc("boom")
@@ -712,12 +720,30 @@ class TestErrors:
             ("1 a\n#\n#\n", "line 3, column 1: second '#' separator"),
             ("1 a x\n#\n", "line 1, column 1: cannot parse node line: '1 a x'"),
             ("1 a\n2 b\n#\n1\n", "line 4, column 1: cannot parse edge line: '1'"),
+            ("1 a\n2 b-c\n#\n", "line 2, column 3: invalid argument name: 'b-c'"),
+            ("a\n  x.y\n#\n", "line 2, column 3: invalid argument name: 'x.y'"),
+            ("1 a\nb _b\n#\n", "line 2, column 3: argument names starting with '_' are reserved: '_b'"),
         ],
     )
     def test_tgf_parse_errors(self, tmp_path, capsys, text, err):
         path = tmp_path / "f.tgf"
         path.write_text(text, encoding="utf-8")
         assert main(["kernel", "--kind", "identity", "--format", "tgf", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize(
+        "text,err",
+        [
+            ("a, c d\n", "line 1, column 4: invalid argument name: 'c d'"),
+            ("a\nb,_x\n", "line 2, column 3: argument names starting with '_' are reserved: '_x'"),
+            ("a,,b\n", "line 1, column 3: empty argument name"),
+            ("-\n  a ,b, c-d  # note\n", "line 2, column 9: invalid argument name: 'c-d'"),
+        ],
+    )
+    def test_set_parse_errors(self, tmp_path, capsys, text, err):
+        path = tmp_path / "s.set"
+        path.write_text(text, encoding="utf-8")
+        assert main(["analyze-set", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
 
     @pytest.mark.parametrize(

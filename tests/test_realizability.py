@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from afkit import realizability
-from afkit.core import AF, AFError
+from afkit import realizability, semantics
+from afkit.core import AF, AFError, bits
 from afkit.realizability import (
     CLASSIFIABLE_SEMANTICS,
     SIGNATURE_SEMANTICS,
@@ -421,6 +421,112 @@ class TestEveryFamilyOverThreeArguments:
         calls.clear()
         normalize_candidate([{"a"}])
         assert len(calls) == 1  # the counting patch is live
+
+
+# the 16 subsets of {a,b,c,d} by mask, and each permutation of the four
+# arguments as byte tables on 16-bit family masks: low and high byte map
+# independently, so a family's image is lo[m & 255] | hi[m >> 8]
+SUBSETS_ABCD = [fs(*("abcd"[i] for i in bits(s))) for s in range(16)]
+
+
+def _family_tables():
+    tables = []
+    for perm in itertools.permutations(range(4)):
+        image = [sum(1 << perm[i] for i in bits(s)) for s in range(16)]
+        lo = [sum(1 << image[i] for i in bits(b)) for b in range(256)]
+        hi = [sum(1 << image[i + 8] for i in bits(b)) for b in range(256)]
+        tables.append((lo, hi))
+    return tables
+
+
+def families_abcd_up_to_renaming():
+    """The least 16-bit family mask of each orbit under renaming {a,b,c,d}:
+    scanning upwards, the first mask of an orbit not yet seen is its least."""
+    tables = _family_tables()
+    seen = bytearray(1 << 16)
+    reps = []
+    for m in range(1 << 16):
+        if not seen[m]:
+            reps.append(m)
+            for lo, hi in tables:
+                seen[lo[m & 255] | hi[m >> 8]] = 1
+    return reps
+
+
+class TestEveryFamilyOverFourArguments:
+    def test_orbits(self):
+        # OEIS A000612: 3 984 families of subsets of a 4-set up to renaming
+        reps = families_abcd_up_to_renaming()
+        assert len(reps) == 3984 and reps[:3] == [0, 1, 2]
+
+    def test_realize_re_enumerated(self):
+        # the engine, not the oracles, re-enumerates: the brute-force oracles
+        # do not finish on the helper-heavy witnesses, and the engine is
+        # checked against them on every framework of up to three arguments
+        realized = 0
+        for m in families_abcd_up_to_renaming():
+            fam = [SUBSETS_ABCD[i] for i in bits(m)]
+            cand = normalize_candidate(fam)
+            for sigma in SIGNATURE_SEMANTICS:
+                w = realize(fam, sigma)
+                assert (w is None) == (decide_signature(fam, sigma).answer == "no"), (fam, sigma)
+                if w is not None:
+                    assert extensions(w, sigma) == cand, (fam, sigma)
+                    realized += 1
+        assert realized == 536
+
+
+# one set of 30 arguments: more than the enumeration cap, all unattacked
+SET_30 = fs(*(f"a{i:02d}" for i in range(30)))
+
+
+class TestRealizeWithoutEnumeration:
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("enumeration called")
+
+        for module in (semantics, realizability):
+            for name in ("extensions", "extension_masks", "check_limit"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        return monkeypatch
+
+    def test_constructions_enumerate_nothing(self, no_enumeration, s_defense):
+        stg_not_nav = [{"a1", "b2", "b3"}, {"a2", "b1", "b3"}, {"a3", "b1", "b2"}]
+        candidates = [[], [set()], s_defense, s_defense + [set()], stg_not_nav, [SET_30], [set(), SET_30]]
+        answers = {}
+        for i, cand in enumerate(candidates):
+            for build in (canonical_cf, canonical_stb, canonical_def):
+                build(cand)
+            for sigma in SIGNATURE_SEMANTICS:
+                answers[i, sigma] = realize(cand, sigma)
+        with pytest.raises(AssertionError, match="enumeration called"):
+            extensions(AF("a", []), "stb")  # the patch is live
+        no_enumeration.undo()
+        blocker = canonical_stb(stg_not_nav)
+        assert [x for x in blocker.names if x.startswith("_bE")] == ["_bE0"]
+        for (i, sigma), w in answers.items():
+            assert (w is None) == (decide_signature(candidates[i], sigma).answer == "no"), (i, sigma)
+            if w is not None and i < 5:
+                assert extensions(w, sigma) == normalize_candidate(candidates[i]), (i, sigma)
+
+    def test_thirty_arguments_beyond_the_cap(self):
+        names = sorted(SET_30)
+        answered = {}
+        for sigma in SIGNATURE_SEMANTICS:
+            cand = [set(), SET_30] if sigma == "adm" else [SET_30]
+            answered[sigma] = realize(cand, sigma)
+        # cf needs a downward-closed candidate; every other sigma realizes it
+        assert [s for s, w in answered.items() if w is None] == ["cf"]
+        for sigma in ("nav", "stb", "stg", "grd", "id", "eag"):
+            assert answered[sigma] == AF(names, []), sigma
+        # each argument is defended by each other one: 30 * 29 defense
+        # arguments, and for semi one mirror per argument of the prf witness
+        for sigma, helpers in (("adm", 870), ("prf", 870), ("semi", 870 + 900)):
+            w = answered[sigma]
+            assert w.n == 30 + helpers and SET_30 <= w.args, sigma
+            assert {a for a in w.names if a.startswith("_")} == {a for a, b in w.attacks if a == b}, sigma
 
 
 class TestReservedNames:

@@ -303,7 +303,7 @@ class TestEngineStructure:
         """Record the name and the mask swept (None for all of f) of each
         conflict-free or naive sweep made."""
         calls = []
-        for name in ("cf_masks", "_naive_masks"):
+        for name in ("cf_masks", "naive_masks"):
             sweep = getattr(semantics, name)
             monkeypatch.setattr(
                 semantics, name,
@@ -319,7 +319,7 @@ class TestEngineStructure:
         # enumerate its naive sets once
         cases = [
             (f_layers, "id", "cf_masks"), (f_layers, "eag", "cf_masks"),
-            (three_cycle, "cf2", "_naive_masks"), (three_cycle, "stg2", "_naive_masks"),
+            (three_cycle, "cf2", "naive_masks"), (three_cycle, "stg2", "naive_masks"),
         ]
         for f, sigma, sweep in cases:
             calls.clear()
@@ -336,7 +336,7 @@ class TestEngineStructure:
         for sigma in ("cf2", "stg2"):
             calls.clear()
             assert as_set(extensions(f, sigma)) == ORACLES[sigma](f), sigma
-            swept = [m for name, m in calls if name == "_naive_masks"]
+            swept = [m for name, m in calls if name == "naive_masks"]
             assert len(calls) == len(swept) > 0, sigma
             assert len(swept) == len(set(swept)), sigma
             assert all(len(core.scc_masks(f, m)) == 1 for m in swept), sigma
@@ -377,7 +377,7 @@ class TestEngineStructure:
     @given(f=st.one_of(five_six_arg_afs(), seven_arg_afs()), data=st.data())
     def test_naive_produces_each_set_once(self, f, data):
         within = data.draw(st.integers(0, f.full_mask))
-        masks = semantics._naive_masks(f, within)
+        masks = semantics.naive_masks(f, within)
         assert len(masks) == len(set(masks))
         assert {f.set_of(m) for m in masks} == nav_oracle(f.restrict(f.set_of(within)))
 
@@ -410,7 +410,7 @@ class TestEngineStructure:
         edges = list(itertools.combinations("abcde", 2))
         for k in range(1 << len(edges)):
             f = AF("abcde", [e for i, e in enumerate(edges) if k >> i & 1])
-            masks = semantics._naive_masks(f, f.full_mask)
+            masks = semantics.naive_masks(f, f.full_mask)
             assert len(masks) == len(set(masks))
             assert {f.set_of(m) for m in masks} == nav_oracle(f), f
 
