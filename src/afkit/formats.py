@@ -44,19 +44,20 @@ def parse_apx(text: str) -> AF:
         line = raw.strip()
         if not line:
             continue
+        lead = len(raw) - len(raw.lstrip()) + 1  # column of the line's first character
         m = _APX_ARG.match(line)
         if m:
-            name = _check_user_name(m.group(1), lineno, raw.find(m.group(1)) + 1)
+            name = _check_user_name(m.group(1), lineno, lead + m.start(1))
             declared.add(name)
             args.append(name)
             continue
         m = _APX_ATT.match(line)
         if m:
-            a = _check_user_name(m.group(1), lineno, raw.find(m.group(1)) + 1)
-            b = _check_user_name(m.group(2), lineno, raw.find(m.group(2)) + 1)
-            for x in (a, b):
+            cols = (lead + m.start(1), lead + m.start(2))
+            a, b = (_check_user_name(x, lineno, col) for x, col in zip(m.groups(), cols))
+            for x, col in zip((a, b), cols):
                 if x not in declared:
-                    raise ParseError(f"attack endpoint {x!r} not declared as arg", lineno)
+                    raise ParseError(f"attack endpoint {x!r} not declared as arg", lineno, col)
             attacks.append((a, b))
             continue
         raise ParseError(f"cannot parse statement: {line!r}", lineno)
@@ -69,40 +70,45 @@ def emit_apx(f: AF) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _tokens(raw: str) -> list[tuple[str, int]]:
+    """The whitespace-separated tokens of a line, each with its column."""
+    out, end = [], 0
+    for token in raw.split():
+        start = raw.index(token, end)
+        out.append((token, start + 1))
+        end = start + len(token)
+    return out
+
+
 def parse_tgf(text: str) -> AF:
     names: dict[str, str] = {}
     attacks: list[tuple[str, str]] = []
     in_edges = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = _tokens(raw)
+        if not parts:
             continue
-        if line == "#":
+        if len(parts) == 1 and parts[0][0] == "#":
             if in_edges:
                 raise ParseError("second '#' separator", lineno)
             in_edges = True
             continue
-        parts = line.split()
         if not in_edges:
-            if len(parts) == 1:
-                node, label = parts[0], parts[0]
-            elif len(parts) == 2:
-                node, label = parts
-            else:
-                raise ParseError(f"cannot parse node line: {line!r}", lineno)
+            if len(parts) > 2:
+                raise ParseError(f"cannot parse node line: {raw.strip()!r}", lineno)
+            (node, node_col), (label, col) = parts[0], parts[-1]
             if node in names:
-                raise ParseError(f"duplicate node id {node!r}", lineno)
+                raise ParseError(f"duplicate node id {node!r}", lineno, node_col)
             if label in names.values():
-                raise ParseError(f"duplicate node label {label!r}", lineno)
-            # the label is the line's last token
-            names[node] = _check_user_name(label, lineno, raw.rfind(label) + 1)
+                raise ParseError(f"duplicate node label {label!r}", lineno, col)
+            names[node] = _check_user_name(label, lineno, col)
         else:
             if len(parts) != 2:
-                raise ParseError(f"cannot parse edge line: {line!r}", lineno)
-            src, dst = parts
-            for x in (src, dst):
+                raise ParseError(f"cannot parse edge line: {raw.strip()!r}", lineno)
+            (src, _), (dst, _) = parts
+            for x, col in parts:
                 if x not in names:
-                    raise ParseError(f"edge endpoint {x!r} not declared", lineno)
+                    raise ParseError(f"edge endpoint {x!r} not declared", lineno, col)
             attacks.append((names[src], names[dst]))
     return AF(names.values(), attacks)
 

@@ -7,13 +7,14 @@ sigma-extensions differ. Together the rows cover, for every semantics, all
 representatives strictly below its exact class.
 """
 
+import functools
 import itertools
 import random
 
 from hypothesis import strategies as st
 
 from afkit.charlogic import FiniteLogic, make_logic
-from afkit.core import AF, AFError
+from afkit.core import AF, AFError, bits
 from afkit.verifiability import BASIC_REGIONS, REPRESENTATIVES, _derives
 
 F1 = AF("ab", [("b", "b"), ("b", "a")])
@@ -50,6 +51,51 @@ def five_six_arg_afs(draw):
 def seven_arg_afs(draw):
     """Hypothesis strategy: a framework on a..g with up to 16 attacks."""
     return _afs_on(draw, "abcdefg", 16)
+
+
+def sparse_random_af(n: int, p: float, seed: int) -> AF:
+    """n arguments a00, a01, …, each ordered pair x ≠ y attacked, in
+    row-major order, when `random.Random(seed).random() < p`: the sparse
+    family on which the admissible and complete sweeps are measured."""
+    rng = random.Random(seed)
+    names = [f"a{i:02d}" for i in range(n)]
+    return AF(names, [(x, y) for x in names for y in names if x != y and rng.random() < p])
+
+
+def _least_per_orbit(images) -> list[int]:
+    """The least 16-bit mask of each orbit under the bit permutations in
+    `images` (bit i goes to bit image[i]): scanning upwards, the first mask
+    of an orbit not yet seen is its least. Each permutation maps the low and
+    high byte independently, through two byte tables."""
+    tables = []
+    for image in images:
+        lo = [sum(1 << image[i] for i in bits(b)) for b in range(256)]
+        hi = [sum(1 << image[i + 8] for i in bits(b)) for b in range(256)]
+        tables.append((lo, hi))
+    seen = bytearray(1 << 16)
+    reps = []
+    for m in range(1 << 16):
+        if not seen[m]:
+            reps.append(m)
+            for lo, hi in tables:
+                seen[lo[m & 255] | hi[m >> 8]] = 1
+    return reps
+
+
+def families_abcd_up_to_renaming() -> list[int]:
+    """One family of subsets of {a,b,c,d} per class up to renaming, as the
+    least 16-bit family mask (bit s for the subset with mask s)."""
+    perms = itertools.permutations(range(4))
+    return _least_per_orbit([[sum(1 << p[i] for i in bits(s)) for s in range(16)] for p in perms])
+
+
+@functools.cache
+def afs_abcd_up_to_renaming() -> tuple[AF, ...]:
+    """One framework on {a,b,c,d} per class up to renaming, the one with the
+    least attack mask (bit 4x + y for x attacking y)."""
+    perms = itertools.permutations(range(4))
+    reps = _least_per_orbit([[4 * p[i >> 2] + p[i & 3] for i in range(16)] for p in perms])
+    return tuple(AF("abcd", [("abcd"[i >> 2], "abcd"[i & 3]) for i in bits(m)]) for m in reps)
 
 
 EXACTNESS_FIXTURES = [

@@ -2,12 +2,14 @@
 
 Everything here works on plain frozensets straight from the definitions, with
 no shared code paths with afkit's bitmask implementations (`kernel_oracle`
-states each kernel over argument names and attack pairs). The one exception
-is `witness_oracle`, the string-level witness search: it builds every
+states each kernel over argument names and attack pairs). There are two
+exceptions. `witness_oracle`, the string-level witness search, builds every
 candidate scenario as a whole framework and compares those through afkit's
 `extensions`/`labellings`, so it checks the mask-level search's candidate
 order, pool indexing and sub-framework masks against the engine's plain
-entry point.
+entry point. `adm_masks_by_filter` sweeps every conflict-free set with the
+engine's unguarded walk and then filters, so it checks the guarded walk's
+look-ahead and order against the plain sweep.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from afkit.kernels import (
     DeletionWitness,
     characterizing_kernel,
 )
-from afkit.semantics import Labelling, check_semantics, extensions, labellings
+from afkit.semantics import Labelling, cf_masks, check_semantics, extensions, labellings
 
 
 def powerset(xs):
@@ -61,6 +63,18 @@ def defends(f: AF, e, a) -> bool:
 
 def adm_oracle(f: AF):
     return {s for s in cf_oracle(f) if all(defends(f, s, a) for a in s)}
+
+
+def adm_masks_by_filter(f, within: int, root: int = 0) -> list[int]:
+    """The admissible sets containing the admissible `root`, in walk order, by
+    the full sweep: root | m for every conflict-free set m outside root and
+    its range, kept when root | m attacks each of its attackers in `within`."""
+    root_out = f.attacked_by_mask(root)
+    return [
+        root | m
+        for m, attacked, attacking in cf_masks(f, within & ~(root | root_out))
+        if attacking & within & ~(root_out | attacked) == 0
+    ]
 
 
 def nav_oracle(f: AF):

@@ -723,12 +723,33 @@ class TestErrors:
             ("1 a\n2 b-c\n#\n", "line 2, column 3: invalid argument name: 'b-c'"),
             ("a\n  x.y\n#\n", "line 2, column 3: invalid argument name: 'x.y'"),
             ("1 a\nb _b\n#\n", "line 2, column 3: argument names starting with '_' are reserved: '_b'"),
+            ("1 a\n 1 b\n#\n", "line 2, column 2: duplicate node id '1'"),
+            ("1 a\n2 a\n#\n", "line 2, column 3: duplicate node label 'a'"),
+            ("1 a\n2 b\n#\n1 2\n1  3\n", "line 5, column 4: edge endpoint '3' not declared"),
+            ("1 a\n#\n  x 1\n", "line 3, column 3: edge endpoint 'x' not declared"),
         ],
     )
     def test_tgf_parse_errors(self, tmp_path, capsys, text, err):
         path = tmp_path / "f.tgf"
         path.write_text(text, encoding="utf-8")
         assert main(["kernel", "--kind", "identity", "--format", "tgf", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize(
+        "text,err",
+        [
+            ("arg(a).\natt(a,b).\n", "line 2, column 7: attack endpoint 'b' not declared as arg"),
+            ("arg(b).\n  att( a , b ).\n", "line 2, column 8: attack endpoint 'a' not declared as arg"),
+            # the endpoint's own column, not that of an earlier occurrence
+            ("arg(x_y).\natt(x_y,_y).\n", "line 2, column 9: argument names starting with '_' are reserved: '_y'"),
+            ("arg(aa).\natt(aa,a).\n", "line 2, column 8: attack endpoint 'a' not declared as arg"),
+            (" arg(_a).\n", "line 1, column 6: argument names starting with '_' are reserved: '_a'"),
+        ],
+    )
+    def test_apx_parse_errors(self, tmp_path, capsys, text, err):
+        path = tmp_path / "f.apx"
+        path.write_text(text, encoding="utf-8")
+        assert main(["kernel", "--kind", "identity", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
 
     @pytest.mark.parametrize(

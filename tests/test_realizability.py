@@ -26,6 +26,7 @@ from afkit.realizability import (
 )
 from afkit.semantics import extensions
 
+from fixtures import families_abcd_up_to_renaming
 from oracles import (
     ORACLES,
     all_afs,
@@ -423,34 +424,8 @@ class TestEveryFamilyOverThreeArguments:
         assert len(calls) == 1  # the counting patch is live
 
 
-# the 16 subsets of {a,b,c,d} by mask, and each permutation of the four
-# arguments as byte tables on 16-bit family masks: low and high byte map
-# independently, so a family's image is lo[m & 255] | hi[m >> 8]
+# the 16 subsets of {a,b,c,d} by mask
 SUBSETS_ABCD = [fs(*("abcd"[i] for i in bits(s))) for s in range(16)]
-
-
-def _family_tables():
-    tables = []
-    for perm in itertools.permutations(range(4)):
-        image = [sum(1 << perm[i] for i in bits(s)) for s in range(16)]
-        lo = [sum(1 << image[i] for i in bits(b)) for b in range(256)]
-        hi = [sum(1 << image[i + 8] for i in bits(b)) for b in range(256)]
-        tables.append((lo, hi))
-    return tables
-
-
-def families_abcd_up_to_renaming():
-    """The least 16-bit family mask of each orbit under renaming {a,b,c,d}:
-    scanning upwards, the first mask of an orbit not yet seen is its least."""
-    tables = _family_tables()
-    seen = bytearray(1 << 16)
-    reps = []
-    for m in range(1 << 16):
-        if not seen[m]:
-            reps.append(m)
-            for lo, hi in tables:
-                seen[lo[m & 255] | hi[m >> 8]] = 1
-    return reps
 
 
 class TestEveryFamilyOverFourArguments:

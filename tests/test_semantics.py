@@ -1,5 +1,7 @@
 import itertools
 import pickle
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,9 +19,10 @@ from afkit.semantics import (
     strongly_admissible,
 )
 
-from fixtures import five_six_arg_afs, seven_arg_afs
+from fixtures import afs_abcd_up_to_renaming, five_six_arg_afs, seven_arg_afs, sparse_random_af
 from oracles import (
     ORACLES,
+    adm_masks_by_filter,
     all_afs,
     cf_oracle,
     labelling_oracle,
@@ -249,7 +252,7 @@ class TestSampledLargerFrameworks:
 
 class TestEngineAgainstOracles:
     @pytest.mark.parametrize(
-        "sigma", ["nav", "stg", "com", "stb", "prf", "semi", "id", "eag", "sad", "cf2", "stg2"]
+        "sigma", ["nav", "stg", "adm", "com", "stb", "prf", "semi", "id", "eag", "sad", "cf2", "stg2"]
     )
     @settings(max_examples=15, deadline=None)
     @given(f=five_six_arg_afs())
@@ -257,7 +260,7 @@ class TestEngineAgainstOracles:
         assert as_set(extensions(f, sigma)) == ORACLES[sigma](f)
 
     @pytest.mark.parametrize(
-        "sigma", semantics.COMPLETE_FAMILY + ("sad", "nav", "stg", "cf2", "stg2")
+        "sigma", ("adm",) + semantics.COMPLETE_FAMILY + ("sad", "nav", "stg", "cf2", "stg2")
     )
     @settings(max_examples=15, deadline=None)
     @given(f=seven_arg_afs())
@@ -405,6 +408,29 @@ class TestEngineStructure:
     def test_cf_walk_carries_each_sets_masks(self, f, data):
         self._check_cf_walk(f, data.draw(st.integers(0, f.full_mask)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(f=st.one_of(five_six_arg_afs(), seven_arg_afs()), data=st.data())
+    def test_guarded_walk_is_the_filtered_walk(self, f, data):
+        # the look-ahead cuts only branches that hold no set with every
+        # attacker in `guard` counter-attacked, and leaves the order alone
+        within = data.draw(st.integers(0, f.full_mask))
+        guard = data.draw(st.integers(0, f.full_mask))
+        walk = semantics.cf_masks(f, within)
+        assert semantics.cf_masks(f, within, guard) == [
+            (m, hit, hit_by) for m, hit, hit_by in walk if hit_by & guard & ~hit == 0
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=st.one_of(five_six_arg_afs(), seven_arg_afs()), data=st.data())
+    def test_adm_walk_is_the_sweep_then_filter(self, f, data):
+        # the same list in the same order as the full conflict-free sweep
+        # followed by the defence filter, from the empty set and from the
+        # grounded extension of `within`
+        within = data.draw(st.integers(0, f.full_mask))
+        grd = semantics.extension_masks(f, "grd", within, config.max_enum_args())[0]
+        for root in (0, grd):
+            assert semantics._adm_masks(f, within, root) == adm_masks_by_filter(f, within, root), root
+
     def test_naive_on_every_conflict_graph(self):
         # the naive sets depend only on the symmetric conflict relation
         edges = list(itertools.combinations("abcde", 2))
@@ -419,6 +445,96 @@ class TestEngineStructure:
     def test_sad_produces_each_set_once(self, f):
         masks = semantics._sad_masks(f, f.full_mask)
         assert len(masks) == len(set(masks))
+
+
+class TestEveryFrameworkOverFourArguments:
+    """The arbiter on four arguments: every framework on {a,b,c,d} up to
+    renaming, against the oracles, answers and order alike."""
+
+    def test_classes(self):
+        # OEIS A000595: 3 044 relations on four points up to renaming
+        afs = afs_abcd_up_to_renaming()
+        assert len(afs) == 3044 and afs[0] == AF("abcd", [])
+
+    @pytest.mark.parametrize("sigma", semantics.SEMANTICS)
+    def test_against_oracles(self, sigma):
+        oracle = ORACLES[sigma]
+        for f in afs_abcd_up_to_renaming():
+            want = sort_extensions(oracle(f))
+            assert extensions(f, sigma) == want, (sigma, f)
+            if sigma in semantics.LABELLING_SEMANTICS:
+                assert labellings(f, sigma) == tuple(labelling_oracle(f, e) for e in want), (sigma, f)
+
+
+class TestSparseFamilyAtScale:
+    """The sparse random frameworks of 30-40 arguments on which the
+    conflict-free sweep of adm and the complete family ran out of time and
+    memory: adm must come out output-sized, in walk order."""
+
+    # (n, p, seed) -> the number of admissible sets
+    ADM_COUNTS = [((30, 0.08, 0), 129), ((34, 0.07, 2), 1996), ((38, 0.06, 2), 17),
+                  ((40, 0.05, 0), 12), ((40, 0.05, 1), 2972)]
+
+    @staticmethod
+    def _walk_nodes(call):
+        """call's result and the number of nodes the conflict-free walk
+        expanded for it (calls of its inner `walk`)."""
+        nodes = [0]
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "walk":
+                nodes[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            out = call()
+        finally:
+            sys.setprofile(None)
+        return out, nodes[0]
+
+    @pytest.mark.parametrize("params,count", ADM_COUNTS, ids=[str(p) for p, _ in ADM_COUNTS])
+    def test_adm_and_complete_family(self, params, count):
+        f = sparse_random_af(*params)
+        full = f.full_mask
+        adm, nodes = self._walk_nodes(lambda: semantics.extension_masks(f, "adm", full, 60))
+        assert len(adm) == len(set(adm)) == count
+        # a few nodes per admissible set; the unguarded sweep expanded one
+        # per conflict-free set, 128 229 on the smallest of these inputs
+        assert nodes <= 5 * count + 2000, nodes
+        assert adm == sorted(adm, key=lambda m: tuple(core.bits(m)))
+        for m in adm:
+            hit = f.attacked_by_mask(m)
+            assert hit & m == 0 and f.attackers_of_mask(m) & ~hit == 0, f.set_of(m)
+        # complete: the admissible fixpoints of the characteristic function;
+        # preferred: the ⊆-maximal complete; stable: complete with full range
+        com = [m for m in adm if full & ~f.attacked_by_mask(full & ~f.attacked_by_mask(m)) == m]
+        prf = [m for m in com if not any(m != t and m | t == t for t in com)]
+        stb = [m for m in com if m | f.attacked_by_mask(m) == full]
+        for sigma, want in (("com", com), ("prf", prf), ("stb", stb)):
+            assert sorted(semantics.extension_masks(f, sigma, full, 60)) == sorted(want), sigma
+
+    def test_formerly_out_of_memory_input(self, monkeypatch):
+        # the conflict-free sweep of this input did not finish in 8 GB; the
+        # walk now materialises no conflict-free set outside the output
+        f = sparse_random_af(40, 0.05, 2)
+        returned = []
+        sweep = semantics.cf_masks
+
+        def recording(*args):
+            out = sweep(*args)
+            returned.append(len(out))
+            return out
+
+        monkeypatch.setattr(semantics, "cf_masks", recording)
+        tracemalloc.start()
+        try:
+            adm = semantics.extension_masks(f, "adm", f.full_mask, 60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(adm) == 416
+        assert returned == [416]
+        assert peak < 1 << 20, peak
 
 
 class TestOrderContract:
