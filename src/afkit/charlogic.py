@@ -84,7 +84,12 @@ class EquivalencePartition:
 
 
 def _theories_by_mask(atoms: tuple[str, ...]) -> list[Theory]:
-    return [frozenset(a for i, a in enumerate(atoms) if m >> i & 1) for m in range(1 << len(atoms))]
+    """Every theory at the index of its mask: atom k doubles the list, the
+    masks with bit k set being those without it plus 2^k."""
+    theories = [frozenset()]
+    for a in atoms:
+        theories += [t | {a} for t in theories]
+    return theories
 
 
 def _renumber(keys) -> list[int]:
@@ -171,22 +176,49 @@ def is_characterization(candidate: FiniteLogic, target: FiniteLogic) -> bool:
 
 
 def canonical_consequence(logic: FiniteLogic, theory: Iterable[str]) -> Theory:
-    """Union of all theories whose models include the models of the given one."""
+    """Union of all theories whose models include the models of the given one
+    (for one Cn, a scan of the table is cheaper than the bitsets that
+    `consequence_properties` builds)."""
     base = logic.models(theory)
     return frozenset().union(*(s for s, models in logic.table.items() if base <= models))
 
 
 def consequence_properties(logic: FiniteLogic) -> dict[str, bool]:
+    """Whether Cn is increasing, monotone and idempotent, with Cn(t) the union
+    of the theories whose models include models(t).
+
+    Theories are bit positions (their masks) in one bitset per
+    interpretation, of the theories it is a model of, and one per atom, of
+    the theories holding it. The theories above a model set M are the AND
+    of M's bitsets (all of them for M = ∅), and Cn the atoms whose bitset
+    meets it: |M| + n big-int operations, once per distinct model set."""
     theories = _theories_by_mask(logic.atoms)
-    # Cn(t) depends on models(t) only: one scan per distinct model set
-    rep = {logic.table[t]: t for t in theories}
-    cn_of = {models: canonical_consequence(logic, t) for models, t in rep.items()}
-    cn = {t: cn_of[logic.table[t]] for t in theories}
-    increasing = all(t <= cn[t] for t in theories)
+    everything = (1 << len(theories)) - 1
+    holding = dict.fromkeys(logic.interpretations, 0)
+    for m, t in enumerate(theories):
+        for i in logic.table[t]:
+            holding[i] |= 1 << m
+    # atom k holds in the masks whose bit k is set: over the 2^n positions,
+    # 2^k zeros then 2^k ones, repeated, i.e. one such block times a repunit
+    having = [
+        ((1 << (1 << k)) - 1 << (1 << k)) * (everything // ((1 << (2 << k)) - 1))
+        for k in range(len(logic.atoms))
+    ]
+    known: dict[frozenset[str], int] = {}
+    cn = []  # Cn(t) as an atom mask, at t's mask
+    for t in theories:
+        models = logic.table[t]
+        if models not in known:
+            above = everything
+            for i in models:
+                above &= holding[i]
+            known[models] = sum(1 << k for k, h in enumerate(having) if above & h)
+        cn.append(known[models])
+    increasing = all(m & ~c == 0 for m, c in enumerate(cn))
     # monotone on every one-atom step t ⊂ t ∪ {a}, hence on every t1 ⊆ t2
-    monotone = all(cn[t] <= cn[theories[m | 1 << i]]
-                   for m, t in enumerate(theories) for i in range(len(logic.atoms)))
-    idempotent = all(cn[cn[t]] <= cn[t] for t in theories)
+    steps = [1 << k for k in range(len(logic.atoms))]
+    monotone = all(c & ~cn[m | b] == 0 for m, c in enumerate(cn) for b in steps)
+    idempotent = all(cn[c] & ~c == 0 for c in cn)
     return {"increasing": increasing, "monotone": monotone, "idempotent": idempotent}
 
 

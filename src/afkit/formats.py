@@ -70,6 +70,16 @@ def emit_apx(f: AF) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _comma_tokens(text: str, col: int) -> list[tuple[str, int]]:
+    """The comma-separated tokens of text, stripped, each with its column
+    (an empty one at where it would start), text starting at column col."""
+    out = []
+    for piece in text.split(","):
+        out.append((piece.strip(), col + len(piece) - len(piece.lstrip())))
+        col += len(piece) + 1
+    return out
+
+
 def _tokens(raw: str) -> list[tuple[str, int]]:
     """The whitespace-separated tokens of a line, each with its column."""
     out, end = [], 0
@@ -151,13 +161,11 @@ def parse_extension_set(text: str) -> ExtensionSet:
         if line == "-":
             sets.append(frozenset())
             continue
-        members, col = [], len(raw) - len(raw.lstrip()) + 1
-        for piece in line.split(","):
-            at = col + len(piece) - len(piece.lstrip())
-            if not piece.strip():
+        members = []
+        for name, at in _comma_tokens(line, len(raw) - len(raw.lstrip()) + 1):
+            if not name:
                 raise ParseError("empty argument name", lineno, at)
-            members.append(_check_user_name(piece.strip(), lineno, at))
-            col += len(piece) + 1
+            members.append(_check_user_name(name, lineno, at))
         sets.append(frozenset(members))
     return sort_extensions(sets)
 
@@ -194,41 +202,38 @@ def parse_logic(text: str) -> FiniteLogic:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        lead = len(raw) - len(raw.lstrip()) + 1  # column of line[0]
         if line.startswith("atoms"):
             if atoms is not None:
                 raise ParseError("duplicate atoms line", lineno)
-            atoms = [t for t in re.split(r"[,\s]+", line[len("atoms"):].strip()) if t]
-            seen: set[str] = set()
-            for a in atoms:
-                if a in seen:
-                    raise ParseError(f"duplicate atom {a!r}", lineno)
-                seen.add(a)
+            atoms = []
+            for t in re.finditer(r"[^,\s]+", line[len("atoms"):]):
+                if t[0] in atoms:
+                    raise ParseError(f"duplicate atom {t[0]!r}", lineno, lead + len("atoms") + t.start())
+                atoms.append(t[0])
             continue
         if line.startswith("interpretations"):
             if interps is not None:
                 raise ParseError("duplicate interpretations line", lineno)
-            interps = [
-                t for t in re.split(r"[,\s]+", line[len("interpretations"):].strip()) if t
-            ]
+            interps = re.findall(r"[^,\s]+", line[len("interpretations"):])
             continue
         m = _MODELS_RE.match(line)
         if m:
             if atoms is None or interps is None:
                 raise ParseError("models line before atoms/interpretations", lineno)
+            # tokens are checked in line order, so the first bad one is named
             theory_txt = m.group(1)
-            theory = (
-                frozenset()
-                if theory_txt in ("", "{}")
-                else frozenset(t.strip() for t in theory_txt.split(","))
-            )
-            for a in theory:
+            theory_tokens = [] if theory_txt in ("", "{}") else _comma_tokens(theory_txt, lead + m.start(1))
+            for a, col in theory_tokens:
                 if a not in atoms:
-                    raise ParseError(f"unknown atom {a!r}", lineno)
-            ids_txt = m.group(2).strip()
-            ids = frozenset() if not ids_txt else frozenset(t.strip() for t in ids_txt.split(","))
-            for i in ids:
+                    raise ParseError(f"unknown atom {a!r}", lineno, col)
+            ids_txt = m.group(2)
+            id_tokens = _comma_tokens(ids_txt, lead + m.start(2)) if ids_txt.strip() else []
+            for i, col in id_tokens:
                 if i not in interps:
-                    raise ParseError(f"unknown interpretation {i!r}", lineno)
+                    raise ParseError(f"unknown interpretation {i!r}", lineno, col)
+            theory = frozenset(a for a, _ in theory_tokens)
+            ids = frozenset(i for i, _ in id_tokens)
             if theory in table:
                 raise ParseError(f"duplicate models line for theory {sorted(theory)}", lineno)
             table[theory] = ids

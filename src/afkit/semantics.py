@@ -18,7 +18,8 @@ family that theory shows contains all its extensions:
   walk at the grounded extension G, over the arguments outside G and its
   range, since every complete extension contains G (Dung 1995); grd is the
   characteristic iteration alone, and each strongly admissible set is built
-  once, along its own characteristic chain;
+  once, along its own characteristic chain, with Γ carried down the chain
+  and re-checked only where a step newly defeats an attacker;
 - nav and stg enumerate only the naive (⊆-maximal conflict-free) sets, the
   maximal cliques of the compatibility graph, by Bron–Kerbosch with
   pivoting. A stage extension is naive, since an argument that could join it
@@ -31,8 +32,14 @@ family that theory shows contains all its extensions:
 
 Each filter stage runs at most once per call. The last one, picking by
 ⊆- or range-maximality, stability or the meet, is `select`, one selection
-stage that `verifiability.verify` applies to class data as well. cf2 and
-stg2 work on sub-masks of the same framework: no subframework is built.
+stage that `verifiability.verify` applies to class data as well; its
+maximality test compares a key only with the kept keys of larger size. cf2
+and stg2 work on sub-masks of the same framework: no subframework is built.
+
+The masks then become an `ExtensionSet` in two steps: the semantics outside
+`WALK_ORDER` are sorted by `mask_key`, a string key built in C, and
+`extension_set` orders every family by size and builds each frozenset from
+its parent's (the set without its highest member) where the family has it.
 """
 
 from __future__ import annotations
@@ -98,18 +105,38 @@ def sort_extensions(sets: Iterable[frozenset[str]]) -> ExtensionSet:
     return tuple(sorted(set(sets), key=extension_key))
 
 
-def mask_key(m: int) -> tuple[int, tuple[int, ...]]:
-    """`extension_key` of the set that m names over sorted names."""
-    return m.bit_count(), tuple(bits(m))
+_FLIP = str.maketrans("01", "10")
+
+
+def mask_key(m: int) -> tuple[int, str]:
+    """A key that orders masks as `extension_key` orders the sets they name
+    over sorted names: by size, then by the string of m's bits from index 0
+    up, each flipped. Within one size, the set whose ascending indices come
+    first lexicographically is the one holding the lowest differing bit, and
+    flipped, that bit reads "0" against "1"; neither string is a prefix of
+    the other, since both end at a top bit and hold as many bits. Built by
+    `bin` and `str.translate` in C, with no generator."""
+    return m.bit_count(), bin(m)[:1:-1].translate(_FLIP)
 
 
 def extension_set(names: Sequence[str], masks: list[int]) -> ExtensionSet:
     """The sets that the distinct `masks` name over the sorted `names`, in
     extension order. Those of one size must come in the lexicographic order
     of their ascending indices (`WALK_ORDER`, or sorted by `mask_key`): one
-    stable sort by size, in place on `masks`, then orders them all."""
+    stable sort by size, in place on `masks`, then orders them all.
+
+    Sets come smallest first, so a set whose parent (itself without its
+    highest member) is in the family is built as the parent's frozenset `|`
+    that one name, a single C-level union; the others, and all of them in a
+    family without parents, go through `names_of`."""
     masks.sort(key=int.bit_count)
-    return tuple([names_of(names, m) for m in masks])
+    sets: dict[int, frozenset[str]] = {}
+    built = sets.get
+    for m in masks:
+        top = m.bit_length() - 1
+        parent = built(m ^ 1 << top) if m else None
+        sets[m] = names_of(names, m) if parent is None else parent | {names[top]}
+    return tuple(sets.values())
 
 
 @dataclass(frozen=True)
@@ -250,15 +277,29 @@ def check_labelling_semantics(sigma: str) -> str:
 
 def _maximal(masks: list[int], key: Callable[[int], int] | None = None) -> list[int]:
     """The masks whose key (default: the mask itself) is ⊆-maximal among all
-    keys. A strict superset is a larger integer, so in descending key order
-    each key only needs comparing with the maximal keys kept so far."""
-    top: list[int] = []
+    keys; masks with equal keys are kept or dropped together.
+
+    A strict superset has more bits, so in descending (size, key) order each
+    key only needs testing against the maximal keys kept at strictly larger
+    sizes: two distinct keys of one size are never ⊆-comparable. The test,
+    k | t == t for some kept t, runs as `map`s of `int` methods in C. Keys
+    all of one size, as the ranges of odd cycles' naive sets are, take no
+    test at all."""
+    bigger: list[int] = []
+    level: list[int] = []
+    size = -1
     out = []
-    for k, m in sorted(((key(m) if key else m, m) for m in masks), reverse=True):
-        if all(k == t or k | t != t for t in top):
-            out.append(m)
-            if not top or top[-1] != k:
-                top.append(k)
+    keys = list(map(key, masks)) if key else masks
+    for c, k, m in sorted(zip(map(int.bit_count, keys), keys, masks), reverse=True):
+        if c != size:
+            bigger += level
+            level = []
+            size = c
+        if bigger and any(map(int.__eq__, map(k.__or__, bigger), bigger)):
+            continue
+        out.append(m)
+        if not level or level[-1] != k:
+            level.append(k)
     return out
 
 
@@ -296,15 +337,27 @@ def _characteristic(f: Frame, m: int, within: int) -> int:
     return within & ~f.attacked_by_mask(within & ~f.attacked_by_mask(m))
 
 
+def _newly_defended(f: Frame, hit: int, defeated: int, within: int, known: int) -> int:
+    """What Gamma gains when a set's defeated arguments in `within` grow by
+    `hit` to `defeated`: the arguments of `within` outside `known` (the
+    Gamma before) attacked from `hit` whose attackers in `within` are all
+    defeated. No other argument can join, so only these are checked."""
+    pred = f.pred
+    gained = 0
+    for x in bits(f.attacked_by_mask(hit) & within & ~known):
+        if pred[x] & within & ~defeated == 0:
+            gained |= 1 << x
+    return gained
+
+
 def _grounded_trace(f: Frame, within: int) -> list[int]:
     """The characteristic iteration from the empty set up to its fixpoint, the
     grounded extension (the repeat itself is not recorded).
 
     Each step takes in the arguments whose attackers in `within` are all
     attacked by the previous set. Only an argument attacked by one that the
-    previous step newly defeated can join, so only those are re-checked, and
-    each attack is read a bounded number of times over the whole trace."""
-    pred = f.pred
+    previous step newly defeated can join (`_newly_defended`), and each
+    attack is read a bounded number of times over the whole trace."""
     trace = [0]
     defeated = 0
     step = within & ~f.attacked_by_mask(within)
@@ -313,10 +366,7 @@ def _grounded_trace(f: Frame, within: int) -> list[int]:
         trace.append(current)
         fresh = f.attacked_by_mask(step) & within & ~defeated
         defeated |= fresh
-        step = 0
-        for x in bits(f.attacked_by_mask(fresh) & within & ~current):
-            if pred[x] & within & ~defeated == 0:
-                step |= 1 << x
+        step = _newly_defended(f, fresh, defeated, within, current)
     return trace
 
 
@@ -337,16 +387,25 @@ def _sad_masks(f: Frame, within: int) -> list[int]:
     empty set, reaches S. Walking that chain, the arguments Gamma(m) newly
     defends at node m are split into a part adjoined now and a rest excluded
     for the branch: S cannot take the rest later, since its chain would have
-    taken them at m."""
+    taken them at m.
+
+    Each node carries what m defeats in `within` and Gamma(m), as
+    `_grounded_trace` does along its one chain: a child's Gamma only grows
+    by arguments attacked by one the adjoined part newly defeats
+    (`_newly_defended`), and a chain of d nodes reads its attacks a bounded
+    number of times instead of all of `within` at every node."""
     out = []
-    stack = [(0, 0)]
+    stack = [(0, 0, 0, within & ~f.attacked_by_mask(within))]
     while stack:
-        m, excluded = stack.pop()
+        m, excluded, defeated, gamma = stack.pop()
         out.append(m)
-        fresh = _characteristic(f, m, within) & ~(m | excluded)
+        fresh = gamma & ~(m | excluded)
         part = fresh
         while part:
-            stack.append((m | part, excluded | fresh & ~part))
+            hit = f.attacked_by_mask(part) & within & ~defeated
+            beaten = defeated | hit
+            grown = gamma | _newly_defended(f, hit, beaten, within, gamma)
+            stack.append((m | part, excluded | fresh & ~part, beaten, grown))
             part = (part - 1) & fresh
     return out
 

@@ -143,13 +143,13 @@ def random_logic(
     return FiniteLogic(atoms, interps, table)
 
 
-def random_intersection_logic(seed: int) -> FiniteLogic:
+def random_intersection_logic(seed: int, min_atoms: int = 2, max_atoms: int = 3) -> FiniteLogic:
     """Seeded logic with the intersection property by construction: random
     singleton models, and models(T) the intersection of T's singleton models
-    (the full interpretation set for the empty theory). 2-3 atoms, 3-5
-    interpretations."""
+    (the full interpretation set for the empty theory). 2-3 atoms by
+    default, 3-5 interpretations."""
     rng = random.Random(seed)
-    atoms = "abc"[: rng.randint(2, 3)]
+    atoms = "abcdefghijkl"[: rng.randint(min_atoms, max_atoms)]
     interps = [f"i{k}" for k in range(rng.randint(3, 5))]
     single = {a: {i for i in interps if rng.random() < 0.6} for a in atoms}
     table = {}

@@ -77,6 +77,13 @@ def adm_masks_by_filter(f, within: int, root: int = 0) -> list[int]:
     ]
 
 
+def maximal_oracle(masks, key=None) -> list[int]:
+    """The masks whose key (default: the mask) is not a proper subset of
+    another mask's key, by all pairs: `semantics._maximal` by definition."""
+    keys = [key(m) if key else m for m in masks]
+    return [m for m, k in zip(masks, keys) if not any(k != o and k & ~o == 0 for o in keys)]
+
+
 def nav_oracle(f: AF):
     cf = cf_oracle(f)
     return {s for s in cf if not any(s < t for t in cf)}

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -214,6 +215,26 @@ class TestAgainstPairOracles:
             assert char == canonical_characterization_oracle(logic), i  # table, ids, legend
             assert consequence_properties(logic) == consequence_properties_oracle(logic), i
         assert merged == 88  # partitions with a block of two or more theories
+
+    def test_consequence_properties_seven_to_nine_atoms(self):
+        # intersection logics, where all three properties hold, and the same
+        # with three theories' models redrawn, where monotonicity and
+        # idempotence fail in these eight; Cn(t) contains t in every logic
+        failed = {"monotone": 0, "idempotent": 0}
+        for seed in range(8):
+            logic = random_intersection_logic(seed, min_atoms=7, max_atoms=9)
+            props = consequence_properties(logic)
+            assert props == consequence_properties_oracle(logic) == dict.fromkeys(props, True), seed
+            rng = random.Random(seed)
+            table = dict(logic.table)
+            for t in rng.sample(logic.theories, 3):
+                table[t] = frozenset(i for i in logic.interpretations if rng.random() < 0.5)
+            redrawn = make_logic(logic.atoms, logic.interpretations, table)
+            props = consequence_properties(redrawn)
+            assert props == consequence_properties_oracle(redrawn), seed
+            for name in failed:
+                failed[name] += not props[name]
+        assert failed == {"monotone": 8, "idempotent": 8}
 
     def test_is_characterization(self):
         holds = total = 0

@@ -781,7 +781,11 @@ class TestErrors:
             ),
             (
                 "atoms a\ninterpretations 1\nmodels({}) = {2}\n",
-                "line 3, column 1: unknown interpretation '2'",
+                "line 3, column 15: unknown interpretation '2'",
+            ),
+            (
+                "atoms a, b\ninterpretations 1\n  models(b, x, y) = {1}\n",
+                "line 3, column 13: unknown atom 'x'",
             ),
             (
                 "atoms a, b\ninterpretations 1\nmodels(a, b) = {1}\nmodels(b,a) = {}\n",
@@ -789,7 +793,7 @@ class TestErrors:
             ),
             ("atoms a\ninterpretations 1\nbogus\n", "line 3, column 1: cannot parse line: 'bogus'"),
             ("atoms a\n", "line 1, column 1: missing interpretations line"),
-            ("atoms a, a\ninterpretations 1\nmodels({}) = {1}\nmodels(a) = {1}\n", "line 1, column 1: duplicate atom 'a'"),
+            ("atoms a, a\ninterpretations 1\nmodels({}) = {1}\nmodels(a) = {1}\n", "line 1, column 10: duplicate atom 'a'"),
         ],
     )
     def test_logic_parse_errors(self, tmp_path, capsys, text, err):
@@ -797,6 +801,20 @@ class TestErrors:
         path.write_text(text, encoding="utf-8")
         assert main(["charlogic", "--characterize", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_logic_parse_error_ignores_hash_seed(self, tmp_path):
+        # the first bad token in line order is named, whatever order a
+        # hashed set would iterate the three unknown atoms in
+        path = tmp_path / "l.lf"
+        path.write_text("atoms a\ninterpretations 1\nmodels(x,y,z) = {1}\n", encoding="utf-8")
+        src = str(Path(afkit.cli.__file__).resolve().parent.parent)
+        for seed in "0123":
+            proc = subprocess.run(
+                [sys.executable, "-m", "afkit.cli", "charlogic", "--characterize", str(path)],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                capture_output=True, text=True, timeout=60,
+            )
+            assert (proc.returncode, proc.stderr) == (2, "error: line 3, column 8: unknown atom 'x'\n"), seed
 
     @pytest.mark.parametrize(
         "value,err",

@@ -26,6 +26,7 @@ from oracles import (
     all_afs,
     cf_oracle,
     labelling_oracle,
+    maximal_oracle,
     nav_oracle,
     random_af,
     sad_selfref_oracle,
@@ -446,6 +447,43 @@ class TestEngineStructure:
         masks = semantics._sad_masks(f, f.full_mask)
         assert len(masks) == len(set(masks))
 
+    def test_sad_walk_reads_each_attack_a_bounded_number_of_times(self, monkeypatch):
+        # 601 strongly admissible sets along one chain: carrying Gamma and
+        # the defeated arguments down the walk keeps the rows read linear in
+        # n, where recomputing Gamma at every node reads n rows per set
+        monkeypatch.setenv("AFKIT_MAX_ARGS", "2000")
+        n = 1200
+        chain = _chain(n)
+        rows = []
+        union_over = core._union_over
+        monkeypatch.setattr(core, "_union_over", lambda r, m: rows.append(m.bit_count()) or union_over(r, m))
+        masks = semantics._sad_masks(chain, chain.full_mask)
+        assert len(masks) == len(set(masks)) == 601
+        assert max(masks) == int("01" * (n // 2), 2)  # the grounded extension
+        assert sum(rows) < 4 * n
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        masks=st.lists(st.integers(0, (1 << 70) - 1) | st.integers(0, 63), unique=True, max_size=40),
+        mode=st.sampled_from(["mask", "projection", "wide"]),
+    )
+    def test_maximal_matches_pairwise_oracle(self, masks, mode):
+        # the projections tie many keys; the wide key spans more than 64 bits
+        key = {"mask": None, "projection": lambda m: m & 0b1011, "wide": lambda m: m | m << 66}[mode]
+        assert sorted(semantics._maximal(masks, key)) == sorted(maximal_oracle(masks, key))
+
+    @pytest.mark.parametrize("k", [5, 7])
+    def test_stage_and_semi_stable_on_disjoint_three_cycles(self, k):
+        # every naive set takes one argument per cycle and ranges over two of
+        # its three, so all 3^k ranges have one size and all are stage; the
+        # only admissible set is empty
+        names = [f"c{i}{x}" for i in range(k) for x in "abc"]
+        f = AF(names, [(f"c{i}{x}", f"c{i}{y}") for i in range(k) for x, y in ("ab", "bc", "ca")])
+        picks = itertools.product(*[[f"c{i}{x}" for x in "abc"] for i in range(k)])
+        assert extensions(f, "stg") == sort_extensions(frozenset(p) for p in picks)
+        assert len(extensions(f, "stg")) == 3**k
+        assert extensions(f, "semi") == (fs(),)
+
 
 class TestEveryFrameworkOverFourArguments:
     """The arbiter on four arguments: every framework on {a,b,c,d} up to
@@ -566,6 +604,29 @@ class TestOrderContract:
     @given(f=st.one_of(five_six_arg_afs(), seven_arg_afs()))
     def test_five_to_seven_args(self, f):
         self._check_order(f)
+
+    def test_mask_key_is_extension_key_on_names_of_unequal_length(self):
+        names = sorted(["a", "a1", "a10", "a9", "ab", "b", "ba", "c2"])
+        masks = list(range(1 << len(names)))
+        by_key = [core.names_of(names, m) for m in sorted(masks, key=semantics.mask_key)]
+        assert by_key == sorted((core.names_of(names, m) for m in masks), key=semantics.extension_key)
+
+    @settings(max_examples=100, deadline=None)
+    @given(masks=st.lists(st.integers(0, (1 << 70) - 1) | st.integers(0, 255), unique=True, max_size=60))
+    def test_mask_key_and_extension_set_on_any_family(self, masks):
+        # families with and without parents, over names of unequal length and
+        # more than 64 of them
+        names = sorted(f"a{i}" for i in range(70))
+        ordered = sorted(masks, key=semantics.mask_key)
+        want = sorted((core.names_of(names, m) for m in masks), key=semantics.extension_key)
+        assert [core.names_of(names, m) for m in ordered] == want
+        assert semantics.extension_set(names, list(ordered)) == tuple(want)
+
+    def test_extension_set_builds_from_parents_where_present(self):
+        names = ["a", "b", "c", "d"]
+        # {a,b,c} and {a,b,d} have their parent {a,b}; {b,c} and {c,d} have none
+        masks = [0b0011, 0b0110, 0b1100, 0b0111, 0b1011]
+        assert semantics.extension_set(names, list(masks)) == tuple(core.names_of(names, m) for m in masks)
 
     def test_names_of_unequal_length(self):
         # index order is the names' string order, not their length order
