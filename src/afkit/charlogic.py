@@ -14,10 +14,9 @@ set per framework, is the cost floor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
-from .core import AF, AFError, bits
+from .core import AF, AFError, Record, bits
 
 MAX_ATOMS = 12
 
@@ -32,27 +31,35 @@ def _fmt_theory(t: Theory) -> str:
     return "{" + ",".join(sorted(t)) + "}"
 
 
-@dataclass(frozen=True)
-class FiniteLogic:
-    atoms: tuple[str, ...]
-    interpretations: tuple[str, ...]
-    table: Mapping[Theory, frozenset[str]]
-    legend: Optional[Mapping[str, str]] = None
+class FiniteLogic(Record):
+    """A finite logic given by its model table. Its table is a dict, so it
+    has no hash."""
 
-    def __post_init__(self):
-        if len(self.atoms) > MAX_ATOMS:
-            raise AFError(f"language has {len(self.atoms)} atoms, cap is {MAX_ATOMS}")
-        if len(set(self.atoms)) != len(self.atoms):
+    _fields = ("atoms", "interpretations", "table", "legend")
+
+    def __init__(
+        self,
+        atoms: tuple[str, ...],
+        interpretations: tuple[str, ...],
+        table: Mapping[Theory, frozenset[str]],
+        legend: Optional[Mapping[str, str]] = None,
+    ):
+        if len(atoms) > MAX_ATOMS:
+            raise AFError(f"language has {len(atoms)} atoms, cap is {MAX_ATOMS}")
+        if len(set(atoms)) != len(atoms):
             raise AFError("duplicate atoms")
-        interp = set(self.interpretations)
-        expected = set(_theories_by_mask(self.atoms))
-        if set(self.table) != expected:
-            missing = sorted(_fmt_theory(t) for t in expected - set(self.table))
-            extra = sorted(_fmt_theory(t) for t in set(self.table) - expected)
+        interp = set(interpretations)
+        if len(interp) != len(interpretations):
+            raise AFError("duplicate interpretations")
+        expected = set(_theories_by_mask(atoms))
+        if set(table) != expected:
+            missing = sorted(_fmt_theory(t) for t in expected - set(table))
+            extra = sorted(_fmt_theory(t) for t in set(table) - expected)
             raise AFError(f"model table not total: missing {missing}, extra {extra}")
-        for t, ids in self.table.items():
+        for t, ids in table.items():
             if not ids <= interp:
                 raise AFError(f"undeclared interpretation in models({_fmt_theory(t)})")
+        self.__dict__.update(atoms=atoms, interpretations=interpretations, table=table, legend=legend)
 
     @property
     def theories(self) -> tuple[Theory, ...]:
@@ -71,9 +78,11 @@ def make_logic(atoms, interpretations, model_map, legend=None) -> FiniteLogic:
     return FiniteLogic(tuple(atoms), tuple(interpretations), table, legend)
 
 
-@dataclass(frozen=True)
-class EquivalencePartition:
-    blocks: tuple[tuple[Theory, ...], ...]
+class EquivalencePartition(Record):
+    _fields = ("blocks",)
+
+    def __init__(self, blocks: tuple[tuple[Theory, ...], ...]):
+        self.__dict__["blocks"] = blocks
 
     def block_of(self, theory: Iterable[str]) -> tuple[Theory, ...]:
         t = frozenset(theory)
@@ -229,13 +238,22 @@ def galois_check(logic: FiniteLogic) -> bool:
     return has_intersection_property(logic)
 
 
-@dataclass(frozen=True)
-class RhoLogic:
-    universe: tuple[str, ...]
-    sigma: str
-    kernel_id: str
-    afs: tuple[AF, ...]
-    rho_prime: Mapping[AF, frozenset[AF]] = field(hash=False)
+class RhoLogic(Record):
+    _fields = ("universe", "sigma", "kernel_id", "afs", "rho_prime")
+
+    def __init__(
+        self,
+        universe: tuple[str, ...],
+        sigma: str,
+        kernel_id: str,
+        afs: tuple[AF, ...],
+        rho_prime: Mapping[AF, frozenset[AF]],
+    ):
+        self.__dict__.update(universe=universe, sigma=sigma, kernel_id=kernel_id, afs=afs, rho_prime=rho_prime)
+
+    def __hash__(self) -> int:
+        # the dict rho_prime takes part in == but not in the hash
+        return hash((self.universe, self.sigma, self.kernel_id, self.afs))
 
 
 def all_afs_over(universe: Iterable[str]) -> tuple[AF, ...]:

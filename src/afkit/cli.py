@@ -7,7 +7,6 @@ key-sorted JSON with --output json.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Iterable
 
@@ -49,6 +48,8 @@ def _load_af(path: str, fmt: str) -> AF:
 
 def _emit(payload_text: str, payload_json, as_json: bool) -> None:
     if as_json:
+        import json  # only --output json pays for it
+
         print(json.dumps(payload_json, sort_keys=True, ensure_ascii=False))
     else:
         if payload_text:

@@ -12,8 +12,8 @@ function returning fresh values.
 
 from __future__ import annotations
 
-import heapq
 import re
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 ARG_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -31,6 +31,51 @@ def check_arg_name(name: str) -> str:
     if not isinstance(name, str) or not ARG_NAME_RE.match(name):
         raise AFError(f"invalid argument name: {name!r}")
     return name
+
+
+class Record:
+    """Base of the small immutable value types: a subclass names its fields
+    in `_fields` and stores them from its own `__init__` with one `__dict__`
+    write. ==, hash and repr go by the fields in that order: == holds only
+    between instances of one class, the hash is that of the tuple of fields,
+    and the repr reads `Name(field=value, ...)`. Assigning or deleting any
+    attribute raises FrozenInstanceError, whose module is imported on that
+    path only. Instances keep their `__dict__`, so `vars()`,
+    `functools.cached_property` and default pickling work on them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        # attrgetter of one name returns the value, not a 1-tuple
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+        cls.__match_args__ = cls._fields
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        _refuse("assign to", name)
+
+    def __delattr__(self, name):
+        _refuse("delete", name)
+
+
+def _refuse(action: str, name: str):
+    from dataclasses import FrozenInstanceError  # loaded on this error path only
+
+    raise FrozenInstanceError(f"cannot {action} field {name!r}")
 
 
 class Frame:
@@ -224,6 +269,8 @@ def sccs(f: AF) -> list[frozenset[str]]:
                 indeg[comp[w]] += 1
     # Kahn, taking the ready component with the least member first; names
     # are sorted, so a component's least member is its first index
+    import heapq  # this function is its only user
+
     ready = [(ms[0], c) for c, ms in enumerate(members) if indeg[c] == 0]
     heapq.heapify(ready)
     order: list[frozenset[str]] = []

@@ -180,6 +180,8 @@ def emit_extension_set(sets: Iterable[frozenset[str]]) -> str:
 # -- logic description files ------------------------------------------------------
 
 _MODELS_RE = re.compile(r"models\(\s*(.*?)\s*\)\s*=\s*\{(.*?)\}\s*\Z")
+# a keyword is followed by whitespace or ends the line
+_DECLARATION_RE = re.compile(r"(atoms|interpretations)(?:\s|\Z)")
 
 
 def parse_logic(text: str) -> FiniteLogic:
@@ -195,27 +197,29 @@ def parse_logic(text: str) -> FiniteLogic:
     """
     from .charlogic import make_logic
 
-    atoms: list[str] | None = None
-    interps: list[str] | None = None
+    # declared names in order; a dict, so membership tests are O(1)
+    atoms: dict[str, None] | None = None
+    interps: dict[str, None] | None = None
     table: dict[frozenset[str], frozenset[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         lead = len(raw) - len(raw.lstrip()) + 1  # column of line[0]
-        if line.startswith("atoms"):
-            if atoms is not None:
-                raise ParseError("duplicate atoms line", lineno)
-            atoms = []
-            for t in re.finditer(r"[^,\s]+", line[len("atoms"):]):
-                if t[0] in atoms:
-                    raise ParseError(f"duplicate atom {t[0]!r}", lineno, lead + len("atoms") + t.start())
-                atoms.append(t[0])
-            continue
-        if line.startswith("interpretations"):
-            if interps is not None:
-                raise ParseError("duplicate interpretations line", lineno)
-            interps = re.findall(r"[^,\s]+", line[len("interpretations"):])
+        head = _DECLARATION_RE.match(line)
+        if head:
+            keyword = head[1]
+            if (atoms if keyword == "atoms" else interps) is not None:
+                raise ParseError(f"duplicate {keyword} line", lineno)
+            names: dict[str, None] = {}
+            for t in re.finditer(r"[^,\s]+", line[head.end():]):
+                if t[0] in names:  # "duplicate atom 'a'", "duplicate interpretation '1'"
+                    raise ParseError(f"duplicate {keyword[:-1]} {t[0]!r}", lineno, lead + head.end() + t.start())
+                names[t[0]] = None
+            if keyword == "atoms":
+                atoms = names
+            else:
+                interps = names
             continue
         m = _MODELS_RE.match(line)
         if m:

@@ -13,12 +13,11 @@ smallest one on which the two frameworks disagree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from . import config
 from .config import DELETION_NOTIONS, EXPANSION_NOTIONS, KERNEL_IDS, NOTIONS
-from .core import AF, AFError, Frame, bits
+from .core import AF, AFError, Frame, Record, bits
 from .semantics import (
     LABELLING_SEMANTICS,
     check_labelling_semantics,
@@ -222,11 +221,13 @@ def characterizing_kernel(notion: str, sigma: str, flavor: str = "extension") ->
     return None if cell == CRITERION else cell
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
-    answer: str  # equivalent | not_equivalent | unsupported
-    method: str  # kernel | identity | criterion | none
-    detail: str = ""
+class EquivalenceVerdict(Record):
+    _fields = ("answer", "method", "detail")
+
+    def __init__(self, answer: str, method: str, detail: str = ""):
+        # answer: equivalent | not_equivalent | unsupported;
+        # method: kernel | identity | criterion | none
+        self.__dict__.update(answer=answer, method=method, detail=detail)
 
     @property
     def supported(self) -> bool:
@@ -308,28 +309,30 @@ def decide_equivalence(
 FRESH_PREFIX = "_w"
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    fresh_args: int = 1
-    max_attacks: int = 3
+class SearchBudget(Record):
+    _fields = ("fresh_args", "max_attacks")
 
-    def __post_init__(self):
-        for name in ("fresh_args", "max_attacks"):
-            if getattr(self, name) < 0:
-                raise AFError(f"search budget {name} must be non-negative, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
-class DeletionWitness:
-    args: frozenset[str]
-    attacks: frozenset[tuple[str, str]]
+    def __init__(self, fresh_args: int = 1, max_attacks: int = 3):
+        for name, value in (("fresh_args", fresh_args), ("max_attacks", max_attacks)):
+            if value < 0:
+                raise AFError(f"search budget {name} must be non-negative, got {value}")
+        self.__dict__.update(fresh_args=fresh_args, max_attacks=max_attacks)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    witness: Optional[object]  # AF for expansions, DeletionWitness for deletions
-    complete: bool  # whole budgeted space scanned
-    scanned: int = 0  # candidates evaluated
+class DeletionWitness(Record):
+    _fields = ("args", "attacks")
+
+    def __init__(self, args: frozenset[str], attacks: frozenset[tuple[str, str]]):
+        self.__dict__.update(args=args, attacks=attacks)
+
+
+class SearchResult(Record):
+    _fields = ("witness", "complete", "scanned")
+
+    def __init__(self, witness: Optional[object], complete: bool, scanned: int = 0):
+        # witness: an AF for expansions, a DeletionWitness for deletions;
+        # complete: the whole budgeted space was scanned; scanned: candidates evaluated
+        self.__dict__.update(witness=witness, complete=complete, scanned=scanned)
 
     @property
     def found(self) -> bool:

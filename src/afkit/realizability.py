@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .config import CLASSIFIABLE_SEMANTICS, SIGNATURE_SEMANTICS, max_enum_args
-from .core import AF, RESERVED_PREFIX, AFError, bits, names_of
+from .core import AF, RESERVED_PREFIX, AFError, Record, bits, names_of
 from .semantics import ExtensionSet, check_semantics, extension_masks, mask_key, naive_masks, sort_extensions
 
 VARIANTS = ("finite", "finite_compact", "finite_analytic")
@@ -103,18 +102,22 @@ def _conflict_sensitive(c: _Candidate) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SetAnalysis:
-    nonempty: bool
-    contains_empty: bool
-    singleton: bool
-    incomparable: bool
-    downward_closed: bool
-    tight: bool
-    dcl_tight: bool
-    conflict_sensitive: bool
-    args: frozenset[str]
-    pairs: frozenset[frozenset[str]]
+class SetAnalysis(Record):
+    _fields = (
+        "nonempty", "contains_empty", "singleton", "incomparable", "downward_closed", "tight",
+        "dcl_tight", "conflict_sensitive", "args", "pairs",
+    )
+
+    def __init__(
+        self, nonempty: bool, contains_empty: bool, singleton: bool, incomparable: bool,
+        downward_closed: bool, tight: bool, dcl_tight: bool, conflict_sensitive: bool,
+        args: frozenset[str], pairs: frozenset[frozenset[str]],
+    ):
+        self.__dict__.update(
+            nonempty=nonempty, contains_empty=contains_empty, singleton=singleton,
+            incomparable=incomparable, downward_closed=downward_closed, tight=tight,
+            dcl_tight=dcl_tight, conflict_sensitive=conflict_sensitive, args=args, pairs=pairs,
+        )
 
 
 def analyze(sets: Iterable[Iterable[str]]) -> SetAnalysis:
@@ -136,10 +139,12 @@ def analyze(sets: Iterable[Iterable[str]]) -> SetAnalysis:
     )
 
 
-@dataclass(frozen=True)
-class SignatureVerdict:
-    answer: str  # yes | no | necessary_only
-    condition_holds: Optional[bool] = None  # set for necessary_only
+class SignatureVerdict(Record):
+    _fields = ("answer", "condition_holds")
+
+    def __init__(self, answer: str, condition_holds: Optional[bool] = None):
+        # answer: yes | no | necessary_only; condition_holds is set for necessary_only
+        self.__dict__.update(answer=answer, condition_holds=condition_holds)
 
     @property
     def decided(self) -> bool:

@@ -44,11 +44,10 @@ its parent's (the set without its highest member) where the family has it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import config
-from .core import AF, AFError, Frame, bits, names_of, scc_masks
+from .core import AF, AFError, Frame, Record, bits, names_of, scc_masks
 
 SEMANTICS = (
     "cf",
@@ -139,11 +138,11 @@ def extension_set(names: Sequence[str], masks: list[int]) -> ExtensionSet:
     return tuple(sets.values())
 
 
-@dataclass(frozen=True)
-class Labelling:
-    in_set: frozenset[str]
-    out_set: frozenset[str]
-    undec_set: frozenset[str]
+class Labelling(Record):
+    _fields = ("in_set", "out_set", "undec_set")
+
+    def __init__(self, in_set: frozenset[str], out_set: frozenset[str], undec_set: frozenset[str]):
+        self.__dict__.update(in_set=in_set, out_set=out_set, undec_set=undec_set)
 
 
 # -- conflict-free candidate sweep --------------------------------------------

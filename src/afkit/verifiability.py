@@ -26,13 +26,12 @@ or some s - a is and the step from s - a holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Iterable
 
 from .config import EXACT_CLASS, VERIFIABLE_SEMANTICS, max_enum_args
-from .core import AF, AFError, bits, names_of
+from .core import AF, AFError, Record, bits, names_of
 from .semantics import ExtensionSet, cf_masks, check_limit, check_semantics, extension_set, mask_key, select
 
 # region codes: A = only first set, B = only second, C = both, D = neither
@@ -163,8 +162,7 @@ def neighborhood(x: str, s_plus: Iterable[str], s_minus: Iterable[str]) -> tuple
 Entry = tuple[frozenset[str], tuple[frozenset[str], ...]]
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
-class VerificationClassData:
+class VerificationClassData(Record):
     """The digest of one verification class: per conflict-free set (`base`),
     the parts of its class function (`info`).
 
@@ -174,9 +172,7 @@ class VerificationClassData:
     frozenset `entries` are made on first read and kept. Equality, hash,
     repr and pickling go by (class_id, entries)."""
 
-    class_id: str
-    _names: tuple[str, ...]
-    _masks: list
+    _fields = ("class_id", "entries")
 
     def __init__(self, class_id: str, entries: tuple[Entry, ...]):
         if class_id not in REPRESENTATIVES:
@@ -213,17 +209,6 @@ class VerificationClassData:
             if base == s:
                 return info
         raise AFError(f"no entry for {sorted(s)}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.class_id, self.entries) == (other.class_id, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.class_id, self.entries))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(class_id={self.class_id!r}, entries={self.entries!r})"
 
     def __reduce__(self):
         return type(self), (self.class_id, self.entries)

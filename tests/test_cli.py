@@ -794,6 +794,12 @@ class TestErrors:
             ("atoms a\ninterpretations 1\nbogus\n", "line 3, column 1: cannot parse line: 'bogus'"),
             ("atoms a\n", "line 1, column 1: missing interpretations line"),
             ("atoms a, a\ninterpretations 1\nmodels({}) = {1}\nmodels(a) = {1}\n", "line 1, column 10: duplicate atom 'a'"),
+            ("atomsa, b\ninterpretations 1\n", "line 1, column 1: cannot parse line: 'atomsa, b'"),
+            ("atoms a\ninterpretationsx 1\n", "line 2, column 1: cannot parse line: 'interpretationsx 1'"),
+            (
+                "atoms a\n  interpretations 1, 1\nmodels({}) = {1}\nmodels(a) = {1}\n",
+                "line 2, column 22: duplicate interpretation '1'",
+            ),
         ],
     )
     def test_logic_parse_errors(self, tmp_path, capsys, text, err):

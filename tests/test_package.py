@@ -120,3 +120,39 @@ def test_no_private_name_crosses_a_module():
             if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "afkit"):
                 crossings += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert crossings == []
+
+
+# stdlib modules that no subcommand needs: dataclasses and what it imports
+COLD_START_FREE = {"dataclasses", "inspect", "ast", "dis"}
+
+
+def modules_after_main(tmp_path, argv):
+    """Every module a fresh interpreter holds after `main(argv)`, listed
+    before the probe imports json to print them."""
+    files = {"f.apx": AF_TEXT, "s.set": SET_TEXT, "l.lf": LOGIC_TEXT}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code = (
+        "import sys\n"
+        "from afkit.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "assert rc in (0, 1, 3), rc\n"
+        "loaded = sorted(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps(loaded))\n"
+    )
+    return loaded_modules(code, *argv)
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in SUBCOMMANDS], ids=[a[0] for a, _ in SUBCOMMANDS])
+def test_text_run_loads_no_dataclasses_or_json(tmp_path, argv):
+    loaded = modules_after_main(tmp_path, [*argv, "--output", "text"])
+    assert loaded & (COLD_START_FREE | {"json"}) == set()
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in SUBCOMMANDS], ids=[a[0] for a, _ in SUBCOMMANDS])
+def test_json_run_loads_json_but_no_dataclasses(tmp_path, argv):
+    loaded = modules_after_main(tmp_path, [*argv, "--output", "json"])
+    assert "json" in loaded
+    assert loaded & COLD_START_FREE == set()
