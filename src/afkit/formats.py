@@ -210,7 +210,7 @@ def parse_logic(text: str) -> FiniteLogic:
         if head:
             keyword = head[1]
             if (atoms if keyword == "atoms" else interps) is not None:
-                raise ParseError(f"duplicate {keyword} line", lineno)
+                raise ParseError(f"duplicate {keyword} line", lineno, lead)
             names: dict[str, None] = {}
             for t in re.finditer(r"[^,\s]+", line[head.end():]):
                 if t[0] in names:  # "duplicate atom 'a'", "duplicate interpretation '1'"
@@ -224,7 +224,7 @@ def parse_logic(text: str) -> FiniteLogic:
         m = _MODELS_RE.match(line)
         if m:
             if atoms is None or interps is None:
-                raise ParseError("models line before atoms/interpretations", lineno)
+                raise ParseError("models line before atoms/interpretations", lineno, lead)
             # tokens are checked in line order, so the first bad one is named
             theory_txt = m.group(1)
             theory_tokens = [] if theory_txt in ("", "{}") else _comma_tokens(theory_txt, lead + m.start(1))
@@ -239,10 +239,10 @@ def parse_logic(text: str) -> FiniteLogic:
             theory = frozenset(a for a, _ in theory_tokens)
             ids = frozenset(i for i, _ in id_tokens)
             if theory in table:
-                raise ParseError(f"duplicate models line for theory {sorted(theory)}", lineno)
+                raise ParseError(f"duplicate models line for theory {sorted(theory)}", lineno, lead)
             table[theory] = ids
             continue
-        raise ParseError(f"cannot parse line: {line!r}", lineno)
+        raise ParseError(f"cannot parse line: {line!r}", lineno, lead)
     if atoms is None:
         raise ParseError("missing atoms line", 1)
     if interps is None:

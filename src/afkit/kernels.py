@@ -300,7 +300,8 @@ def decide_equivalence(
         return EquivalenceVerdict(
             "equivalent" if same else "not_equivalent", "identity", "syntactic identity"
         )
-    same = kernel(f, cell) == kernel(g, cell)
+    # kernel(f, cell) == kernel(g, cell), read off the kernels' attacks
+    same = f.names == g.names and set(kernel_attacks(f, cell)) == set(kernel_attacks(g, cell))
     return EquivalenceVerdict("equivalent" if same else "not_equivalent", "kernel", cell)
 
 
@@ -331,7 +332,8 @@ class SearchResult(Record):
 
     def __init__(self, witness: Optional[object], complete: bool, scanned: int = 0):
         # witness: an AF for expansions, a DeletionWitness for deletions;
-        # complete: the whole budgeted space was scanned; scanned: candidates evaluated
+        # complete: the whole budgeted space was scanned; scanned: candidates
+        # reached, each evaluated except a repeated deletion scenario
         self.__dict__.update(witness=witness, complete=complete, scanned=scanned)
 
     @property
@@ -366,29 +368,25 @@ def _expansion_candidates(f: AF, g: AF, notion: str, budget: SearchBudget):
     names = old + [f"{FRESH_PREFIX}{i}" for i in range(max_fresh)]
     index = {a: i for i, a in enumerate(names)}
     sym_diff = [index[a] for a in sorted(f.args ^ g.args)]
-    boring = f.attacks & g.attacks
+    # the attacks no candidate adds: those f and g share, and those invalid
+    # for the notion on one side (N: between two of its arguments, S: also
+    # from one of them to a fresh one), unless that side already has them
+    excluded = set(f.attacks & g.attacks)
+    if notion in ("N", "S"):
+        for x in (f, g):
+            targets = x.args if notion == "N" else names
+            excluded.update((a, b) for a in x.args for b in targets if (a, b) not in x.attacks)
     empty = Frame([0] * len(names), [0] * len(names))
     f_rows = _frame(empty, [(index[a], index[b]) for a, b in f.attacks])
     g_rows = _frame(empty, [(index[a], index[b]) for a, b in g.attacks])
     f_mask = sum(1 << index[a] for a in f.args)
     g_mask = sum(1 << index[a] for a in g.args)
 
-    bases = [(x.args, x.attacks) for x in (f, g)]
-
-    def allowed(a: str, b: str) -> bool:
-        if notion == "N":
-            return all((a, b) in atts or a not in args or b not in args for args, atts in bases)
-        if notion == "S":
-            return all((a, b) in atts or a not in args for args, atts in bases)
-        return True
-
     for n_fresh in range(max_fresh + 1):
         pool = names[: len(old) + n_fresh]
         fresh = ((1 << n_fresh) - 1) << len(old)
         slots = [
-            (index[a], index[b])
-            for a, b in sorted((a, b) for a in pool for b in pool if (a, b) not in boring)
-            if allowed(a, b)
+            (index[a], index[b]) for a, b in sorted((a, b) for a in pool for b in pool if (a, b) not in excluded)
         ]
         for n_att in range(min(budget.max_attacks, len(slots)) + 1):  # no more attacks than slots
             for attacks in itertools.combinations(slots, n_att):
@@ -414,7 +412,14 @@ def _expansion_candidates(f: AF, g: AF, notion: str, budget: SearchBudget):
 def _deletion_candidates(f: AF, g: AF, notion: str, budget: SearchBudget):
     """Candidate deletions, argument sets outermost, in the same tuple form as
     `_expansion_candidates`: the frames lose the deleted attacks, and the
-    deleted arguments leave the argument masks."""
+    deleted arguments leave the argument masks.
+
+    A candidate (B, S) whose S holds an attack touching B comes as None, as
+    the repeat of an earlier one. Deleting B removes every attack touching
+    it, so on both sides F \\ [B, S] = F \\ [B, S'], where S' is the attacks
+    of S that do not touch B. (B, S') has the same B and fewer attacks, so it
+    came earlier, and the two sides agreed on it, or the search would have
+    stopped there."""
     old = sorted(f.args | g.args)
     index = {a: i for i, a in enumerate(old)}
     all_attacks = sorted(f.attacks | g.attacks)
@@ -429,16 +434,27 @@ def _deletion_candidates(f: AF, g: AF, notion: str, budget: SearchBudget):
     f_mask = sum(1 << index[a] for a in f.args)
     g_mask = sum(1 << index[a] for a in g.args)
     empty = Frame([0] * len(old), [0] * len(old))
-    frames = []  # per attack choice, built when first reached
+    # per attack choice, the two frames and the mask of the attacks'
+    # endpoints, built when first reached: all of them under the first
+    # argument choice, the empty one, where nothing repeats
+    frames = []
     for args in arg_choices:
-        keep = ~sum(1 << i for i in args)
+        deleted = sum(1 << i for i in args)
+        keep = ~deleted
         for k, atts in enumerate(att_choices):
             if k == len(frames):
-                frames.append([
-                    _frame(empty, [(index[a], index[b]) for a, b in x.attacks if (a, b) not in atts])
-                    for x in (f, g)
-                ])
-            fa, ga = frames[k]
+                touched = 0
+                for a, b in atts:
+                    touched |= 1 << index[a] | 1 << index[b]
+                frames.append((
+                    _frame(empty, [(index[a], index[b]) for a, b in f.attacks if (a, b) not in atts]),
+                    _frame(empty, [(index[a], index[b]) for a, b in g.attacks if (a, b) not in atts]),
+                    touched,
+                ))
+            fa, ga, touched = frames[k]
+            if touched & deleted:
+                yield None
+                continue
             yield fa, f_mask & keep, ga, g_mask & keep, lambda args=args, atts=atts: DeletionWitness(
                 frozenset(old[i] for i in args), frozenset(atts)
             )
@@ -459,6 +475,9 @@ def search_counterexample(
     was scanned without success; complete=False means the max_candidates valve
     cut the scan short. Candidates are evaluated on masks over one argument
     pool; only the returned witness is built as a framework or deletion.
+    `scanned` counts the candidates reached. A deletion candidate that
+    repeats an earlier scenario is counted but not evaluated (see
+    `_deletion_candidates`).
     """
     if notion not in EXPANSION_NOTIONS + DELETION_NOTIONS:
         raise AFError(f"witness search does not handle notion {notion!r}")
@@ -482,7 +501,7 @@ def search_counterexample(
 
     cap = None
     scanned = 0
-    for fa, f_args, ga, g_args, witness in candidates:
+    for candidate in candidates:
         if max_candidates is not None and scanned >= max_candidates:
             return SearchResult(None, False, scanned)
         if cap is None:
@@ -492,6 +511,9 @@ def search_counterexample(
                 check_labelling_semantics(sigma)
             cap = config.max_enum_args()
         scanned += 1
+        if candidate is None:  # a repeated deletion scenario: counted, not evaluated
+            continue
+        fa, f_args, ga, g_args, witness = candidate
         if outcome(fa, f_args) != outcome(ga, g_args):
             return SearchResult(witness(), True, scanned)
     return SearchResult(None, True, scanned)

@@ -174,7 +174,14 @@ def cf_masks(f: Frame, within: int | None = None, guard: int = 0) -> list[tuple[
     if within is None:
         within = f.full_mask
     succ, pred = f.succ, f.pred
-    rows = [(1 << i, succ[i], pred[i]) for i in bits(within) if not (succ[i] >> i) & 1]
+    rows = []
+    rest = within
+    while rest:  # `bits` inlined, as in `names_of`
+        bit = rest & -rest
+        rest ^= bit
+        i = bit.bit_length() - 1
+        if not succ[i] & bit:
+            rows.append((bit, succ[i], pred[i]))
     out = [(0, 0, 0)]
     if not rows:  # half the walks of the witness search
         return out
@@ -283,7 +290,9 @@ def _maximal(masks: list[int], key: Callable[[int], int] | None = None) -> list[
     sizes: two distinct keys of one size are never ⊆-comparable. The test,
     k | t == t for some kept t, runs as `map`s of `int` methods in C. Keys
     all of one size, as the ranges of odd cycles' naive sets are, take no
-    test at all."""
+    test at all, and a family of at most one mask takes no sort either."""
+    if len(masks) < 2:
+        return list(masks)
     bigger: list[int] = []
     level: list[int] = []
     size = -1
@@ -343,9 +352,12 @@ def _newly_defended(f: Frame, hit: int, defeated: int, within: int, known: int) 
     defeated. No other argument can join, so only these are checked."""
     pred = f.pred
     gained = 0
-    for x in bits(f.attacked_by_mask(hit) & within & ~known):
-        if pred[x] & within & ~defeated == 0:
-            gained |= 1 << x
+    rest = f.attacked_by_mask(hit) & within & ~known
+    while rest:  # `bits` inlined
+        bit = rest & -rest
+        rest ^= bit
+        if pred[bit.bit_length() - 1] & within & ~defeated == 0:
+            gained |= bit
     return gained
 
 
@@ -369,14 +381,16 @@ def _grounded_trace(f: Frame, within: int) -> list[int]:
     return trace
 
 
-def _adm_masks(f: Frame, within: int, root: int = 0) -> list[int]:
+def _adm_masks(f: Frame, within: int, root: int = 0, root_out: int | None = None) -> list[int]:
     """The admissible sets containing `root`, itself admissible, in walk
     order: root | m for the conflict-free sets m outside root and its range
     that attack every attacker of root | m that root does not attack. root
     defends itself, so its attackers in `within` lie in its range: nothing
     else is in conflict with it. With root = 0 these are all the admissible
-    sets. The walk's look-ahead cuts the branches that cannot hold one."""
-    root_out = f.attacked_by_mask(root)
+    sets. The walk's look-ahead cuts the branches that cannot hold one.
+    `root_out`, what root attacks, is computed when not given."""
+    if root_out is None:
+        root_out = f.attacked_by_mask(root)
     return [root | m for m, _, _ in cf_masks(f, within & ~(root | root_out), within & ~root_out)]
 
 
@@ -461,9 +475,9 @@ def extension_masks(f: Frame, sigma: str, within: int, cap: int) -> list[int]:
         return _grounded_trace(f, within)[-1:]
     if sigma in COMPLETE_FAMILY:
         root = _grounded_trace(f, within)[-1]
-        swept = within & ~(root | f.attacked_by_mask(root))
-        check_limit(f, swept, cap, " outside the grounded extension and its range")
-        adm = _adm_masks(f, within, root)
+        root_out = f.attacked_by_mask(root)
+        check_limit(f, within & ~(root | root_out), cap, " outside the grounded extension and its range")
+        adm = _adm_masks(f, within, root, root_out)
         if sigma == "com":
             return [m for m in adm if _characteristic(f, m, within) == m]
         return select(sigma, adm, in_range, within)

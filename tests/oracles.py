@@ -84,6 +84,24 @@ def maximal_oracle(masks, key=None) -> list[int]:
     return [m for m, k in zip(masks, keys) if not any(k != o and k & ~o == 0 for o in keys)]
 
 
+def select_oracle(sigma: str, sets, in_range, within: int) -> list[int]:
+    """`semantics.select` by its definition, with every maximality test
+    made by all pairs (`maximal_oracle`): nav and prf keep the ⊆-maximal
+    sets, stg and semi the range-maximal ones, stb those whose range is
+    `within`, and id and eag the greatest set below the meet of the
+    ⊆-maximal (id) or range-maximal (eag) ones."""
+    if sigma in ("nav", "prf"):
+        return maximal_oracle(sets)
+    if sigma in ("stg", "semi"):
+        return maximal_oracle(sets, in_range)
+    if sigma == "stb":
+        return [m for m in sets if in_range(m) == within]
+    meet = within
+    for m in maximal_oracle(sets, None if sigma == "id" else in_range):
+        meet &= m
+    return maximal_oracle([m for m in sets if m & ~meet == 0])
+
+
 def nav_oracle(f: AF):
     cf = cf_oracle(f)
     return {s for s in cf if not any(s < t for t in cf)}

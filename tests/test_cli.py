@@ -800,6 +800,21 @@ class TestErrors:
                 "atoms a\n  interpretations 1, 1\nmodels({}) = {1}\nmodels(a) = {1}\n",
                 "line 2, column 22: duplicate interpretation '1'",
             ),
+            # a whole-line error on an indented line names the line's first column
+            ("atoms a\ninterpretations 1\n   bogus\n", "line 3, column 4: cannot parse line: 'bogus'"),
+            ("atoms a\n  atoms b\ninterpretations 1\n", "line 2, column 3: duplicate atoms line"),
+            (
+                "atoms a\ninterpretations 1\n\tinterpretations 2\n",
+                "line 3, column 2: duplicate interpretations line",
+            ),
+            (
+                "  models({}) = {}\natoms a\ninterpretations 1\n",
+                "line 1, column 3: models line before atoms/interpretations",
+            ),
+            (
+                "atoms a, b\ninterpretations 1\nmodels(a, b) = {1}\n    models(b,a) = {}\n",
+                "line 4, column 5: duplicate models line for theory ['a', 'b']",
+            ),
         ],
     )
     def test_logic_parse_errors(self, tmp_path, capsys, text, err):

@@ -6,8 +6,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
+from afkit import kernels
+from afkit.config import NOTIONS
 from afkit.core import AF, AFError, delete, loops, union_af
 from afkit.kernels import (
+    FLAVORS,
     KERNEL_IDS,
     DeletionWitness,
     SearchBudget,
@@ -16,7 +19,7 @@ from afkit.kernels import (
     kernel,
     search_counterexample,
 )
-from afkit.semantics import SEMANTICS, EnumerationLimitError, extensions, labellings
+from afkit.semantics import LABELLING_SEMANTICS, SEMANTICS, EnumerationLimitError, extensions, labellings
 
 from fixtures import five_six_arg_afs
 from oracles import all_afs, kernel_oracle, random_af, witness_oracle
@@ -371,6 +374,37 @@ class TestDecideEquivalence:
                     if lab.answer == "equivalent" and ext.supported:
                         assert ext.answer == "equivalent", (notion, sigma, f, g)
 
+    def test_kernel_verdicts_build_no_framework(self, monkeypatch):
+        # every cell decided by kernel equality (identity included), over all
+        # pairs on {a, b} and a seeded sample on three arguments, some of
+        # whose pairs differ in their arguments
+        rng = random.Random(22)
+        two, three = list(all_afs(["a", "b"])), list(all_afs(["a", "b", "c"]))
+        pairs = [(f, g) for f in two for g in two]
+        for _ in range(20):
+            f, g = rng.sample(three, 2)
+            pairs += [(f, g), (f, f.restrict(rng.sample("abc", 2))), (f, kernel(f, rng.choice(KERNEL_IDS)))]
+        cells = [
+            (notion, sigma, flavor, k)
+            for flavor in FLAVORS
+            for notion in NOTIONS
+            for sigma in SEMANTICS
+            if (k := characterizing_kernel(notion, sigma, flavor)) is not None
+        ]
+        assert {k for *_, k in cells} == set(KERNEL_IDS)
+        kernels_of = {(f, k): kernel(f, k) for pair in pairs for f in pair for k in KERNEL_IDS}
+        built = []
+        init = AF.__init__
+        monkeypatch.setattr(AF, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+        for f, g in pairs:
+            for notion, sigma, flavor, k in cells:
+                verdict = decide_equivalence(f, g, notion, sigma, flavor)
+                want = kernels_of[f, k] == kernels_of[g, k]
+                assert verdict.answer == ("equivalent" if want else "not_equivalent"), (notion, sigma, flavor, f, g)
+        assert built == []
+        AF("a", [])
+        assert built == [1]  # the counting patch is live
+
     def test_ordinary(self, f_six, g_six):
         assert decide_equivalence(f_six, g_six, "ordinary", "stb").answer == "equivalent"
         assert decide_equivalence(f_six, g_six, "ordinary", "grd").answer == "not_equivalent"
@@ -504,6 +538,70 @@ class TestWitnessSearch:
                 outcomes["found" if got[0] else "complete" if got[1] else "cut"] += 1
         assert set(outcomes) == {"found", "complete", "cut", "AFError", "EnumerationLimitError"}
         assert min(outcomes.values()) >= 20, outcomes
+
+    @pytest.mark.parametrize("sigma", SEMANTICS)
+    def test_repeated_deletions_skipped_exactly(self, sigma):
+        # D candidates (B, S) whose S touches B are counted but not
+        # evaluated. Under a cut at every position, in both flavours, every
+        # search over all pairs of frameworks on subsets of {a, b} (one
+        # attack deleted at most) and a seeded sample on three arguments (two
+        # at most) answers as the string-level oracle, which evaluates every
+        # candidate. Below its uncut count the oracle stops at the cut with
+        # (None, False, cut); at the last position before that count it is
+        # run again with the cut.
+        rng = random.Random(22)
+        two = [f for names in ([], ["a"], ["b"], ["a", "b"]) for f in all_afs(names)]
+        three = list(all_afs(["a", "b", "c"]))
+        pairs = [(f, g, SearchBudget(0, 1)) for f in two for g in two]
+        for _ in range(4):
+            f = rng.choice(three)
+            flipped = AF(f.names, f.attacks ^ {rng.choice(sorted(f.attacks | {("a", "b")}))})
+            pairs += [
+                (f, g, SearchBudget(0, 2))
+                for g in (flipped, f.restrict(rng.sample("abc", 2)), rng.choice(three))
+            ]
+        runs = reached_repeats = 0
+        for flavor in FLAVORS if sigma in LABELLING_SEMANTICS else FLAVORS[:1]:
+            for f, g, budget in pairs:
+                full = witness_oracle(f, g, "D", sigma, budget, flavor)
+                if full[2] > 1:
+                    last = witness_oracle(f, g, "D", sigma, budget, flavor, full[2] - 1)
+                    assert last == (None, False, full[2] - 1)
+                for cut in range(full[2] + 1):
+                    want = full if cut == full[2] else (None, False, cut)
+                    r = search_counterexample(f, g, "D", sigma, budget, flavor, cut)
+                    assert (r.witness, r.complete, r.scanned) == want, (flavor, f, g, cut)
+                    runs += 1
+                # a scan that reached every candidate of a pair with an
+                # attack (a, b) went past the repeat (B, {(a, b)}) with B = {a}
+                reached_repeats += full[0] is None and bool(f.attacks | g.attacks)
+        assert runs > 500 and reached_repeats >= 15, (runs, reached_repeats)
+
+
+class TestWitnessWork:
+    # Complete scans of self-pairs at SearchBudget(1, 2) under prf, pinned by
+    # (candidates counted, `extension_masks` calls): two calls per candidate
+    # evaluated, so that repeated work shows without a timing.
+    # D counts 8 argument sets x (1 + k + C(k, 2)) attack sets for k attacks
+    # but evaluates only the (B, S) whose S does not touch B: 7 + 3 x 2 + 3
+    # + 1 = 17 of 56 on the 3-cycle, 4 + 2 + 1 + 2 + 3 + 1 = 13 of 32 on the
+    # 3-chain.
+    PINNED = {
+        "cycle": {"E": (92, 184), "N": (29, 58), "S": (11, 22), "L": (22, 44), "D": (56, 34), "LD": (7, 14)},
+        "chain": {"E": (106, 212), "N": (29, 58), "S": (11, 22), "L": (29, 58), "D": (32, 26), "LD": (4, 8)},
+    }
+
+    @pytest.mark.parametrize("shape", ["cycle", "chain"])
+    def test_complete_scans_pin_their_work(self, monkeypatch, shape):
+        attacks = [("a", "b"), ("b", "c")] + ([("c", "a")] if shape == "cycle" else [])
+        f = AF("abc", attacks)
+        calls = []
+        masks = kernels.extension_masks
+        monkeypatch.setattr(kernels, "extension_masks", lambda *a: calls.append(1) or masks(*a))
+        for notion, (scanned, made) in self.PINNED[shape].items():
+            calls.clear()
+            r = search_counterexample(f, f, notion, "prf", SearchBudget(1, 2))
+            assert (r.witness, r.complete, r.scanned, len(calls)) == (None, True, scanned, made), notion
 
 
 class TestWitnessStructure:

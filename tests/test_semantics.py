@@ -30,6 +30,7 @@ from oracles import (
     nav_oracle,
     random_af,
     sad_selfref_oracle,
+    select_oracle,
 )
 
 
@@ -471,6 +472,27 @@ class TestEngineStructure:
         # the projections tie many keys; the wide key spans more than 64 bits
         key = {"mask": None, "projection": lambda m: m & 0b1011, "wide": lambda m: m | m << 66}[mode]
         assert sorted(semantics._maximal(masks, key)) == sorted(maximal_oracle(masks, key))
+
+    def test_maximal_of_zero_and_one_masks(self):
+        # the early return hands back a new list, never its argument
+        for key in (None, lambda m: m & 0b1011, lambda m: m | m << 66):
+            for masks in ([], [0], [0b110], [1 << 70 | 1]):
+                got = semantics._maximal(masks, key)
+                assert got is not masks and got == maximal_oracle(masks, key)
+                got.append(-1)
+                assert -1 not in masks
+
+    @pytest.mark.parametrize("sigma", ["nav", "prf", "stg", "semi", "stb", "id", "eag"])
+    def test_select_of_zero_and_one_sets(self, sigma):
+        # every family of at most one conflict-free set of a framework whose
+        # sets differ in range, with the key (the range) read by stg, semi,
+        # stb and eag
+        f = AF("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "d")])
+        for within in (f.full_mask, 0b0111, 0):
+            in_range = lambda m: (m | f.attacked_by_mask(m)) & within
+            for sets in [[]] + [[m] for m, _, _ in semantics.cf_masks(f, within)]:
+                got = semantics.select(sigma, sets, in_range, within)
+                assert got is not sets and got == select_oracle(sigma, sets, in_range, within), (within, sets)
 
     @pytest.mark.parametrize("k", [5, 7])
     def test_stage_and_semi_stable_on_disjoint_three_cycles(self, k):
