@@ -6,9 +6,14 @@ A finite logic maps every theory (subset of a finite language) to a set of
 opaque interpretation ids. Theories are bitmasks over the n atoms, T = 2^n of
 them, so the language is capped. Strong equivalence is partition refinement
 under t ↦ t ∪ {a}, O(n²·T); unions over supersets are one superset zeta
-transform, O(n·T) (O(m·2^m) over the m = n + n² argument and attack slots of
-frameworks on n arguments). The output, one id set per theory and one framework
-set per framework, is the cost floor.
+transform over the positions that exist, O(width·positions): O(n·T) over the
+theory cube, and O(m·|frameworks|) over the m = n + n² argument and attack
+slots of frameworks on n arguments (12 × 567 steps on three arguments, where
+the whole slot cube has 4 096 masks). It is exact when the positions are
+closed under adding the lowest bit that any superset among them adds; the
+theory cube is, and so are the frameworks, whose argument bits lie below their
+attack-slot bits. The output, one id set per theory and one framework set per
+framework, is the cost floor.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Optional
 
-from .core import AF, AFError, Record, bits
+from .core import AF, AFError, Record
 
 MAX_ATOMS = 12
 
@@ -59,7 +64,11 @@ class FiniteLogic(Record):
         for t, ids in table.items():
             if not ids <= interp:
                 raise AFError(f"undeclared interpretation in models({_fmt_theory(t)})")
-        self.__dict__.update(atoms=atoms, interpretations=interpretations, table=table, legend=legend)
+        d = self.__dict__
+        d["atoms"] = atoms
+        d["interpretations"] = interpretations
+        d["table"] = table
+        d["legend"] = legend
 
     @property
     def theories(self) -> tuple[Theory, ...]:
@@ -118,27 +127,44 @@ def _strong_ids(logic: FiniteLogic) -> tuple[list[Theory], list[int]]:
     return theories, ids
 
 
-def _superset_union(rows: list[int], width: int) -> None:
-    """Superset zeta transform in place: afterwards rows[m] is the union of
-    the original rows[s] over every mask s ⊇ m of `width` bits (Yates)."""
-    for i in range(width):
+def _superset_union(rows: list[int], masks, width: int) -> None:
+    """Superset zeta transform in place over the positions `masks`, highest bit first:
+    afterwards rows[m] is the union of the original rows[s] over every position s ⊇ m.
+    Rows off the positions must be 0 and stay so.
+
+    After the steps for bits width-1 down to i, rows[m] holds the positions s ⊇ m that
+    differ from m in bits ≥ i only; the step for bit i adds rows[m | 2^i]. That row is
+    read only at a position, so the result is exact when the positions are closed under
+    adding to a member m the lowest bit of s - m, for every position s ⊇ m (Björklund,
+    Husfeldt, Kaski & Koivisto 2008, trimmed zeta transform). The full cube is; so are
+    frameworks with their argument bits below their attack-slot bits, since the lowest
+    bit a superframework adds is an argument, or an attack between arguments already
+    there. width × |masks| steps, in place of width × 2^width."""
+    for i in reversed(range(width)):
         bit = 1 << i
-        for m in range(len(rows)):
+        for m in masks:
             if not m & bit:
                 rows[m] |= rows[m | bit]
 
 
 def _up_classes(masks, keys, labels, width: int) -> list[frozenset]:
     """Per position i, the labels in the key classes of all positions with masks ⊇ masks[i]:
-    one class bit per mask (row 0 on masks no position has), `_superset_union`, then one
-    label set per distinct row."""
+    one class bit per mask, `_superset_union` over the masks (which must meet its closure
+    condition), then one label set per distinct row, a union of class sets."""
     classes: dict[int, set] = {}
     rows = [0] * (1 << width)
     for m, c, label in zip(masks, _renumber(keys), labels):
         classes.setdefault(c, set()).add(label)
         rows[m] = 1 << c
-    _superset_union(rows, width)
-    union = {r: frozenset().union(*(classes[c] for c in bits(r))) for r in {rows[m] for m in masks}}
+    _superset_union(rows, masks, width)
+    union = {}
+    for row in {rows[m] for m in masks}:
+        members, r = [], row
+        while r:  # `core.bits` inlined, as in `core.names_of`
+            low = r & -r
+            members.append(classes[low.bit_length() - 1])
+            r ^= low
+        union[row] = frozenset().union(*members)
     return [union[rows[m]] for m in masks]
 
 
@@ -249,22 +275,42 @@ class RhoLogic(Record):
         afs: tuple[AF, ...],
         rho_prime: Mapping[AF, frozenset[AF]],
     ):
-        self.__dict__.update(universe=universe, sigma=sigma, kernel_id=kernel_id, afs=afs, rho_prime=rho_prime)
+        d = self.__dict__
+        d["universe"] = universe
+        d["sigma"] = sigma
+        d["kernel_id"] = kernel_id
+        d["afs"] = afs
+        d["rho_prime"] = rho_prime
 
     def __hash__(self) -> int:
         # the dict rho_prime takes part in == but not in the hash
         return hash((self.universe, self.sigma, self.kernel_id, self.afs))
 
 
-def all_afs_over(universe: Iterable[str]) -> tuple[AF, ...]:
-    names = sorted(universe)
-    out = []
+def _attack_slot_bits(names: tuple[str, ...]) -> dict[tuple[str, str], int]:
+    """Bit n + n·i + j for the attack (names[i], names[j]): in a slot mask the
+    n argument bits lie below every attack bit."""
+    n = len(names)
+    return {(x, y): 1 << n + n * i + j for i, x in enumerate(names) for j, y in enumerate(names)}
+
+
+def _afs_with_slot_masks(names: tuple[str, ...]):
+    """Every framework over the sorted names, each with its slot mask: bit i for
+    argument names[i], and `_attack_slot_bits` for its attacks. Argument subsets
+    by size, then attack sets by size, each in combination order."""
+    slot_bit = _attack_slot_bits(names)
     for r in range(len(names) + 1):
-        for args in itertools.combinations(names, r):
-            slots = [(x, y) for x in args for y in args]
+        for picked in itertools.combinations(range(len(names)), r):
+            args = [names[i] for i in picked]
+            base = sum(1 << i for i in picked)
+            slots = [((x, y), slot_bit[x, y]) for x in args for y in args]
             for n_att in range(len(slots) + 1):
-                out.extend(AF(args, atts) for atts in itertools.combinations(slots, n_att))
-    return tuple(out)
+                for chosen in itertools.combinations(slots, n_att):
+                    yield AF(args, [a for a, _ in chosen]), base + sum(b for _, b in chosen)
+
+
+def all_afs_over(universe: Iterable[str]) -> tuple[AF, ...]:
+    return tuple(f for f, _ in _afs_with_slot_masks(tuple(sorted(universe))))
 
 
 def rho_logic(universe: Iterable[str], sigma: str) -> RhoLogic:
@@ -279,12 +325,12 @@ def rho_logic(universe: Iterable[str], sigma: str) -> RhoLogic:
     k = characterizing_kernel("E", sigma, "extension")
     if k is None:
         raise AFError(f"no expansion-equivalence kernel for semantics {sigma!r}")
-    afs = all_afs_over(names)
-    # one bit per argument, then one per attack slot (x, y)
-    slots = [*names, *itertools.product(names, names)]
-    bit = {slot: 1 << i for i, slot in enumerate(slots)}
-    masks = [sum(map(bit.__getitem__, (*f.names, *f.attacks))) for f in afs]
-    # a kernel keeps the arguments: its slot mask is f's with the kernel's attacks
-    kernels = (sum(map(bit.__getitem__, (*f.names, *kernel_attacks(f, k)))) for f in afs)
-    rho = dict(zip(afs, _up_classes(masks, kernels, afs, len(slots))))
+    afs, masks = zip(*_afs_with_slot_masks(names))
+    n = len(names)
+    # a kernel keeps the arguments: its slot mask is f's argument bits with the kernel's attacks
+    slot_bit = _attack_slot_bits(names)
+    kernels = (
+        (m & (1 << n) - 1) + sum(map(slot_bit.__getitem__, kernel_attacks(f, k))) for f, m in zip(afs, masks)
+    )
+    rho = dict(zip(afs, _up_classes(masks, kernels, afs, n + n * n)))
     return RhoLogic(names, sigma, k, afs, rho)

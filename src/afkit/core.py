@@ -35,9 +35,13 @@ def check_arg_name(name: str) -> str:
 
 class Record:
     """Base of the small immutable value types: a subclass names its fields
-    in `_fields` and stores them from its own `__init__` with one `__dict__`
-    write. ==, hash and repr go by the fields in that order: == holds only
-    between instances of one class, the hash is that of the tuple of fields,
+    in `_fields` and stores them from its own `__init__` by one item store per
+    field into `self.__dict__` (`d = self.__dict__; d["x"] = x; ...`). Item
+    stores keep the instance dict sharing its class's keys, where one
+    `__dict__.update` gives each instance its own table: a three-field
+    `Labelling` takes 168 bytes besides its values instead of 248 (CPython
+    3.11, tracemalloc). ==, hash and repr go by the fields in that order: ==
+    holds only between instances of one class, the hash is that of the tuple of fields,
     and the repr reads `Name(field=value, ...)`. Assigning or deleting any
     attribute raises FrozenInstanceError, whose module is imported on that
     path only. Instances keep their `__dict__`, so `vars()`,
@@ -300,13 +304,17 @@ def scc_masks(f: Frame, within: int) -> list[int]:
     on_stack = 0
     comps: list[int] = []
     counter = 0
-    for root in bits(within):
+    roots = within
+    while roots:  # `bits` inlined, as in `names_of`
+        root_bit = roots & -roots
+        roots ^= root_bit
+        root = root_bit.bit_length() - 1
         if index_of[root] != -1:
             continue
         index_of[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack |= 1 << root
+        on_stack |= root_bit
         work = [[root, succ[root] & within]]
         while work:
             top = work[-1]

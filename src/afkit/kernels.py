@@ -227,7 +227,10 @@ class EquivalenceVerdict(Record):
     def __init__(self, answer: str, method: str, detail: str = ""):
         # answer: equivalent | not_equivalent | unsupported;
         # method: kernel | identity | criterion | none
-        self.__dict__.update(answer=answer, method=method, detail=detail)
+        d = self.__dict__
+        d["answer"] = answer
+        d["method"] = method
+        d["detail"] = detail
 
     @property
     def supported(self) -> bool:
@@ -317,14 +320,18 @@ class SearchBudget(Record):
         for name, value in (("fresh_args", fresh_args), ("max_attacks", max_attacks)):
             if value < 0:
                 raise AFError(f"search budget {name} must be non-negative, got {value}")
-        self.__dict__.update(fresh_args=fresh_args, max_attacks=max_attacks)
+        d = self.__dict__
+        d["fresh_args"] = fresh_args
+        d["max_attacks"] = max_attacks
 
 
 class DeletionWitness(Record):
     _fields = ("args", "attacks")
 
     def __init__(self, args: frozenset[str], attacks: frozenset[tuple[str, str]]):
-        self.__dict__.update(args=args, attacks=attacks)
+        d = self.__dict__
+        d["args"] = args
+        d["attacks"] = attacks
 
 
 class SearchResult(Record):
@@ -334,7 +341,10 @@ class SearchResult(Record):
         # witness: an AF for expansions, a DeletionWitness for deletions;
         # complete: the whole budgeted space was scanned; scanned: candidates
         # reached, each evaluated except a repeated deletion scenario
-        self.__dict__.update(witness=witness, complete=complete, scanned=scanned)
+        d = self.__dict__
+        d["witness"] = witness
+        d["complete"] = complete
+        d["scanned"] = scanned
 
     @property
     def found(self) -> bool:

@@ -113,11 +113,17 @@ class SetAnalysis(Record):
         downward_closed: bool, tight: bool, dcl_tight: bool, conflict_sensitive: bool,
         args: frozenset[str], pairs: frozenset[frozenset[str]],
     ):
-        self.__dict__.update(
-            nonempty=nonempty, contains_empty=contains_empty, singleton=singleton,
-            incomparable=incomparable, downward_closed=downward_closed, tight=tight,
-            dcl_tight=dcl_tight, conflict_sensitive=conflict_sensitive, args=args, pairs=pairs,
-        )
+        d = self.__dict__
+        d["nonempty"] = nonempty
+        d["contains_empty"] = contains_empty
+        d["singleton"] = singleton
+        d["incomparable"] = incomparable
+        d["downward_closed"] = downward_closed
+        d["tight"] = tight
+        d["dcl_tight"] = dcl_tight
+        d["conflict_sensitive"] = conflict_sensitive
+        d["args"] = args
+        d["pairs"] = pairs
 
 
 def analyze(sets: Iterable[Iterable[str]]) -> SetAnalysis:
@@ -144,7 +150,9 @@ class SignatureVerdict(Record):
 
     def __init__(self, answer: str, condition_holds: Optional[bool] = None):
         # answer: yes | no | necessary_only; condition_holds is set for necessary_only
-        self.__dict__.update(answer=answer, condition_holds=condition_holds)
+        d = self.__dict__
+        d["answer"] = answer
+        d["condition_holds"] = condition_holds
 
     @property
     def decided(self) -> bool:

@@ -47,7 +47,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from . import config
-from .core import AF, AFError, Frame, Record, bits, names_of, scc_masks
+from .core import AF, AFError, Frame, Record, names_of, scc_masks
 
 SEMANTICS = (
     "cf",
@@ -142,7 +142,10 @@ class Labelling(Record):
     _fields = ("in_set", "out_set", "undec_set")
 
     def __init__(self, in_set: frozenset[str], out_set: frozenset[str], undec_set: frozenset[str]):
-        self.__dict__.update(in_set=in_set, out_set=out_set, undec_set=undec_set)
+        d = self.__dict__
+        d["in_set"] = in_set
+        d["out_set"] = out_set
+        d["undec_set"] = undec_set
 
 
 # -- conflict-free candidate sweep --------------------------------------------
@@ -232,12 +235,19 @@ def naive_masks(f: Frame, within: int) -> list[int]:
     """
     succ, pred = f.succ, f.pred
     free = 0
-    for i in bits(within):
-        if not (succ[i] >> i) & 1:
-            free |= 1 << i
+    rest = within
+    while rest:  # `bits` inlined here and below, as in `cf_masks`
+        bit = rest & -rest
+        rest ^= bit
+        if not succ[bit.bit_length() - 1] & bit:
+            free |= bit
     nbr = [0] * f.n
-    for i in bits(free):
-        nbr[i] = free & ~(succ[i] | pred[i] | 1 << i)
+    rest = free
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        i = bit.bit_length() - 1
+        nbr[i] = free & ~(succ[i] | pred[i] | bit)
     out = []
     stack = [(0, free, 0)]
     while stack:
@@ -247,14 +257,22 @@ def naive_masks(f: Frame, within: int) -> list[int]:
                 out.append(r)
             continue
         best = -1
-        for u in bits(p | x):
-            covered = (p & nbr[u]).bit_count()
+        rest = p | x
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            row = nbr[bit.bit_length() - 1]
+            covered = (p & row).bit_count()
             if covered > best:
-                best, pivot = covered, u
-        for v in bits(p & ~nbr[pivot]):
-            stack.append((r | 1 << v, p & nbr[v], x & nbr[v]))
-            p &= ~(1 << v)
-            x |= 1 << v
+                best, pivot_nbr = covered, row
+        rest = p & ~pivot_nbr
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            row = nbr[bit.bit_length() - 1]
+            stack.append((r | bit, p & row, x & row))
+            p ^= bit
+            x |= bit
     return out
 
 

@@ -8,9 +8,9 @@ of four regions (only P, only M, both, neither), every basic function is a union
 of regions, and a family of functions determines another function iff membership
 is a function of the visible region signature.
 
-Class data is computed on masks over one index. `verification_class` reads
-each part off the region masks of the range and anti-range that `cf_masks`
-gives with each conflict-free set; `reduce_data` reads a less informative
+Class data is computed on masks over one index. `verification_class` builds
+each part as one column over the conflict-free sets of one `cf_masks` sweep,
+from their attacked and attacking masks; `reduce_data` reads a less informative
 class's parts off the source parts' masks by the same region model. The
 frozenset `entries` are made only when a caller reads them.
 
@@ -27,7 +27,7 @@ or some s - a is and the step from s - a holds.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from operator import and_, or_
+from operator import and_, or_, xor
 from typing import Iterable
 
 from .config import EXACT_CLASS, VERIFIABLE_SEMANTICS, max_enum_args
@@ -189,12 +189,18 @@ class VerificationClassData(Record):
             if len(info) != width:
                 raise AFError(f"entry {sorted(base)} has {len(info)} parts, class {class_id} has {width}")
             masks.append((mask(base), tuple(map(mask, info))))
-        self.__dict__.update(class_id=class_id, _names=names, _masks=masks)
+        d = self.__dict__
+        d["class_id"] = class_id
+        d["_names"] = names
+        d["_masks"] = masks
 
     @classmethod
     def _of_masks(cls, class_id: str, names: tuple[str, ...], masks: list) -> "VerificationClassData":
         data = cls.__new__(cls)
-        data.__dict__.update(class_id=class_id, _names=names, _masks=masks)
+        d = data.__dict__
+        d["class_id"] = class_id
+        d["_names"] = names
+        d["_masks"] = masks
         return data
 
     @cached_property
@@ -214,27 +220,40 @@ class VerificationClassData(Record):
         return type(self), (self.class_id, self.entries)
 
 
+# Each basic function as columns over the conflict-free sets m, given the
+# columns of m, of the arguments m attacks (hit) and of those attacking m
+# (hit_by): the range is m | hit, the anti-range m | hit_by, and m meets
+# neither of the two, so only-range is hit - hit_by (`x ^ (x & y)` as in
+# `_apply_plan`), only-anti-range hit_by - hit, and both m | (hit & hit_by).
+_COLUMNS = {
+    "+": lambda m, hit, hit_by: map(or_, m, hit),
+    "-": lambda m, hit, hit_by: map(or_, m, hit_by),
+    "±": lambda m, hit, hit_by: map(xor, hit, map(and_, hit, hit_by)),
+    "∓": lambda m, hit, hit_by: map(xor, hit_by, map(and_, hit, hit_by)),
+    "∩": lambda m, hit, hit_by: map(or_, m, map(and_, hit, hit_by)),
+    "∪": lambda m, hit, hit_by: map(or_, m, map(or_, hit, hit_by)),
+    "Δ": lambda m, hit, hit_by: map(xor, hit, hit_by),
+}
+
+
 def verification_class(f: AF, x: str) -> VerificationClassData:
     """One digest entry per conflict-free set of f, as masks over f's index,
     in extension order.
 
-    `cf_masks` gives each set with its attacked and attacking arguments, so
-    its range and anti-range are the set joined with each. Each wanted part
-    is a union of the pair's three disjoint regions (only the range, only the
-    anti-range, both), so it is their sum weighted by 0 or 1. `cf_masks`
-    yields the sets of one size in the lexicographic order of their ascending
-    indices, and f's names are sorted, so a stable sort by size is the order
-    of `extension_key`. The sweep over the conflict-free sets is refused
-    beyond the enumeration cap (see `semantics.check_limit`)."""
+    `cf_masks` gives each set with its attacked and attacking arguments. The
+    sets are put in order first, then each part of the class is built as one
+    column over all of them (`_COLUMNS`), and the columns are zipped into the
+    entries. `cf_masks` yields the sets of one size in the lexicographic order
+    of their ascending indices, and f's names are sorted, so a stable sort by
+    size is the order of `extension_key`. The sweep over the conflict-free
+    sets is refused beyond the enumeration cap (see `semantics.check_limit`)."""
     name = parse_class(x)
     check_limit(f, f.full_mask, max_enum_args())
-    weights = [tuple(r in BASIC_REGIONS[c] for r in "ABC") for c in REPRESENTATIVES[name]]
-    entries = []
-    for m, attacked, attacking in cf_masks(f):
-        plus, minus = m | attacked, m | attacking
-        only_plus, only_minus, both = plus & ~minus, minus & ~plus, plus & minus
-        entries.append((m, tuple([only_plus * a + only_minus * b + both * c for a, b, c in weights])))
-    entries.sort(key=lambda e: e[0].bit_count())
+    sets = cf_masks(f)
+    sets.sort(key=lambda s: s[0].bit_count())
+    m, hit, hit_by = zip(*sets)
+    parts = [_COLUMNS[c](m, hit, hit_by) for c in REPRESENTATIVES[name]]
+    entries = list(zip(m, zip(*parts) if parts else [()] * len(m)))
     return VerificationClassData._of_masks(name, f.names, entries)
 
 

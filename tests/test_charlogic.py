@@ -265,9 +265,16 @@ class TestAgainstPairOracles:
         for universe in (["a"], ["a", "b"]):
             assert rho_logic(universe, sigma).rho_prime == rho_oracle(universe, sigma)
 
-    @pytest.mark.parametrize("sigma", ["grd", "stb"])
+    # one semantics per characterizing kernel: k_nav adds attacks and the
+    # identity keeps every class apart, besides the four deleting kernels
+    RHO_KERNELS = {"nav": "k_nav", "adm": "k_adm", "com": "k_com", "grd": "k_grd", "stb": "k_stb",
+                   "cf2": "identity"}
+
+    @pytest.mark.parametrize("sigma", list(RHO_KERNELS))
     def test_rho_logic_three_args(self, sigma):
-        assert rho_logic(["a", "b", "c"], sigma).rho_prime == rho_oracle("abc", sigma)
+        rho = rho_logic(["a", "b", "c"], sigma)
+        assert rho.kernel_id == self.RHO_KERNELS[sigma]
+        assert rho.rho_prime == rho_oracle("abc", sigma)
 
 
 class TestValidation:

@@ -18,6 +18,8 @@ from afkit.semantics import (
     sort_extensions,
     strongly_admissible,
 )
+from afkit.config import VERIFIABLE_SEMANTICS
+from afkit.verifiability import exact_class, verification_class, verify
 
 from fixtures import afs_abcd_up_to_renaming, five_six_arg_afs, seven_arg_afs, sparse_random_af
 from oracles import (
@@ -524,6 +526,13 @@ class TestEveryFrameworkOverFourArguments:
             assert extensions(f, sigma) == want, (sigma, f)
             if sigma in semantics.LABELLING_SEMANTICS:
                 assert labellings(f, sigma) == tuple(labelling_oracle(f, e) for e in want), (sigma, f)
+
+    @pytest.mark.parametrize("sigma", VERIFIABLE_SEMANTICS)
+    def test_verify_at_exact_class(self, sigma):
+        # the extensions come back from the exact class's digest alone
+        cls = exact_class(sigma)
+        for f in afs_abcd_up_to_renaming():
+            assert verify(sigma, verification_class(f, cls), f.args) == extensions(f, sigma), (sigma, f)
 
 
 class TestSparseFamilyAtScale:
