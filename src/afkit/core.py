@@ -85,8 +85,9 @@ def _refuse(action: str, name: str):
 class Frame:
     """An attack relation over the dense indices 0..n-1, as per-index successor
     and predecessor bitmasks: all the mask engine of the semantics module
-    reads. The witness search builds these directly over an index pool. The
-    rows are not modified after construction."""
+    reads. The witness search builds these directly over an index pool, and
+    one frame may serve both sides of a candidate. The rows are never written
+    after construction."""
 
     __slots__ = ("succ", "pred")
 

@@ -351,78 +351,89 @@ class SearchResult(Record):
         return self.witness is not None
 
 
-def _frame(base: Frame, attacks) -> Frame:
-    """A copy of the rows of `base` with the given (i, j) index attacks added."""
-    succ = list(base.succ)
-    pred = list(base.pred)
-    for i, j in attacks:
-        succ[i] |= 1 << j
-        pred[j] |= 1 << i
-    return Frame(succ, pred)
+def _pool_rows(f: AF, g: AF, names: list):
+    """The successor and predecessor rows of f and of g over the indices of
+    the pool `names`, each with its argument mask."""
+    index = {a: i for i, a in enumerate(names)}
+    out = []
+    for x in (f, g):
+        succ, pred = [0] * len(names), [0] * len(names)
+        for a, b in x.attacks:
+            i, j = index[a], index[b]
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
+        out.append((succ, pred, sum(1 << index[a] for a in x.names)))
+    return out
 
 
-def _expansion_candidates(f: AF, g: AF, notion: str, budget: SearchBudget):
+def _expansion_candidates(f: AF, g: AF, names: list, n_old: int, notion: str, max_attacks: int):
     """Candidate expansions H, ordered by (fresh-argument count, attack count,
     lexicographic form), as (f∪H frame, its arguments, g∪H frame, its
-    arguments, witness builder) over one pool: the arguments of f and g, then
-    the fresh ones. Fresh arguments always occur in at least one attack;
-    isolated candidates only draw on arguments the two frameworks do not
-    share. An attack is allowed when it is valid for the notion on its own
-    (an N- or S-expansion is valid iff each of its new attacks is). The pool
-    rows of f and g are built once; each candidate's frames copy them with
-    its attacks added."""
-    old = sorted(f.args | g.args)
-    # a fresh argument takes part in an attack, and an attack touches at most
-    # two, so more than 2 * max_attacks fresh arguments yield no candidate
-    max_fresh = 0 if notion == "L" else min(budget.fresh_args, 2 * budget.max_attacks)
-    names = old + [f"{FRESH_PREFIX}{i}" for i in range(max_fresh)]
-    index = {a: i for i, a in enumerate(names)}
-    sym_diff = [index[a] for a in sorted(f.args ^ g.args)]
-    # the attacks no candidate adds: those f and g share, and those invalid
-    # for the notion on one side (N: between two of its arguments, S: also
-    # from one of them to a fresh one), unless that side already has them
-    excluded = set(f.attacks & g.attacks)
-    if notion in ("N", "S"):
-        for x in (f, g):
-            targets = x.args if notion == "N" else names
-            excluded.update((a, b) for a in x.args for b in targets if (a, b) not in x.attacks)
-    empty = Frame([0] * len(names), [0] * len(names))
-    f_rows = _frame(empty, [(index[a], index[b]) for a, b in f.attacks])
-    g_rows = _frame(empty, [(index[a], index[b]) for a, b in g.attacks])
-    f_mask = sum(1 << index[a] for a in f.args)
-    g_mask = sum(1 << index[a] for a in g.args)
+    arguments, key), where key is (H's argument mask, H's attack slots), over
+    the pool `names`: the n_old arguments of f and g, then the fresh ones.
+    Fresh arguments always occur in at least one attack; isolated ones come
+    from the arguments f and g do not share. An attack is allowed when it is
+    valid for the notion on its own (an N- or S-expansion is valid iff each
+    of its new attacks is). After the attack-free candidates, the set-up is
+    one mask per pool row of the attacks no candidate adds, and the slots
+    (i, j, 1 << j, 1 << i, endpoints) in name order, in which a fresh name can
+    fall between old ones. Each candidate copies the pool rows once; when
+    the rows of f and g are equal, both sides read the same frame."""
+    (f_succ, f_pred, f_mask), (g_succ, g_pred, g_mask) = _pool_rows(f, g, names)
+    same = f_succ == g_succ
+    sym_diff = [1 << i for i in bits(f_mask ^ g_mask)]
 
-    for n_fresh in range(max_fresh + 1):
-        pool = names[: len(old) + n_fresh]
-        fresh = ((1 << n_fresh) - 1) << len(old)
-        slots = [
-            (index[a], index[b]) for a, b in sorted((a, b) for a in pool for b in pool if (a, b) not in excluded)
-        ]
-        for n_att in range(min(budget.max_attacks, len(slots)) + 1):  # no more attacks than slots
-            for attacks in itertools.combinations(slots, n_att):
-                used = 0
-                for i, j in attacks:
-                    used |= 1 << i | 1 << j
-                if fresh & ~used:
-                    continue  # every fresh argument must take part
-                fa = _frame(f_rows, attacks)
-                ga = _frame(g_rows, attacks)
-                iso_pool = [i for i in sym_diff if not used >> i & 1]
-                for k_iso in range(len(iso_pool) + 1):
-                    for iso in itertools.combinations(iso_pool, k_iso):
-                        h = used
-                        for i in iso:
-                            h |= 1 << i
-                        yield fa, f_mask | h, ga, g_mask | h, lambda h=h, attacks=attacks: AF(
-                            [names[i] for i in bits(h)],
-                            [(names[i], names[j]) for i, j in attacks],
-                        )
+    def attack_sets():  # (fresh mask, attack sets of one attack up) per fresh count
+        n = len(names)
+        # the attacks no candidate adds: those f and g share, and those invalid
+        # for the notion on one side (N: between two of its arguments, S: also
+        # from one of them to a fresh one), unless that side already has them
+        excluded = [s & t for s, t in zip(f_succ, g_succ)]
+        if notion in ("N", "S"):
+            for succ, mask in ((f_succ, f_mask), (g_succ, g_mask)):
+                for i in bits(mask):
+                    excluded[i] |= (mask if notion == "N" else (1 << n) - 1) & ~succ[i]
+        order = sorted(range(n), key=names.__getitem__)
+        for n_fresh in range(n - n_old + 1):
+            pool = [i for i in order if i < n_old + n_fresh]
+            slots = [(i, j, 1 << j, 1 << i, 1 << i | 1 << j) for i in pool for j in pool if not excluded[i] >> j & 1]
+            yield ((1 << n_fresh) - 1) << n_old, itertools.chain.from_iterable(
+                itertools.combinations(slots, k) for k in range(1, min(max_attacks, len(slots)) + 1)
+            )
+
+    for fresh, choices in itertools.chain([(0, [()])], attack_sets()):
+        for attacks in choices:
+            used = 0
+            for slot in attacks:
+                used |= slot[4]
+            if fresh & ~used:
+                continue  # every fresh argument must take part
+            fs, fp = f_succ[:], f_pred[:]
+            gs, gp = (fs, fp) if same else (g_succ[:], g_pred[:])
+            for i, j, bj, bi, _ in attacks:
+                fs[i] |= bj
+                fp[j] |= bi
+                gs[i] |= bj
+                gp[j] |= bi
+            fa = Frame(fs, fp)
+            ga = fa if same else Frame(gs, gp)
+            iso_pool = [b for b in sym_diff if not used & b]
+            if not iso_pool:
+                yield fa, f_mask | used, ga, g_mask | used, (used, attacks)
+                continue
+            for k_iso in range(len(iso_pool) + 1):
+                for iso in itertools.combinations(iso_pool, k_iso):
+                    h = used | sum(iso)
+                    yield fa, f_mask | h, ga, g_mask | h, (h, attacks)
 
 
-def _deletion_candidates(f: AF, g: AF, notion: str, budget: SearchBudget):
-    """Candidate deletions, argument sets outermost, in the same tuple form as
-    `_expansion_candidates`: the frames lose the deleted attacks, and the
-    deleted arguments leave the argument masks.
+def _deletion_candidates(f: AF, g: AF, names: list, notion: str, max_attacks: int):
+    """Candidate deletions (B, S), argument sets outermost, in the tuple form
+    of `_expansion_candidates` over the pool `names` of f's and g's arguments:
+    the frames lose the attacks S, B leaves the argument masks, and the key
+    is (B's mask, S's slots). The attack choices, and their frames shared by
+    every argument choice, are made as the first argument choice (the empty
+    one) reaches them, so a cut scan makes only those it reached.
 
     A candidate (B, S) whose S holds an attack touching B comes as None, as
     the repeat of an earlier one. Deleting B removes every attack touching
@@ -430,44 +441,40 @@ def _deletion_candidates(f: AF, g: AF, notion: str, budget: SearchBudget):
     of S that do not touch B. (B, S') has the same B and fewer attacks, so it
     came earlier, and the two sides agreed on it, or the search would have
     stopped there."""
-    old = sorted(f.args | g.args)
-    index = {a: i for i, a in enumerate(old)}
-    all_attacks = sorted(f.attacks | g.attacks)
-    arg_choices = [()] if notion == "LD" else (
-        c for size in range(len(old) + 1) for c in itertools.combinations(range(len(old)), size)
+    n = len(names)
+    (f_succ, f_pred, f_mask), (g_succ, g_pred, g_mask) = _pool_rows(f, g, names)
+    same = f_succ == g_succ
+    # the attacks of f or g, in name order, which is index order here
+    slots = [(i, j, ~(1 << j), ~(1 << i), 1 << i | 1 << j) for i in range(n) for j in bits(f_succ[i] | g_succ[i])]
+    att_choices = [()] if notion == "ND" else (
+        c for size in range(min(max_attacks, len(slots)) + 1) for c in itertools.combinations(slots, size)
     )
-    att_choices = [()] if notion == "ND" else [
-        c
-        for size in range(min(budget.max_attacks, len(all_attacks)) + 1)
-        for c in itertools.combinations(all_attacks, size)
-    ]
-    f_mask = sum(1 << index[a] for a in f.args)
-    g_mask = sum(1 << index[a] for a in g.args)
-    empty = Frame([0] * len(old), [0] * len(old))
-    # per attack choice, the two frames and the mask of the attacks'
-    # endpoints, built when first reached: all of them under the first
-    # argument choice, the empty one, where nothing repeats
-    frames = []
-    for args in arg_choices:
-        deleted = sum(1 << i for i in args)
-        keep = ~deleted
-        for k, atts in enumerate(att_choices):
-            if k == len(frames):
-                touched = 0
-                for a, b in atts:
-                    touched |= 1 << index[a] | 1 << index[b]
-                frames.append((
-                    _frame(empty, [(index[a], index[b]) for a, b in f.attacks if (a, b) not in atts]),
-                    _frame(empty, [(index[a], index[b]) for a, b in g.attacks if (a, b) not in atts]),
-                    touched,
-                ))
-            fa, ga, touched = frames[k]
-            if touched & deleted:
-                yield None
-                continue
-            yield fa, f_mask & keep, ga, g_mask & keep, lambda args=args, atts=atts: DeletionWitness(
-                frozenset(old[i] for i in args), frozenset(atts)
-            )
+    made = []
+    for atts in att_choices:
+        fs, fp = f_succ[:], f_pred[:]
+        gs, gp = (fs, fp) if same else (g_succ[:], g_pred[:])
+        touched = 0
+        for i, j, cj, ci, ends in atts:
+            fs[i] &= cj
+            fp[j] &= ci
+            gs[i] &= cj
+            gp[j] &= ci
+            touched |= ends
+        fa = Frame(fs, fp)
+        ga = fa if same else Frame(gs, gp)
+        made.append((fa, ga, touched, atts))
+        yield fa, f_mask, ga, g_mask, (0, atts)
+    for size in range(1, 0 if notion == "LD" else n + 1):
+        for args in itertools.combinations(range(n), size):
+            deleted = sum(1 << i for i in args)
+            for fa, ga, touched, atts in made:
+                if touched & deleted:
+                    yield None
+                    continue
+                yield fa, f_mask & ~deleted, ga, g_mask & ~deleted, (deleted, atts)
+
+
+_WITNESS_NOTIONS = EXPANSION_NOTIONS + DELETION_NOTIONS
 
 
 def search_counterexample(
@@ -484,27 +491,31 @@ def search_counterexample(
     A result with witness=None and complete=True means the whole budgeted space
     was scanned without success; complete=False means the max_candidates valve
     cut the scan short. Candidates are evaluated on masks over one argument
-    pool; only the returned witness is built as a framework or deletion.
+    pool, both sides of each candidate by `extension_masks`; only the returned
+    witness is built, as a framework or deletion, from its candidate's key.
     `scanned` counts the candidates reached. A deletion candidate that
     repeats an earlier scenario is counted but not evaluated (see
     `_deletion_candidates`).
     """
-    if notion not in EXPANSION_NOTIONS + DELETION_NOTIONS:
+    if notion not in _WITNESS_NOTIONS:
         raise AFError(f"witness search does not handle notion {notion!r}")
     if flavor not in FLAVORS:
         raise AFError(f"unknown flavor: {flavor!r}")
     check_semantics(sigma)
+    names = sorted({*f.names, *g.names})
     if notion in EXPANSION_NOTIONS:
-        candidates = _expansion_candidates(f, g, notion, budget)
+        # a fresh argument takes part in an attack, and an attack touches at
+        # most two, so more than 2 * max_attacks fresh arguments yield no candidate
+        n_old = len(names)
+        names += [f"{FRESH_PREFIX}{i}" for i in range(0 if notion == "L" else min(budget.fresh_args, 2 * budget.max_attacks))]
+        candidates = _expansion_candidates(f, g, names, n_old, notion, budget.max_attacks)
     else:
-        candidates = _deletion_candidates(f, g, notion, budget)
+        candidates = _deletion_candidates(f, g, names, notion, budget.max_attacks)
+    labelled = flavor == "labelling"
 
-    def outcome(frame: Frame, within: int):
-        masks = extension_masks(frame, sigma, within, cap)
-        if flavor != "labelling":
-            return set(masks)
+    def outcome(frame: Frame, within: int) -> set:
         labels = set()
-        for m in masks:
+        for m in extension_masks(frame, sigma, within, cap):
             out = frame.attacked_by_mask(m) & within
             labels.add((m, out, within & ~(m | out)))
         return labels
@@ -517,13 +528,21 @@ def search_counterexample(
         if cap is None:
             # Evaluating the first candidate is where a semantics without
             # labellings is refused and the enumeration cap is read.
-            if flavor == "labelling":
+            if labelled:
                 check_labelling_semantics(sigma)
             cap = config.max_enum_args()
         scanned += 1
         if candidate is None:  # a repeated deletion scenario: counted, not evaluated
             continue
-        fa, f_args, ga, g_args, witness = candidate
-        if outcome(fa, f_args) != outcome(ga, g_args):
-            return SearchResult(witness(), True, scanned)
+        fa, f_args, ga, g_args, key = candidate
+        if (
+            outcome(fa, f_args) != outcome(ga, g_args)
+            if labelled
+            else set(extension_masks(fa, sigma, f_args, cap)) != set(extension_masks(ga, sigma, g_args, cap))
+        ):
+            args = [names[i] for i in bits(key[0])]
+            attacks = [(names[i], names[j]) for i, j, *_ in key[1]]
+            if notion in EXPANSION_NOTIONS:
+                return SearchResult(AF(args, attacks), True, scanned)
+            return SearchResult(DeletionWitness(frozenset(args), frozenset(attacks)), True, scanned)
     return SearchResult(None, True, scanned)

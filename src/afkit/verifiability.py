@@ -312,14 +312,19 @@ def _gamma_sad(entries, args):
     b, b - a is reachable and the step from it holds. b - a is a smaller
     integer, so one ascending pass decides it first."""
     digest = {b: (anti & ~b, pm) for b, (anti, pm) in entries}
-    reachable: set[int] = set()
-
-    def step(t: int, attackers: int) -> bool:
-        return t in reachable and attackers & ~digest[t][0] & ~digest[t][1] == 0
-
+    # each reachable set -> its digest, in which the attackers new to a step
+    # from it must lie
+    reachable: dict[int, int] = {}
     for b in sorted(digest):
-        if b == 0 or any(step(b ^ 1 << i, digest[b][0]) for i in bits(b)):
-            reachable.add(b)
+        attackers, pm = digest[b]
+        rest, ok = b, b == 0
+        while rest and not ok:
+            low = rest & -rest
+            rest ^= low
+            cover = reachable.get(b ^ low)
+            ok = cover is not None and not attackers & ~cover
+        if ok:
+            reachable[b] = attackers | pm
     return list(reachable)
 
 

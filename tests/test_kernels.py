@@ -21,7 +21,7 @@ from afkit.kernels import (
 )
 from afkit.semantics import LABELLING_SEMANTICS, SEMANTICS, EnumerationLimitError, extensions, labellings
 
-from fixtures import five_six_arg_afs
+from fixtures import afs_abcd_up_to_renaming, five_six_arg_afs
 from oracles import all_afs, kernel_oracle, random_af, witness_oracle
 
 
@@ -60,6 +60,12 @@ class TestKernelConstructions:
         frameworks = list(all_afs(["a", "b"])) + list(all_afs(["a", "b", "c"]))
         assert len(frameworks) == 528
         for f in frameworks:
+            for k in KERNEL_IDS:
+                assert kernel(f, k) == kernel_oracle(f, k), (k, f)
+
+    def test_matches_string_level_oracle_four_args_up_to_renaming(self):
+        # the 3 044 frameworks on {a, b, c, d} up to renaming
+        for f in afs_abcd_up_to_renaming():
             for k in KERNEL_IDS:
                 assert kernel(f, k) == kernel_oracle(f, k), (k, f)
 
@@ -539,6 +545,36 @@ class TestWitnessSearch:
         assert set(outcomes) == {"found", "complete", "cut", "AFError", "EnumerationLimitError"}
         assert min(outcomes.values()) >= 20, outcomes
 
+    def test_matches_oracle_with_fresh_names_between_old_ones(self):
+        # On two or three arguments from A, B9, c and d, the fresh names _w0
+        # and _w1 sort after the upper-case names and before the lower-case
+        # ones, so the attack slots' name order is not their pool index order
+        # once a fresh argument joins. E, N and S run twice as often as L,
+        # ND, D and LD, at one and two fresh arguments, in both flavours and
+        # some under a cut; a witness with a fresh argument shows the order.
+        rng = random.Random(25)
+        notions = ("E", "N", "S", "E", "N", "S", "L", "ND", "D", "LD")
+        outcomes = collections.Counter()
+
+        def draw_af():
+            names = rng.sample(["A", "B9", "c", "d"], rng.randint(2, 3))
+            return AF(names, [(a, b) for a in names for b in names if rng.random() < 0.5])
+
+        for k in range(700):
+            notion, flavor = notions[k % 10], FLAVORS[k // 10 % 2]
+            sigma = rng.choice(LABELLING_SEMANTICS if flavor == "labelling" else SEMANTICS)
+            f = draw_af()
+            flip = (rng.choice(f.names), rng.choice(f.names))
+            g = rng.choice([f, draw_af(), AF(f.names, f.attacks ^ {flip})])
+            budget = SearchBudget(1 + k // 20 % 2, rng.randint(1, 2))
+            cut = rng.choice([None, None, 1, 10, 60])
+            r = search_counterexample(f, g, notion, sigma, budget, flavor, cut)
+            want = witness_oracle(f, g, notion, sigma, budget, flavor, cut)
+            assert (r.witness, r.complete, r.scanned) == want, (notion, sigma, flavor, f, g, budget, cut)
+            fresh = r.found and notion in "ENS" and any(a.startswith("_w") for a in r.witness.args)
+            outcomes["fresh witness" if fresh else "found" if r.found else "complete" if r.complete else "cut"] += 1
+        assert min(outcomes.values()) >= 15, outcomes
+
     @pytest.mark.parametrize("sigma", SEMANTICS)
     def test_repeated_deletions_skipped_exactly(self, sigma):
         # D candidates (B, S) whose S touches B are counted but not
@@ -643,3 +679,18 @@ class TestWitnessStructure:
             tracemalloc.stop()
         assert r.witness is None and not r.complete and r.scanned == 1
         assert peak < 10 * 2**20, peak
+
+    def test_deletion_attack_choices_made_lazily(self):
+        # D on a 40-attack chain, deleting up to four attacks, has 102 091
+        # attack choices; the valve at one candidate must make only the
+        # choices it reaches, not the whole list
+        names = [f"a{i:02d}" for i in range(41)]
+        chain = AF(names, list(zip(names, names[1:])))
+        tracemalloc.start()
+        try:
+            r = search_counterexample(chain, chain, "D", "grd", SearchBudget(0, 4), max_candidates=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.witness is None and not r.complete and r.scanned == 1
+        assert peak < 2**18, peak
