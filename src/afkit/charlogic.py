@@ -309,10 +309,6 @@ def _afs_with_slot_masks(names: tuple[str, ...]):
                     yield AF(args, [a for a, _ in chosen]), base + sum(b for _, b in chosen)
 
 
-def all_afs_over(universe: Iterable[str]) -> tuple[AF, ...]:
-    return tuple(f for f, _ in _afs_with_slot_masks(tuple(sorted(universe))))
-
-
 def rho_logic(universe: Iterable[str], sigma: str) -> RhoLogic:
     """Enumerate every framework over the universe and compute, for each one,
     the union of the strong equivalence classes of its superframeworks.

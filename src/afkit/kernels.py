@@ -104,23 +104,6 @@ def kernel(f: AF, kind: str) -> AF:
 
 # -- characterization tables ---------------------------------------------------
 
-_EXT_TABLE_SEMANTICS = (
-    "stg",
-    "stb",
-    "semi",
-    "eag",
-    "adm",
-    "prf",
-    "id",
-    "grd",
-    "com",
-    "nav",
-    "cf2",
-    "stg2",
-)
-
-_LAB_TABLE_SEMANTICS = ("stb", "semi", "eag", "adm", "prf", "id", "grd", "com")
-
 # Markers for cells decided by a dedicated criterion rather than kernel equality.
 CRITERION = "criterion"
 
@@ -141,9 +124,11 @@ _E_ROW = {
     "sad": "k_grd",
 }
 
+_N_ROW = {s: k for s, k in _E_ROW.items() if s != "sad"}
+
 _EXT_TABLE: dict[str, dict[str, Optional[str]]] = {
     "E": dict(_E_ROW),
-    "N": {s: k for s, k in _E_ROW.items() if s != "sad"},
+    "N": _N_ROW,
     "S": {
         "stg": "k_stb",
         "stb": "k_stb",
@@ -167,9 +152,9 @@ _EXT_TABLE: dict[str, dict[str, Optional[str]]] = {
     },
     "W": {"stb": CRITERION},
     "ND": {"stb": "k_stb", "adm": CRITERION, "grd": CRITERION, "com": CRITERION},
-    "D": {s: "identity" for s in _EXT_TABLE_SEMANTICS},
-    "LD": {s: "identity" for s in _EXT_TABLE_SEMANTICS},
-    "U": {s: "identity" for s in _EXT_TABLE_SEMANTICS},
+    "D": dict.fromkeys(_N_ROW, "identity"),
+    "LD": dict.fromkeys(_N_ROW, "identity"),
+    "U": dict.fromkeys(_N_ROW, "identity"),
 }
 
 _LAB_COMMON = {
@@ -195,10 +180,9 @@ _LAB_TABLE: dict[str, dict[str, Optional[str]]] = {
         "prf": "k_adm",
         "id": "k_adm",
     },
-    "W": {},
-    "D": {s: "identity" for s in _LAB_TABLE_SEMANTICS},
-    "LD": {s: "identity" for s in _LAB_TABLE_SEMANTICS},
-    "U": {s: "identity" for s in _LAB_TABLE_SEMANTICS},
+    "D": dict.fromkeys(_LAB_COMMON, "identity"),
+    "LD": dict.fromkeys(_LAB_COMMON, "identity"),
+    "U": dict.fromkeys(_LAB_COMMON, "identity"),
 }
 
 
@@ -238,31 +222,27 @@ class EquivalenceVerdict(Record):
 
 
 def _normal_deletion_criterion(f: AF, g: AF, sigma: str) -> EquivalenceVerdict:
-    """Three-condition theorem for normal deletion equivalence of adm/com/grd."""
-    shared = set(f.names) & set(g.names)
-    only_f = set(f.names) - shared
-    only_g = set(g.names) - shared
+    """Three-condition theorem for normal deletion equivalence of adm/com/grd,
+    tested on the rows of f and g over their pooled arguments."""
+    names = sorted({*f.names, *g.names})
+    rows = _pool_rows(f, g, names)
+    shared = rows[0][2] & rows[1][2]
+    # per side: its rows, its non-shared arguments and its self-loops
+    sides = [(succ, pred, mask & ~shared, Frame(succ, pred).loops_mask()) for succ, pred, mask in rows]
     # non-shared arguments must be self-defeating
-    if not all((a, a) in f.attacks for a in only_f) or not all(
-        (a, a) in g.attacks for a in only_g
-    ):
+    if any(only & ~loops for _, _, only, loops in sides):
         return EquivalenceVerdict("not_equivalent", "criterion", "non-shared argument without self-loop")
-    nl_f = {a for a in shared if (a, a) not in f.attacks}
-    nl_g = {a for a in shared if (a, a) not in g.attacks}
-    if sigma == "adm":
-        # counter-attack if attacked
-        ok = all(
-            (a, b) in f.attacks for b in only_f for a in nl_f if (b, a) in f.attacks
-        ) and all((a, b) in g.attacks for b in only_g for a in nl_g if (b, a) in g.attacks)
-    else:
-        # forbidden to be attacked
-        ok = all((b, a) not in f.attacks for b in only_f for a in nl_f) and all(
-            (b, a) not in g.attacks for b in only_g for a in nl_g
-        )
-    if not ok:
+    # a shared argument without a self-loop that a non-shared one attacks
+    # must counter-attack it (adm), or may not be attacked by it (grd, com)
+    if any(
+        succ[b] & shared & ~loops & ~(pred[b] if sigma == "adm" else 0)
+        for succ, pred, only, loops in sides
+        for b in bits(only)
+    ):
         return EquivalenceVerdict("not_equivalent", "criterion", "attack condition on non-shared arguments fails")
     k = "ks_adm" if sigma == "adm" else ("ks_grd" if sigma == "grd" else "ks_com")
-    if kernel(f.restrict(shared), k) == kernel(g.restrict(shared), k):
+    keep = [names[i] for i in bits(shared)]
+    if set(kernel_attacks(f.restrict(keep), k)) == set(kernel_attacks(g.restrict(keep), k)):
         return EquivalenceVerdict("equivalent", "criterion", f"{k} on shared arguments")
     return EquivalenceVerdict("not_equivalent", "criterion", f"{k} on shared arguments differs")
 
@@ -502,12 +482,15 @@ def search_counterexample(
     if flavor not in FLAVORS:
         raise AFError(f"unknown flavor: {flavor!r}")
     check_semantics(sigma)
-    names = sorted({*f.names, *g.names})
+    held = {*f.names, *g.names}
+    names = sorted(held)
     if notion in EXPANSION_NOTIONS:
-        # a fresh argument takes part in an attack, and an attack touches at
-        # most two, so more than 2 * max_attacks fresh arguments yield no candidate
+        # the fresh names are the first _w0, _w1, … that neither f nor g
+        # holds; a fresh argument takes part in an attack, and an attack touches
+        # at most two, so more than 2 * max_attacks fresh arguments yield no candidate
         n_old = len(names)
-        names += [f"{FRESH_PREFIX}{i}" for i in range(0 if notion == "L" else min(budget.fresh_args, 2 * budget.max_attacks))]
+        unused = (w for w in map(f"{FRESH_PREFIX}{{}}".format, itertools.count()) if w not in held)
+        names += itertools.islice(unused, 0 if notion == "L" else min(budget.fresh_args, 2 * budget.max_attacks))
         candidates = _expansion_candidates(f, g, names, n_old, notion, budget.max_attacks)
     else:
         candidates = _deletion_candidates(f, g, names, notion, budget.max_attacks)

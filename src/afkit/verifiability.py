@@ -98,43 +98,31 @@ def parse_class(tag: str) -> str:
     return name
 
 
-def _signature(components: tuple[str, ...], region: str) -> tuple[bool, ...]:
-    return tuple(region in BASIC_REGIONS[c] for c in components)
-
-
-def _derives(components: tuple[str, ...], basic: str) -> bool:
-    """Do the given components determine the basic function?"""
-    sig_to_member: dict[tuple[bool, ...], bool] = {}
-    for region in _REGIONS:
-        member = region in BASIC_REGIONS[basic] if basic in BASIC_REGIONS else False
-        sig = _signature(components, region)
-        if sig in sig_to_member and sig_to_member[sig] != member:
-            return False
-        sig_to_member[sig] = member
-    return True
+def _plan(source: tuple[str, ...], wanted: tuple[str, ...]):
+    """How each wanted basic function reads off the source components: its
+    regions, each as (components holding the region, components not holding
+    it), which is the region's signature. None when the source does not
+    determine some wanted function: a region outside it has the signature of
+    a region inside it."""
+    signature = {
+        r: (
+            tuple(k for k, c in enumerate(source) if r in BASIC_REGIONS[c]),
+            tuple(k for k, c in enumerate(source) if r not in BASIC_REGIONS[c]),
+        )
+        for r in _REGIONS
+    }
+    plan = []
+    for basic in wanted:
+        inside = {signature[r] for r in BASIC_REGIONS[basic]}
+        if inside & {signature[r] for r in _REGIONS if r not in BASIC_REGIONS[basic]}:
+            return None
+        plan.append(sorted(inside))
+    return plan
 
 
 def more_informative(x: str, y: str) -> bool:
     """Whether class x carries at least the information of class y."""
-    xs = REPRESENTATIVES[parse_class(x)]
-    ys = REPRESENTATIVES[parse_class(y)]
-    return all(_derives(xs, b) for b in ys)
-
-
-def _plan(source: tuple[str, ...], wanted: tuple[str, ...]):
-    """How each wanted basic function reads off the source components: its
-    regions, each as (components holding the region, components not holding
-    it). Exact when the source derives every wanted function."""
-    return [
-        sorted({
-            (
-                tuple(k for k, c in enumerate(source) if region in BASIC_REGIONS[c]),
-                tuple(k for k, c in enumerate(source) if region not in BASIC_REGIONS[c]),
-            )
-            for region in BASIC_REGIONS[basic]
-        })
-        for basic in wanted
-    ]
+    return _plan(REPRESENTATIVES[parse_class(x)], REPRESENTATIVES[parse_class(y)]) is not None
 
 
 def _apply_plan(plan, parts: tuple) -> tuple:
@@ -266,16 +254,14 @@ def reduce_data(data: VerificationClassData, target: str) -> VerificationClassDa
     target part is the union of its regions, read off the source parts'
     masks. Data already in the target class is returned as it is."""
     target_name = parse_class(target)
-    if not more_informative(data.class_id, target_name):
-        raise InsufficientClassError(
-            f"class {data.class_id} cannot be reduced to {target_name}"
-        )
     if target_name == data.class_id:
         return data
-    # more_informative guarantees that no target region has the neither-
-    # region's all-absent signature, so every region is read off at least
-    # one source part and unseen elements are correctly dropped.
+    # a plan exists only when no target region has the neither-region's
+    # all-absent signature, so every region is read off at least one source
+    # part and unseen elements are correctly dropped
     plan = _plan(REPRESENTATIVES[data.class_id], REPRESENTATIVES[target_name])
+    if plan is None:
+        raise InsufficientClassError(f"class {data.class_id} cannot be reduced to {target_name}")
     return VerificationClassData._of_masks(
         target_name, data._names, [(base, _apply_plan(plan, info)) for base, info in data._masks]
     )
@@ -368,11 +354,10 @@ def verify(sigma: str, data: VerificationClassData, args: Iterable[str]) -> Exte
     the exact class of sigma. The criteria run on the data's masks, over its
     index extended by the arguments of `args` it does not hold."""
     needed = exact_class(sigma)
-    if not more_informative(data.class_id, needed):
-        raise InsufficientClassError(
-            f"semantics {sigma} needs class {needed}, got {data.class_id}"
-        )
-    reduced = reduce_data(data, needed)
+    try:
+        reduced = reduce_data(data, needed)
+    except InsufficientClassError:
+        raise InsufficientClassError(f"semantics {sigma} needs class {needed}, got {data.class_id}") from None
     names, entries = reduced._names, reduced._masks
     index = {a: i for i, a in enumerate(names)}
     args = set(args)

@@ -13,9 +13,9 @@ import random
 
 from hypothesis import strategies as st
 
-from afkit.charlogic import FiniteLogic, make_logic
+from afkit.charlogic import FiniteLogic, _afs_with_slot_masks, make_logic
 from afkit.core import AF, AFError, bits
-from afkit.verifiability import BASIC_REGIONS, REPRESENTATIVES, _derives
+from afkit.verifiability import BASIC_REGIONS, REPRESENTATIVES, _plan
 
 F1 = AF("ab", [("b", "b"), ("b", "a")])
 F1P = AF("ab", [("b", "b")])
@@ -125,6 +125,12 @@ EXACTNESS_FIXTURES = [
 ]
 
 
+def all_afs_over(universe) -> tuple[AF, ...]:
+    """Every framework over subsets of the universe, in the order of
+    `charlogic.rho_logic`'s frameworks."""
+    return tuple(f for f, _ in _afs_with_slot_masks(tuple(sorted(universe))))
+
+
 def random_logic(
     seed: int, max_atoms: int = 3, max_interps: int = 4, min_atoms: int = 1
 ) -> FiniteLogic:
@@ -166,6 +172,6 @@ def representative_of(components) -> str:
         if c not in BASIC_REGIONS:
             raise AFError(f"unknown basic neighborhood function: {c!r}")
     for name, rep in REPRESENTATIVES.items():
-        if all(_derives(comps, b) for b in rep) and all(_derives(rep, b) for b in comps):
+        if _plan(comps, rep) is not None and _plan(rep, comps) is not None:
             return name
     raise AFError(f"no representative for components {comps!r}")

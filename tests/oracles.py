@@ -256,6 +256,18 @@ def _joint_pairs(sets):
     return {(a, b) for s in sets for a in s for b in s}
 
 
+def implicit_conflicts_oracle(f: AF, exts):
+    """The pairs {a, b}, a = b included, that no extension of `exts` holds
+    together although neither attacks the other."""
+    joint = _joint_pairs(exts)
+    return {
+        frozenset((a, b))
+        for a in f.args
+        for b in f.args
+        if (a, b) not in joint and (a, b) not in f.attacks and (b, a) not in f.attacks
+    }
+
+
 def incomparable_oracle(sets) -> bool:
     return not any(s < t for s in sets for t in sets)
 
@@ -433,13 +445,15 @@ def _valid_expansion(f: AF, g: AF, h: AF, notion: str) -> bool:
 def _oracle_expansions(f: AF, g: AF, notion: str, budget):
     """Expansions H by (fresh-argument count, attack count, lexicographic
     form); fresh arguments occur in an attack, isolated ones come from the
-    symmetric difference of the argument sets."""
+    symmetric difference of the argument sets. The fresh names are the first
+    _w0, _w1, … that neither framework holds."""
     old = sorted(f.args | g.args)
     sym_diff = sorted(f.args ^ g.args)
     boring = f.attacks & g.attacks
     max_fresh = 0 if notion == "L" else budget.fresh_args
+    unused = [w for w in (f"{FRESH_PREFIX}{i}" for i in range(len(old) + max_fresh)) if w not in old]
     for n_fresh in range(max_fresh + 1):
-        fresh = [f"{FRESH_PREFIX}{i}" for i in range(n_fresh)]
+        fresh = unused[:n_fresh]
         pool = old + fresh
         slots = sorted((a, b) for a in pool for b in pool if (a, b) not in boring)
         for n_att in range(budget.max_attacks + 1):

@@ -5,7 +5,6 @@ import pytest
 
 from afkit.charlogic import (
     FiniteLogic,
-    all_afs_over,
     canonical_characterization,
     canonical_consequence,
     consequence_properties,
@@ -20,7 +19,7 @@ from afkit.core import AF, AFError, union_af
 from afkit.kernels import characterizing_kernel, kernel
 from afkit.semantics import SEMANTICS
 
-from fixtures import random_intersection_logic, random_logic
+from fixtures import all_afs_over, random_intersection_logic, random_logic
 from oracles import (
     canonical_characterization_oracle,
     consequence_properties_oracle,
@@ -295,6 +294,17 @@ class TestValidation:
     def test_undeclared_interpretation(self):
         with pytest.raises(AFError):
             make_logic("a", ["1"], {(): {"9"}, ("a",): set()})
+
+    def test_theory_outside_the_language(self):
+        logic = monotone_strong_example()
+        with pytest.raises(AFError, match="theory {a,z} outside the language"):
+            logic.models({"z", "a"})
+        with pytest.raises(AFError, match="theory {z} outside the partition"):
+            strong_eq_classes(logic).block_of({"z"})
+
+    def test_characterization_needs_a_shared_language(self):
+        with pytest.raises(AFError, match="requires a shared language"):
+            is_characterization(monotone_strong_example(), three_atom_demo())
 
 
 class TestRhoLogic:

@@ -391,6 +391,11 @@ class TestCharlogic:
         rc, out = run(tmp_path, capsys, ["charlogic", "--consequence", "{}", "l.lf"], {"l.lf": ONE_LF})
         assert (rc, out) == (0, "Cn: a\nidempotent: true\nincreasing: true\nmonotone: true\n")
 
+    def test_consequence_of_a_theory(self, tmp_path, capsys):
+        # {a, b} has no model, so every theory's models include its models
+        rc, out = run(tmp_path, capsys, ["charlogic", "--consequence", "a,b", "l.lf"], {"l.lf": DEMO_LF})
+        assert (rc, out) == (0, "Cn: a,b,c\nidempotent: true\nincreasing: true\nmonotone: true\n")
+
 
 class TestRhoLogic:
     EXPECTED = (

@@ -50,6 +50,9 @@ class TestApx:
         f = AF(["b", "a"], [("b", "a"), ("a", "b")])
         assert emit_apx(f) == "arg(a).\narg(b).\natt(a,b).\natt(b,a).\n"
 
+    def test_blank_lines_skipped(self):
+        assert parse_apx("\narg(a).\n  \narg(b).\n\natt(a,b).\n\n") == AF("ab", [("a", "b")])
+
 
 class TestTgf:
     def test_parse(self):
@@ -61,6 +64,9 @@ class TestTgf:
 
     def test_label_defaults_to_id(self):
         assert parse_tgf("n1\nn2\n#\nn1 n2\n") == AF(["n1", "n2"], [("n1", "n2")])
+
+    def test_blank_lines_skipped(self):
+        assert parse_tgf("\n1 a\n \n2 b\n\n#\n\n1 2\n\n") == AF("ab", [("a", "b")])
 
     def test_edge_before_separator(self):
         with pytest.raises(ParseError):

@@ -415,6 +415,17 @@ class TestDecideEquivalence:
         assert decide_equivalence(f_six, g_six, "ordinary", "stb").answer == "equivalent"
         assert decide_equivalence(f_six, g_six, "ordinary", "grd").answer == "not_equivalent"
 
+    def test_ordinary_labelling_needs_labellings(self, f_six, g_six):
+        v = decide_equivalence(f_six, g_six, "ordinary", "cf", "labelling")
+        assert (v.answer, v.method, v.detail) == ("unsupported", "none", "no labelling semantics for cf")
+
+    def test_unknown_notion_rejected(self, f_six, g_six):
+        with pytest.raises(AFError, match="unknown equivalence notion: 'Q'"):
+            decide_equivalence(f_six, g_six, "Q", "stb")
+        for notion in ("Q", "W", "ordinary"):
+            with pytest.raises(AFError, match=f"witness search does not handle notion '{notion}'"):
+                search_counterexample(f_six, g_six, notion, "stb")
+
 
 class TestWitnessSearch:
     def test_six_af_witness_found_and_separates(self, f_six, g_six, h_six):
@@ -574,6 +585,49 @@ class TestWitnessSearch:
             fresh = r.found and notion in "ENS" and any(a.startswith("_w") for a in r.witness.args)
             outcomes["fresh witness" if fresh else "found" if r.found else "complete" if r.complete else "cut"] += 1
         assert min(outcomes.values()) >= 15, outcomes
+
+    def test_fresh_name_skips_a_held_one(self):
+        # both frameworks hold _w0, so the one fresh argument is _w1; the
+        # witness takes none and separates them at the third candidate
+        f = AF(["_w0", "b"], [("_w0", "_w0"), ("b", "b")])
+        g = AF(["_w0", "b"], [("_w0", "_w0"), ("_w0", "b")])
+        r = search_counterexample(f, g, "E", "com", SearchBudget(1, 2))
+        assert (r.witness, r.complete, r.scanned) == (AF(["_w0", "b"], [("b", "_w0")]), True, 3)
+        assert extensions(union_af(f, r.witness), "com") != extensions(union_af(g, r.witness), "com")
+
+    def test_matches_oracle_on_names_like_fresh_ones(self):
+        # E, N and S on one to three arguments from a, b, _w0, Z, _w1 and x,
+        # in both flavours: f or g often holds a name of the form of a fresh
+        # one, which the fresh arguments then skip. Every witness separates
+        # f and g.
+        rng = random.Random(26)
+        outcomes = collections.Counter()
+
+        def draw_af():
+            names = rng.sample(["a", "b", "_w0", "Z", "_w1", "x"], rng.randint(1, 3))
+            return AF(names, [(a, b) for a in names for b in names if rng.random() < 0.4])
+
+        for k in range(500):
+            notion, flavor = "ENS"[k % 3], FLAVORS[k // 3 % 2]
+            sigma = rng.choice(LABELLING_SEMANTICS if flavor == "labelling" else SEMANTICS)
+            f = draw_af()
+            flip = (rng.choice(f.names), rng.choice(f.names))
+            g = rng.choice([f, draw_af(), AF(f.names, f.attacks ^ {flip})])
+            budget = SearchBudget(rng.randint(1, 2), rng.randint(1, 2))
+            r = search_counterexample(f, g, notion, sigma, budget, flavor)
+            assert (r.witness, r.complete, r.scanned) == witness_oracle(f, g, notion, sigma, budget, flavor), (
+                notion, sigma, flavor, f, g, budget)
+            held = ", _w held" if any(a.startswith("_w") for a in f.args | g.args) else ""
+            if not r.found:
+                outcomes["complete" + held] += 1
+                continue
+            fw, gw = union_af(f, r.witness), union_af(g, r.witness)
+            if flavor == "labelling":
+                assert set(labellings(fw, sigma)) != set(labellings(gw, sigma)), (notion, sigma, f, g, r.witness)
+            else:
+                assert extensions(fw, sigma) != extensions(gw, sigma), (notion, sigma, f, g, r.witness)
+            outcomes[("fresh witness" if r.witness.args - f.args - g.args else "found") + held] += 1
+        assert outcomes["fresh witness, _w held"] >= 10 and min(outcomes.values()) >= 5, outcomes
 
     @pytest.mark.parametrize("sigma", SEMANTICS)
     def test_repeated_deletions_skipped_exactly(self, sigma):

@@ -97,6 +97,10 @@ class TestDecideSignature:
         with pytest.raises(AFError):
             decide_signature([{"a"}], "com")
 
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(AFError, match="unknown signature variant: 'infinite'"):
+            decide_signature([{"a"}], "stb", "infinite")
+
     def test_soundness_sweep_two_args(self):
         for f in all_afs(["a", "b"]):
             for sigma in ("cf", "nav", "stb", "stg", "adm", "prf", "semi", "grd", "id", "eag"):
@@ -331,6 +335,10 @@ class TestCompactAnalytic:
     def test_sad_not_classifiable(self):
         with pytest.raises(AFError):
             is_compact(AF("a", []), "sad")
+
+    def test_sad_not_analysable(self):
+        with pytest.raises(AFError, match="analyticity is not defined for semantics 'sad'"):
+            implicit_conflicts(AF("a", []), "sad")
 
 
 # every collection of subsets of {a,b,c}, in the order of the bits of its number

@@ -18,7 +18,8 @@ from afkit.semantics import (
     sort_extensions,
     strongly_admissible,
 )
-from afkit.config import VERIFIABLE_SEMANTICS
+from afkit.config import CLASSIFIABLE_SEMANTICS, VERIFIABLE_SEMANTICS
+from afkit.realizability import implicit_conflicts, is_compact
 from afkit.verifiability import exact_class, verification_class, verify
 
 from fixtures import afs_abcd_up_to_renaming, five_six_arg_afs, seven_arg_afs, sparse_random_af
@@ -27,6 +28,7 @@ from oracles import (
     adm_masks_by_filter,
     all_afs,
     cf_oracle,
+    implicit_conflicts_oracle,
     labelling_oracle,
     maximal_oracle,
     nav_oracle,
@@ -533,6 +535,18 @@ class TestEveryFrameworkOverFourArguments:
         cls = exact_class(sigma)
         for f in afs_abcd_up_to_renaming():
             assert verify(sigma, verification_class(f, cls), f.args) == extensions(f, sigma), (sigma, f)
+
+    @pytest.mark.parametrize("sigma", CLASSIFIABLE_SEMANTICS)
+    def test_classify(self, sigma):
+        # The oracle reads the extensions that `test_against_oracles` pins to
+        # ORACLES on these frameworks; reading ORACLES again would add 2.5 s.
+        # Every classifiable semantics is conflict-free, so an argument is in
+        # no extension iff it attacks itself or is an implicit conflict with
+        # itself: compact iff neither happens.
+        for f in afs_abcd_up_to_renaming():
+            want = implicit_conflicts_oracle(f, extensions(f, sigma))
+            assert implicit_conflicts(f, sigma) == want, (sigma, f)
+            assert is_compact(f, sigma) == (not core.loops(f) and all(len(p) == 2 for p in want)), (sigma, f)
 
 
 class TestSparseFamilyAtScale:

@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,10 @@ class TestNeighborhood:
         assert parse_class("plus_minus") == "+−"
         assert parse_class("eps") == "ε"
         assert parse_class("mp") == "∓"
+
+    def test_unknown_class_rejected(self):
+        with pytest.raises(AFError, match="unknown verification class: 'plus_plus'"):
+            parse_class("plus_plus")
 
 
 class TestVerificationClass:
@@ -299,6 +304,29 @@ class TestInformativeness:
                 assert more_informative(upper, lower)
                 assert not more_informative(lower, upper)
 
+    def test_table_pinned(self):
+        # each class -> the classes it is at least as informative as
+        below = {
+            "ε": "ε",
+            "+": "ε +",
+            "-": "ε -",
+            "±": "ε ±",
+            "∓": "ε ∓",
+            "∩": "ε ∩",
+            "∪": "ε ∪",
+            "Δ": "ε Δ",
+            "+±": "ε + ± ∩ +±",
+            "+∓": "ε + ∓ ∪ +∓",
+            "±∓": "ε ± ∓ Δ ±∓",
+            "∩∪": "ε ∩ ∪ Δ ∩∪",
+            "−±": "ε - ± ∪ −±",
+            "−∓": "ε - ∓ ∩ −∓",
+            "+−": "ε + - ± ∓ ∩ ∪ Δ +± +∓ ±∓ ∩∪ −± −∓ +−",
+        }
+        assert list(below) == list(REPRESENTATIVES)
+        for x, ys in below.items():
+            assert [y for y in REPRESENTATIVES if more_informative(x, y)] == ys.split(), x
+
     def test_representative_collapse(self):
         assert representative_of(("+", "∩")) == "+±"
         assert representative_of(("∓", "∪")) == "+∓"
@@ -323,6 +351,10 @@ class TestExactClass:
     )
     def test_table(self, sigma, cls):
         assert exact_class(sigma) == cls
+
+    def test_unverifiable_semantics(self):
+        with pytest.raises(AFError, match="no verification class for semantics 'cf'"):
+            exact_class("cf")
 
 
 class TestVerify:
@@ -369,6 +401,12 @@ class TestVerify:
                 for y in REPRESENTATIVES:
                     if more_informative(x, y):
                         assert reduce_data(data, y) == verification_class(f, y), (x, y, f)
+
+    def test_reduce_data_needs_the_information(self, f_neigh):
+        data = verification_class(f_neigh, "+")
+        for y in ("-", "±", "+−"):
+            with pytest.raises(InsufficientClassError, match=re.escape(f"class + cannot be reduced to {y}")):
+                reduce_data(data, y)
 
     def test_oracle_equivalence_sampled_four_args(self):
         import random
