@@ -1,14 +1,14 @@
 """Command-line surface. Decision subcommands encode their answer in the exit
 code (0 affirmative, 1 negative, 3 unsupported/undecided); usage and parse
 problems and internal errors exit with 2. Output is plain text by default or
-key-sorted JSON with --output json.
+key-sorted JSON with --output json; each handler returns both, and main alone
+prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Iterable
 
 from . import formats
 from .config import (
@@ -46,22 +46,10 @@ def _load_af(path: str, fmt: str) -> AF:
     return formats.parse_af(_read(path), fmt)
 
 
-def _emit(payload_text: str, payload_json, as_json: bool) -> None:
-    if as_json:
-        import json  # only --output json pays for it
-
-        print(json.dumps(payload_json, sort_keys=True, ensure_ascii=False))
-    else:
-        if payload_text:
-            print(payload_text)
-
-
-def _set_list(s: Iterable[str]) -> list[str]:
-    return sorted(s)
-
-
-def _af_json(f: AF):
-    return {"args": list(f.names), "attacks": [list(p) for p in sorted(f.attacks)]}
+def _af_out(f: AF, fmt: str):
+    """A framework as text in fmt, without the final newline, and as JSON."""
+    payload = {"args": list(f.names), "attacks": [list(p) for p in sorted(f.attacks)]}
+    return formats.emit_af(f, fmt).rstrip("\n"), payload
 
 
 def _af_inline(f: AF) -> str:
@@ -74,122 +62,84 @@ def _ext_lines(sets) -> str:
     return formats.emit_extension_set(sets).rstrip("\n")
 
 
+def _flag_lines(flags) -> str:
+    return "\n".join(f"{k}: {str(v).lower()}" for k, v in flags)
+
+
 # -- subcommand handlers ---------------------------------------------------------
-# Each handler imports the library module it uses, and the parser's choice lists
-# come from config, so a process loads only what its subcommand needs.
+# Each handler returns (exit code, text, JSON payload), and main prints one of
+# the two. Each imports the library module it uses, and the parser's choice
+# lists come from config, so a process loads only what its subcommand needs.
 
 
-def cmd_enumerate(ns) -> int:
-    f = _load_af(ns.file, ns.format)
-    exts = extensions(f, ns.semantics)
-    _emit(_ext_lines(exts), [_set_list(e) for e in exts], ns.output == "json")
-    return EXIT_OK
+def cmd_enumerate(ns):
+    exts = extensions(_load_af(ns.file, ns.format), ns.semantics)
+    return EXIT_OK, _ext_lines(exts), [sorted(e) for e in exts]
 
 
-def cmd_labellings(ns) -> int:
-    f = _load_af(ns.file, ns.format)
-    labs = labellings(f, ns.semantics)
-    text = "\n".join(
-        "in={} out={} undec={}".format(
-            ",".join(_set_list(l.in_set)) or "-",
-            ",".join(_set_list(l.out_set)) or "-",
-            ",".join(_set_list(l.undec_set)) or "-",
-        )
-        for l in labs
-    )
-    payload = [
-        {"in": _set_list(l.in_set), "out": _set_list(l.out_set), "undec": _set_list(l.undec_set)}
-        for l in labs
-    ]
-    _emit(text, payload, ns.output == "json")
-    return EXIT_OK
+def cmd_labellings(ns):
+    labs = labellings(_load_af(ns.file, ns.format), ns.semantics)
+    parts = [(l.in_set, l.out_set, l.undec_set) for l in labs]
+    text = "\n".join("in={} out={} undec={}".format(*map(formats.names_text, p)) for p in parts)
+    return EXIT_OK, text, [{"in": sorted(i), "out": sorted(o), "undec": sorted(u)} for i, o, u in parts]
 
 
-def cmd_kernel(ns) -> int:
+def cmd_kernel(ns):
     from . import kernels
 
-    f = _load_af(ns.file, ns.format)
-    out = kernels.kernel(f, ns.kind)
-    _emit(formats.emit_af(out, ns.format).rstrip("\n"), _af_json(out), ns.output == "json")
-    return EXIT_OK
+    return (EXIT_OK, *_af_out(kernels.kernel(_load_af(ns.file, ns.format), ns.kind), ns.format))
 
 
-def cmd_equiv(ns) -> int:
+def cmd_equiv(ns):
     from . import kernels
 
     f = _load_af(ns.f, ns.format)
     g = _load_af(ns.g, ns.format)
     flavor = "labelling" if ns.labelling else "extension"
-    verdict = kernels.decide_equivalence(f, g, ns.notion, ns.semantics, flavor)
-    text = verdict.answer
-    if verdict.detail:
-        text += f" ({verdict.method}: {verdict.detail})"
-    payload = {"answer": verdict.answer, "method": verdict.method, "detail": verdict.detail}
-    _emit(text, payload, ns.output == "json")
-    if verdict.answer == "equivalent":
-        return EXIT_OK
-    if verdict.answer == "not_equivalent":
-        return EXIT_NO
-    return EXIT_UNSUPPORTED
+    v = kernels.decide_equivalence(f, g, ns.notion, ns.semantics, flavor)
+    rc = {"equivalent": EXIT_OK, "not_equivalent": EXIT_NO}.get(v.answer, EXIT_UNSUPPORTED)
+    text = f"{v.answer} ({v.method}: {v.detail})" if v.detail else v.answer
+    return rc, text, {"answer": v.answer, "method": v.method, "detail": v.detail}
 
 
-def cmd_witness(ns) -> int:
+def cmd_witness(ns):
     from . import kernels
 
     f = _load_af(ns.f, ns.format)
     g = _load_af(ns.g, ns.format)
     budget = kernels.SearchBudget(fresh_args=ns.fresh, max_attacks=ns.max_attacks)
     result = kernels.search_counterexample(f, g, ns.notion, ns.semantics, budget)
-    if result.witness is None:
-        _emit(
-            "none within budget" if result.complete else "search cut short",
-            {"witness": None, "complete": result.complete},
-            ns.output == "json",
-        )
-        return EXIT_NO
     w = result.witness
+    if w is None:  # the command sets no candidate cap, so the search ran to the end
+        return EXIT_NO, "none within budget", {"witness": None, "complete": result.complete}
     if isinstance(w, AF):
-        text = formats.emit_af(w, ns.format).rstrip("\n") or "(empty framework)"
-        _emit(text, {"witness": _af_json(w), "complete": result.complete}, ns.output == "json")
+        text, payload = _af_out(w, ns.format)
+        text = text or "(empty framework)"
     else:
+        attacks = sorted(w.attacks)
         text = "delete args={} attacks={}".format(
-            ",".join(_set_list(w.args)) or "-",
-            ",".join(f"{a}>{b}" for a, b in sorted(w.attacks)) or "-",
+            formats.names_text(w.args), ",".join(f"{a}>{b}" for a, b in attacks) or "-"
         )
-        payload = {
-            "witness": {
-                "delete_args": _set_list(w.args),
-                "delete_attacks": [list(p) for p in sorted(w.attacks)],
-            },
-            "complete": result.complete,
-        }
-        _emit(text, payload, ns.output == "json")
-    return EXIT_OK
+        payload = {"delete_args": sorted(w.args), "delete_attacks": [list(p) for p in attacks]}
+    return EXIT_OK, text, {"witness": payload, "complete": result.complete}
 
 
-def cmd_analyze_set(ns) -> int:
+_SET_FLAGS = (
+    "nonempty", "contains_empty", "singleton", "incomparable",
+    "downward_closed", "tight", "dcl_tight", "conflict_sensitive",
+)
+
+
+def cmd_analyze_set(ns):
     from . import realizability
 
-    sets = formats.parse_extension_set(_read(ns.setfile))
-    a = realizability.analyze(sets)
-    flags = {
-        "nonempty": a.nonempty,
-        "contains_empty": a.contains_empty,
-        "singleton": a.singleton,
-        "incomparable": a.incomparable,
-        "downward_closed": a.downward_closed,
-        "tight": a.tight,
-        "dcl_tight": a.dcl_tight,
-        "conflict_sensitive": a.conflict_sensitive,
-    }
-    text = "\n".join(f"{k}: {str(v).lower()}" for k, v in sorted(flags.items()))
-    text += "\nargs: " + (",".join(_set_list(a.args)) or "-")
-    payload = dict(flags, args=_set_list(a.args))
-    _emit(text, payload, ns.output == "json")
-    return EXIT_OK
+    a = realizability.analyze(formats.parse_extension_set(_read(ns.setfile)))
+    flags = {k: getattr(a, k) for k in _SET_FLAGS}
+    text = _flag_lines(sorted(flags.items())) + "\nargs: " + formats.names_text(a.args)
+    return EXIT_OK, text, dict(flags, args=sorted(a.args))
 
 
-def cmd_realize(ns) -> int:
+def cmd_realize(ns):
     from . import realizability
 
     sets = formats.parse_extension_set(_read(ns.setfile))
@@ -204,18 +154,17 @@ def cmd_realize(ns) -> int:
     if verdict.answer == "necessary_only":
         rc = EXIT_UNSUPPORTED
         condition = "holds" if verdict.condition_holds else "fails"
-        lines = [f"necessary_only (condition {condition}; not a decision)"]
+        text = f"necessary_only (condition {condition}; not a decision)"
     else:
         rc = EXIT_OK if verdict.answer == "yes" else EXIT_NO
-        lines = [verdict.answer]
+        text = verdict.answer
     if witness is not None:
-        lines.append(formats.emit_af(witness, ns.format).rstrip("\n"))
-        payload["witness"] = _af_json(witness)
-    _emit("\n".join(lines), payload, ns.output == "json")
-    return rc
+        af_text, payload["witness"] = _af_out(witness, ns.format)
+        text += "\n" + af_text
+    return rc, text, payload
 
 
-def cmd_classify(ns) -> int:
+def cmd_classify(ns):
     from . import realizability
 
     f = _load_af(ns.file, ns.format)
@@ -224,19 +173,13 @@ def cmd_classify(ns) -> int:
     # rejected, and any other rejected argument is an implicit conflict with itself
     compact = not f.loops_mask() and all(len(p) == 2 for p in implicit)
     analytic = not implicit
-    pair_strs = sorted(",".join(_set_list(p)) for p in implicit)
-    text = f"compact: {str(compact).lower()}\nanalytic: {str(analytic).lower()}"
-    text += "\nimplicit: " + ("; ".join(pair_strs) if pair_strs else "-")
-    payload = {
-        "compact": compact,
-        "analytic": analytic,
-        "implicit_conflicts": [_set_list(p) for p in sorted(implicit, key=lambda p: sorted(p))],
-    }
-    _emit(text, payload, ns.output == "json")
-    return EXIT_OK
+    text = _flag_lines([("compact", compact), ("analytic", analytic)])
+    text += "\nimplicit: " + ("; ".join(sorted(map(formats.names_text, implicit))) or "-")
+    payload = {"compact": compact, "analytic": analytic, "implicit_conflicts": sorted(map(sorted, implicit))}
+    return EXIT_OK, text, payload
 
 
-def cmd_verify_class(ns) -> int:
+def cmd_verify_class(ns):
     from . import verifiability
 
     f = _load_af(ns.file, ns.format)
@@ -246,28 +189,24 @@ def cmd_verify_class(ns) -> int:
     exts = verifiability.verify(ns.semantics, data, f.args)
     lines = [f"exact-class: {exact}", f"class: {use}"]
     for base, info in data.entries:
-        parts = " ; ".join(",".join(_set_list(x)) or "-" for x in info)
-        lines.append("({}) -> ({})".format(",".join(_set_list(base)) or "-", parts))
+        parts = " ; ".join(map(formats.names_text, info))
+        lines.append(f"({formats.names_text(base)}) -> ({parts})")
     lines.append("extensions:")
-    lines.append(_ext_lines(exts) if exts else "")
+    if exts:
+        lines.append(_ext_lines(exts))
     payload = {
         "exact_class": exact,
         "class": use,
-        "entries": [
-            {"set": _set_list(base), "info": [_set_list(x) for x in info]}
-            for base, info in data.entries
-        ],
-        "extensions": [_set_list(e) for e in exts],
+        "entries": [{"set": sorted(base), "info": [sorted(x) for x in info]} for base, info in data.entries],
+        "extensions": [sorted(e) for e in exts],
     }
-    _emit("\n".join(l for l in lines if l != ""), payload, ns.output == "json")
-    return EXIT_OK
+    return EXIT_OK, "\n".join(lines), payload
 
 
-def cmd_charlogic(ns) -> int:
+def cmd_charlogic(ns):
     from . import charlogic as cl
 
     logic = formats.parse_logic(_read(ns.logicfile))
-    as_json = ns.output == "json"
     if ns.consequence is not None:
         theory = (
             frozenset()
@@ -276,68 +215,52 @@ def cmd_charlogic(ns) -> int:
         )
         cn = cl.canonical_consequence(logic, theory)
         props = cl.consequence_properties(logic)
-        text = "Cn: " + (",".join(_set_list(cn)) or "-")
-        text += "\n" + "\n".join(f"{k}: {str(v).lower()}" for k, v in sorted(props.items()))
-        _emit(text, {"consequence": _set_list(cn), "properties": props}, as_json)
-        return EXIT_OK
+        text = f"Cn: {formats.names_text(cn)}\n" + _flag_lines(sorted(props.items()))
+        return EXIT_OK, text, {"consequence": sorted(cn), "properties": props}
     if ns.check_intersection:
         ok = cl.has_intersection_property(logic)
         galois = cl.galois_check(logic)
-        text = f"intersection: {str(ok).lower()}\ngalois: {str(galois).lower()}"
-        _emit(text, {"intersection": ok, "galois": galois}, as_json)
-        return EXIT_OK if ok else EXIT_NO
+        text = _flag_lines([("intersection", ok), ("galois", galois)])
+        return EXIT_OK if ok else EXIT_NO, text, {"intersection": ok, "galois": galois}
     if ns.characterize:
         char = cl.canonical_characterization(logic)
-        lines = []
         legend = char.legend or {}
-        for t in char.theories:
-            theory_txt = ",".join(sorted(t)) if t else "{}"
-            ids = sorted(char.table[t], key=lambda i: int(i[1:]))
-            lines.append(f"models({theory_txt}) = {{{', '.join(ids)}}}")
+
+        def by_number(i):
+            return int(i[1:])
+
+        lines = [
+            f"models({formats.theory_text(t)}) = {{{', '.join(sorted(char.table[t], key=by_number))}}}"
+            for t in char.theories
+        ]
         lines.append("legend:")
-        for i in sorted(legend, key=lambda i: int(i[1:])):
-            lines.append(f"  {i} = {legend[i]}")
+        lines += [f"  {i} = {legend[i]}" for i in sorted(legend, key=by_number)]
         payload = {
-            "models": {
-                (",".join(sorted(t)) if t else "{}"): sorted(char.table[t]) for t in char.theories
-            },
+            "models": {formats.theory_text(t): sorted(char.table[t]) for t in char.theories},
             "legend": dict(legend),
         }
-        _emit("\n".join(lines), payload, as_json)
-        return EXIT_OK
+        return EXIT_OK, "\n".join(lines), payload
     # default: echo the canonical form of the logic
-    _emit(
-        formats.emit_logic(logic).rstrip("\n"),
-        {
-            "atoms": list(logic.atoms),
-            "interpretations": list(logic.interpretations),
-            "models": {
-                (",".join(sorted(t)) if t else "{}"): _set_list(logic.table[t])
-                for t in logic.theories
-            },
-        },
-        as_json,
-    )
-    return EXIT_OK
+    payload = {
+        "atoms": list(logic.atoms),
+        "interpretations": list(logic.interpretations),
+        "models": {formats.theory_text(t): sorted(logic.table[t]) for t in logic.theories},
+    }
+    return EXIT_OK, formats.emit_logic(logic).rstrip("\n"), payload
 
 
-def cmd_rho_logic(ns) -> int:
+def cmd_rho_logic(ns):
     from . import charlogic as cl
 
-    universe = [t.strip() for t in ns.universe.split(",") if t.strip()]
+    universe = sorted({t.strip() for t in ns.universe.split(",")} - {""})
+    for name in universe:
+        formats.check_user_name(name)
     rho = cl.rho_logic(universe, ns.semantics)
+    rows = [(_af_inline(f), sorted(map(_af_inline, rho.rho_prime[f]))) for f in rho.afs]
     lines = [f"kernel: {rho.kernel_id}", f"frameworks: {len(rho.afs)}"]
-    payload_rows = []
-    for f in rho.afs:
-        members = sorted(_af_inline(g) for g in rho.rho_prime[f])
-        lines.append(f"{_af_inline(f)} -> {len(members)}: " + " ".join(members))
-        payload_rows.append({"af": _af_inline(f), "rho": members})
-    _emit(
-        "\n".join(lines),
-        {"kernel": rho.kernel_id, "rows": payload_rows},
-        ns.output == "json",
-    )
-    return EXIT_OK
+    lines += [f"{af} -> {len(members)}: " + " ".join(members) for af, members in rows]
+    payload = {"kernel": rho.kernel_id, "rows": [{"af": af, "rho": members} for af, members in rows]}
+    return EXIT_OK, "\n".join(lines), payload
 
 
 # -- parser ------------------------------------------------------------------------
@@ -442,8 +365,15 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_ERROR if exc.code not in (0,) else 0
     try:
-        return ns.handler(ns)
-    except (AFError, formats.ParseError, ValueError) as exc:
+        rc, text, payload = ns.handler(ns)
+        if ns.output == "json":
+            import json  # only --output json pays for it
+
+            print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
+        elif text:
+            print(text)
+        return rc
+    except ValueError as exc:  # AFError and formats.ParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

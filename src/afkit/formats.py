@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Iterable
 
-from .core import AF, ARG_NAME_RE, RESERVED_PREFIX
+from .core import AF, RESERVED_PREFIX, AFError, check_arg_name
 from .semantics import ExtensionSet, sort_extensions
 
 if TYPE_CHECKING:
@@ -28,12 +28,19 @@ _APX_ARG = re.compile(r"arg\(\s*([A-Za-z0-9_]+)\s*\)\.\Z")
 _APX_ATT = re.compile(r"att\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\)\.\Z")
 
 
-def _check_user_name(name: str, lineno: int, col: int) -> str:
-    if not ARG_NAME_RE.match(name):
-        raise ParseError(f"invalid argument name: {name!r}", lineno, col)
-    if name.startswith(RESERVED_PREFIX):
-        raise ParseError(f"argument names starting with '_' are reserved: {name!r}", lineno, col)
+def check_user_name(name: str) -> str:
+    """name, if user input may give it to an argument: a valid argument name
+    without the reserved prefix. Raises AFError otherwise."""
+    if check_arg_name(name).startswith(RESERVED_PREFIX):
+        raise AFError(f"argument names starting with {RESERVED_PREFIX!r} are reserved: {name!r}")
     return name
+
+
+def _check_user_name(name: str, lineno: int, col: int) -> str:
+    try:
+        return check_user_name(name)
+    except AFError as exc:
+        raise ParseError(str(exc), lineno, col) from None
 
 
 def parse_apx(text: str) -> AF:
@@ -170,10 +177,13 @@ def parse_extension_set(text: str) -> ExtensionSet:
     return sort_extensions(sets)
 
 
+def names_text(names: Iterable[str]) -> str:
+    """A set of names as text: sorted, comma-separated, '-' when empty."""
+    return ",".join(sorted(names)) or "-"
+
+
 def emit_extension_set(sets: Iterable[frozenset[str]]) -> str:
-    lines = []
-    for s in sort_extensions(sets):
-        lines.append(",".join(sorted(s)) if s else "-")
+    lines = [names_text(s) for s in sort_extensions(sets)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -250,11 +260,15 @@ def parse_logic(text: str) -> FiniteLogic:
     return make_logic(atoms, interps, table)
 
 
+def theory_text(theory: Iterable[str]) -> str:
+    """A theory as text: its atoms sorted and comma-separated, '{}' when empty."""
+    return ",".join(sorted(theory)) or "{}"
+
+
 def emit_logic(logic: FiniteLogic) -> str:
     lines = ["atoms " + ", ".join(logic.atoms)]
     lines.append("interpretations " + ", ".join(logic.interpretations))
     for t in logic.theories:
-        theory_txt = ",".join(sorted(t)) if t else "{}"
         ids = ", ".join(sorted(logic.table[t]))
-        lines.append(f"models({theory_txt}) = {{{ids}}}")
+        lines.append(f"models({theory_text(t)}) = {{{ids}}}")
     return "\n".join(lines) + "\n"

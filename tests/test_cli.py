@@ -42,6 +42,13 @@ NAIVE_AF = (
     "att(a,b).\natt(b,a).\natt(b,c).\natt(c,d).\natt(d,e).\natt(e,c).\natt(d,c).\n"
     "att(e,f).\natt(f,f).\natt(f,g).\natt(g,h).\n"
 )
+# NAIVE_AF, F_KER and G_KER in TGF, with node ids that are not the labels
+NAIVE_TGF = (
+    "1 a\n2 b\n3 c\n4 d\n5 e\n6 f\n7 g\n8 h\n#\n"
+    "1 2\n2 1\n2 3\n3 4\n4 5\n5 3\n4 3\n5 6\n6 6\n6 7\n7 8\n"
+)
+F_KER_TGF = "n1 a\nn2 b\nn3 c\n#\nn1 n2\nn2 n2\nn2 n3\nn3 n1\n"
+G_KER_TGF = "n1 a\nn2 b\nn3 c\n#\nn2 n2\nn2 n3\nn3 n1\n"
 SET_ANTICHAIN = "a,b\na,c\nb,c\n"
 SET_TIGHT = "a,b\na,c\nb,d\nc,d\n"
 SET_EMPTYEXT = "-\n"
@@ -57,6 +64,11 @@ DEMO_LF = (
 MONO_LF = (
     "atoms a, b\ninterpretations 1, 2\n"
     "models({}) = {1, 2}\nmodels(a) = {1, 2}\nmodels(b) = {2}\nmodels(a,b) = {}\n"
+)
+# models(s ∪ t) = models(s) ∩ models(t): the intersection property holds
+MEET_LF = (
+    "atoms a, b\ninterpretations 1, 2, 3, 4\n"
+    "models({}) = {1, 2, 3, 4}\nmodels(a) = {1, 2}\nmodels(b) = {1, 3}\nmodels(a,b) = {1}\n"
 )
 ONE_LF = "atoms a\ninterpretations 1\nmodels({}) = {}\nmodels(a) = {1}\n"
 
@@ -423,6 +435,13 @@ class TestRhoLogic:
         rc, out = run(tmp_path, capsys, ["rho-logic", "--universe", "a,a", "--semantics", "stb"], {})
         assert (rc, out) == (0, self.EXPECTED)
 
+    @pytest.mark.parametrize("universe,name", [("_x", "_x"), ("a,_x", "_x"), (" _w0 ,b", "_w0")])
+    def test_reserved_name_refused(self, capsys, universe, name):
+        # the refusal every input file gives, without a position
+        assert main(["rho-logic", "--universe", universe, "--semantics", "stb"]) == 2
+        err = f"error: argument names starting with '_' are reserved: {name!r}\n"
+        assert capsys.readouterr() == ("", err)
+
     def test_preferred_uses_adm_kernel(self, tmp_path, capsys):
         rc, out = run(tmp_path, capsys, ["rho-logic", "--universe", "a", "--semantics", "prf"], {})
         assert rc == 0
@@ -488,6 +507,99 @@ class TestPinnedOutput:
         rc, out = run(tmp_path, capsys, argv, files)
         assert rc == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    # (exit code, SHA-256 of stdout) for the outputs the digests above do
+    # not cover, each in text and JSON, taken before the command layer was
+    # given one output path: every handler's verdict, exit code and
+    # rendering stay byte-identical
+    @pytest.mark.parametrize("argv,files,rc,digest", [
+        (["labellings", "--semantics", "prf", "f.apx"], {"f.apx": NAIVE_AF}, 0,
+         "ab9c8d7eedddccea7da0b9fc657f929ec5076b308fb0cda559ff9baec90de6da"),
+        (["labellings", "--semantics", "prf", "--output", "json", "f.apx"], {"f.apx": NAIVE_AF}, 0,
+         "96e8b32da1d9820f3012e1e8a21b5891edf88f90db3ab67704220490ce8aa48d"),
+        (["kernel", "--kind", "k_nav", "f.apx"], {"f.apx": NAIVE_AF}, 0,
+         "7d23e8e9f242345766fd1c47c41501bc3d2d07ecf7787613de4656230e9d8057"),
+        (["kernel", "--kind", "k_nav", "--output", "json", "f.apx"], {"f.apx": NAIVE_AF}, 0,
+         "c703f0d24c01ae4c833568e95c156a42ae5a93d44a10eff74f561d8289fc5b65"),
+        (["kernel", "--kind", "k_adm", "--format", "tgf", "f.tgf"], {"f.tgf": NAIVE_TGF}, 0,
+         "3ef47ed32372924ba628f15e0a360050ea9828053b7be2984870cdefd2e79538"),
+        (["kernel", "--kind", "k_adm", "--format", "tgf", "--output", "json", "f.tgf"],
+         {"f.tgf": NAIVE_TGF}, 0,
+         "93c90c87b61e2351ab4f61ebf0564ec6f2eb7ce40a1124ac369facc622e5fbfd"),
+        (["equiv", "--notion", "S", "--semantics", "prf", "f.apx", "g.apx"],
+         {"f.apx": LAB_F, "g.apx": LAB_G}, 0,
+         "b485bcf2d477576f6b8054fb6cbbd5b18b6b9782cc1762ecaa3abeab35716b84"),
+        (["equiv", "--notion", "S", "--semantics", "prf", "--output", "json", "f.apx", "g.apx"],
+         {"f.apx": LAB_F, "g.apx": LAB_G}, 0,
+         "976e89f5cbeb18890dce4fc5b175d6303e2953b1294b725bc5dd39a2ad49b4cb"),
+        (["equiv", "--notion", "E", "--semantics", "stb", "f.apx", "g.apx"],
+         {"f.apx": F6, "g.apx": G6}, 1,
+         "de78ecbe2f254f93fb00005f6a9c4729504bd5c214f9da54a1581804f34cf6ad"),
+        (["equiv", "--notion", "E", "--semantics", "stb", "--output", "json", "f.apx", "g.apx"],
+         {"f.apx": F6, "g.apx": G6}, 1,
+         "8248e4716d3655f3ad8288fd4852007f6e0539106235ea01e408c9e75f2bccc2"),
+        (["equiv", "--notion", "W", "--semantics", "prf", "f.apx", "g.apx"],
+         {"f.apx": F6, "g.apx": G6}, 3,
+         "7a2d5551abfd0f6c5c28a446f31f933cf7e1206be1b3accfde054eb94f966b99"),
+        (["equiv", "--notion", "W", "--semantics", "prf", "--output", "json", "f.apx", "g.apx"],
+         {"f.apx": F6, "g.apx": G6}, 3,
+         "1e1f598f5d2b5686c2ddb3d95d604fb7308bb698830ec23c7ecc169c35102d3c"),
+        (["witness", "--notion", "N", "--semantics", "prf", "f.apx", "g.apx"],
+         {"f.apx": F_KER, "g.apx": G_KER}, 0,
+         "55dcb14876adc7c319bf35f5bfb33315da1ebb3f38641c83b9f4abb2d9c05c12"),
+        (["witness", "--notion", "N", "--semantics", "prf", "--output", "json", "f.apx", "g.apx"],
+         {"f.apx": F_KER, "g.apx": G_KER}, 0,
+         "fc5b74ba2ed0991ca86997c9f75241e35be6fb314a72755f20bdde757ee778ad"),
+        (["witness", "--notion", "N", "--semantics", "prf", "--format", "tgf", "f.tgf", "g.tgf"],
+         {"f.tgf": F_KER_TGF, "g.tgf": G_KER_TGF}, 0,
+         "16316e3680118910afa8ee8ed6a752ad9a0e034fccb9447cf1f5b495a70f2308"),
+        (["witness", "--notion", "D", "--semantics", "stb", "f.apx", "g.apx"],
+         {"f.apx": F6, "g.apx": G6}, 0,
+         "304ccdfd65295524dd61311aac82b5b168ff138ca7306dc74f23a258c5291e58"),
+        (["witness", "--notion", "D", "--semantics", "stb", "--output", "json", "f.apx", "g.apx"],
+         {"f.apx": F6, "g.apx": G6}, 0,
+         "e3b1fae733da8f5709e997dc500b1713594ea3ba5a949d16bb8040a61522d633"),
+        (["witness", "--notion", "ND", "--semantics", "stb", "f.apx", "g.apx"],
+         {"f.apx": F6, "g.apx": G6}, 0,
+         "5d1a3f3b6aac861e6bfaa7d84f1eb363c999d19ba133cbf95921ab6a002e4730"),
+        (["witness", "--notion", "ND", "--semantics", "stb", "--output", "json", "f.apx", "g.apx"],
+         {"f.apx": F6, "g.apx": G6}, 0,
+         "0aa06f3f694f0427c02de9fa8bd42cf5d5c9bb1a2dc8f6f1673a507eff3e3990"),
+        (["witness", "--notion", "E", "--semantics", "stb", "f.apx", "g.apx"],
+         {"f.apx": F6, "g.apx": F6}, 1,
+         "7e739b4659bfd9d7b0e4854935ce1faaa66629ab05c819dc89ab568ca4b094a9"),
+        (["witness", "--notion", "E", "--semantics", "stb", "--output", "json", "f.apx", "g.apx"],
+         {"f.apx": F6, "g.apx": F6}, 1,
+         "d3329c0306df7d1d1c829433c6a4576ee9ddf840f217f7310bf210814c4dc3ca"),
+        (["charlogic", "l.lf"], {"l.lf": DEMO_LF}, 0,
+         "187dd77ac2f28e96719eb1edc57fbcd2199cba91ce8acc0b796ac7bc19d6d441"),
+        (["charlogic", "--output", "json", "l.lf"], {"l.lf": DEMO_LF}, 0,
+         "85c44e00b0711f498c35b1d41847eec309c2f964af4f8ba2d63b349988014392"),
+        (["charlogic", "--consequence", "a,c", "l.lf"], {"l.lf": SIX_LF}, 0,
+         "19e173818efbeb64a7552e37ba0ff86e0699a88b8b0d5a3b47cf3554e858f50d"),
+        (["charlogic", "--consequence", "a,c", "--output", "json", "l.lf"], {"l.lf": SIX_LF}, 0,
+         "694e557a7cef32dcc4db6a25497fe7418edb79fc186ae05377039152709e5a52"),
+        (["charlogic", "--check-intersection", "l.lf"], {"l.lf": MEET_LF}, 0,
+         "4f5e8e66446db83512b91ea1fcddb22e50c4ced4ee142168d83e53bcc7a3d5e2"),
+        (["charlogic", "--check-intersection", "--output", "json", "l.lf"], {"l.lf": MEET_LF}, 0,
+         "34402a634866c4d67634529baac58955ec6720980e887ed30066574938a456cc"),
+        (["charlogic", "--check-intersection", "l.lf"], {"l.lf": MONO_LF}, 1,
+         "ab42cfe3d7323b3d5ed72bcee88ed51ca5a51df216444235bb677b753148fa79"),
+        (["charlogic", "--check-intersection", "--output", "json", "l.lf"], {"l.lf": MONO_LF}, 1,
+         "ef6accfa9f24aa6a9a9b060c774ff1280fe84e6c38bebec1174606ac0ef90e00"),
+        (["realize", "--semantics", "prf", "s.set"], {"s.set": SET_ANTICHAIN}, 1,
+         "564739ea8fa5926d4fa5c9734fed462061960a22e6b8d5c06e94969d97891bf2"),
+        (["realize", "--semantics", "prf", "--output", "json", "s.set"], {"s.set": SET_ANTICHAIN}, 1,
+         "dd47d9859445f74263ec5239276199975645dbc1dde70eda8f6462a50bc666e1"),
+        (["realize", "--semantics", "prf", "--variant", "compact", "s.set"], {"s.set": SET_DEFENSE}, 3,
+         "99875f59112439c1f4dbdf627f556b6e31d8e41a3b14a65398d700a087a3f27a"),
+        (["realize", "--semantics", "prf", "--variant", "compact", "--output", "json", "s.set"],
+         {"s.set": SET_DEFENSE}, 3,
+         "da44c7d9ae63c593d62a81a11d01d9a937d3189219b60e93c4ae5de58172db66"),
+    ])
+    def test_exit_code_and_digest(self, tmp_path, capsys, argv, files, rc, digest):
+        got, out = run(tmp_path, capsys, argv, files)
+        assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (rc, digest)
 
     # SHA-256 of exit code, stdout and stderr for the top-level and every
     # subcommand's help, and for one invalid-choice usage error per option

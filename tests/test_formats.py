@@ -1,12 +1,17 @@
+import re
+
 import pytest
 
-from afkit.core import AF
+from afkit.core import AF, AFError
 from afkit.formats import (
     ParseError,
+    check_user_name,
+    emit_af,
     emit_apx,
     emit_extension_set,
     emit_logic,
     emit_tgf,
+    parse_af,
     parse_apx,
     parse_extension_set,
     parse_logic,
@@ -79,6 +84,32 @@ class TestTgf:
     def test_duplicate_label(self):
         with pytest.raises(ParseError):
             parse_tgf("1 a\n2 a\n#\n")
+
+
+class TestFrameworkFormatChoice:
+    @pytest.mark.parametrize("fmt", ["gml", "APX", ""])
+    def test_unknown_format(self, fmt):
+        message = f"^unknown framework format: {re.escape(repr(fmt))}$"
+        with pytest.raises(ValueError, match=message):
+            parse_af("arg(a).\n", fmt)
+        with pytest.raises(ValueError, match=message):
+            emit_af(AF("a", []), fmt)
+
+
+class TestUserNames:
+    def test_accepted(self):
+        assert check_user_name("a_1") == "a_1"
+
+    @pytest.mark.parametrize("name,message", [
+        ("_w0", "argument names starting with '_' are reserved: '_w0'"),
+        ("a-b", "invalid argument name: 'a-b'"),
+        ("", "invalid argument name: ''"),
+    ])
+    def test_refused_without_position(self, name, message):
+        with pytest.raises(AFError) as err:
+            check_user_name(name)
+        assert not isinstance(err.value, ParseError)
+        assert str(err.value) == message
 
 
 class TestExtensionSets:

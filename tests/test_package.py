@@ -156,3 +156,20 @@ def test_json_run_loads_json_but_no_dataclasses(tmp_path, argv):
     loaded = modules_after_main(tmp_path, [*argv, "--output", "json"])
     assert "json" in loaded
     assert loaded & COLD_START_FREE == set()
+
+
+def test_cli_prints_only_in_main():
+    # handlers return (exit code, text, JSON payload) and main prints one of
+    # them: print and the json import occur in no other function of cli.py
+    tree = ast.parse((Path(afkit.__file__).resolve().parent / "cli.py").read_text(encoding="utf-8"))
+    sites = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+                sites.append(("print", getattr(top, "name", None)))
+            elif isinstance(node, ast.Import) and any(a.name == "json" for a in node.names):
+                sites.append(("json", getattr(top, "name", None)))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                sites.append(("json", getattr(top, "name", None)))
+    assert {kind for kind, _ in sites} == {"print", "json"}
+    assert {where for _, where in sites} == {"main"}
