@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Optional
 
-from .core import AF, AFError, Record
+from .core import AF, AFError, Record, check_arg_name
 
 MAX_ATOMS = 12
 
@@ -150,21 +150,36 @@ def _superset_union(rows: list[int], masks, width: int) -> None:
 def _up_classes(masks, keys, labels, width: int) -> list[frozenset]:
     """Per position i, the labels in the key classes of all positions with masks ⊇ masks[i]:
     one class bit per mask, `_superset_union` over the masks (which must meet its closure
-    condition), then one label set per distinct row, a union of class sets."""
+    condition), then one label set per distinct row, shared by the positions holding it.
+
+    The sets are built superpositions first (descending masks). A row not yet built
+    contains the rows of its one-step superpositions m | 2^i, all built; the largest
+    one is copied and only the classes it lacks are added."""
     classes: dict[int, set] = {}
     rows = [0] * (1 << width)
     for m, c, label in zip(masks, _renumber(keys), labels):
         classes.setdefault(c, set()).add(label)
         rows[m] = 1 << c
     _superset_union(rows, masks, width)
-    union = {}
-    for row in {rows[m] for m in masks}:
-        members, r = [], row
-        while r:  # `core.bits` inlined, as in `core.names_of`
+    union = {0: frozenset()}
+    full = (1 << width) - 1
+    for m in sorted(masks, reverse=True):
+        row = rows[m]
+        if row in union:
+            continue
+        base, rest = 0, full & ~m
+        while rest:  # `core.bits` inlined, as in `core.names_of`; rows off the positions are 0
+            bit = rest & -rest
+            rest ^= bit
+            up = rows[m | bit]
+            if up.bit_count() > base.bit_count():
+                base = up
+        members, r = [], row & ~base
+        while r:
             low = r & -r
             members.append(classes[low.bit_length() - 1])
             r ^= low
-        union[row] = frozenset().union(*members)
+        union[row] = union[base].union(*members)
     return [union[rows[m]] for m in masks]
 
 
@@ -295,7 +310,7 @@ def _attack_slot_bits(names: tuple[str, ...]) -> dict[tuple[str, str], int]:
 
 
 def _afs_with_slot_masks(names: tuple[str, ...]):
-    """Every framework over the sorted names, each with its slot mask: bit i for
+    """Every framework over the sorted, checked names, each with its slot mask: bit i for
     argument names[i], and `_attack_slot_bits` for its attacks. Argument subsets
     by size, then attack sets by size, each in combination order."""
     slot_bit = _attack_slot_bits(names)
@@ -306,7 +321,7 @@ def _afs_with_slot_masks(names: tuple[str, ...]):
             slots = [((x, y), slot_bit[x, y]) for x in args for y in args]
             for n_att in range(len(slots) + 1):
                 for chosen in itertools.combinations(slots, n_att):
-                    yield AF(args, [a for a, _ in chosen]), base + sum(b for _, b in chosen)
+                    yield AF._from_checked(args, [a for a, _ in chosen]), base + sum(b for _, b in chosen)
 
 
 def rho_logic(universe: Iterable[str], sigma: str) -> RhoLogic:
@@ -321,6 +336,8 @@ def rho_logic(universe: Iterable[str], sigma: str) -> RhoLogic:
     k = characterizing_kernel("E", sigma, "extension")
     if k is None:
         raise AFError(f"no expansion-equivalence kernel for semantics {sigma!r}")
+    for name in names:  # in the order the frameworks first hold them
+        check_arg_name(name)
     afs, masks = zip(*_afs_with_slot_masks(names))
     n = len(names)
     # a kernel keeps the arguments: its slot mask is f's argument bits with the kernel's attacks

@@ -208,11 +208,11 @@ def cmd_charlogic(ns):
 
     logic = formats.parse_logic(_read(ns.logicfile))
     if ns.consequence is not None:
-        theory = (
-            frozenset()
-            if ns.consequence in ("{}", "")
-            else frozenset(t.strip() for t in ns.consequence.split(","))
-        )
+        theory = frozenset()
+        if ns.consequence not in ("{}", ""):
+            theory = frozenset(t.strip() for t in ns.consequence.split(","))
+            if "" in theory:
+                raise AFError(f"empty atom name in --consequence {ns.consequence!r}")
         cn = cl.canonical_consequence(logic, theory)
         props = cl.consequence_properties(logic)
         text = f"Cn: {formats.names_text(cn)}\n" + _flag_lines(sorted(props.items()))

@@ -123,23 +123,41 @@ class AF(Frame):
     __slots__ = ("names", "index", "_attacks", "_hash")
 
     def __init__(self, args: Iterable[str], attacks: Iterable[tuple[str, str]] = ()):
-        names = tuple(sorted({check_arg_name(a) for a in args}))
+        self._build(tuple(sorted({check_arg_name(a) for a in args})), attacks)
+
+    @classmethod
+    def _from_checked(cls, names: Sequence[str], attacks: Iterable[tuple[str, str]] = ()) -> "AF":
+        """`AF(names, attacks)` without the name check, for frameworks the
+        library makes from names already checked (another framework's, or a
+        public call's input after its own check, and helper names made from
+        them). The names must be sorted, distinct and valid, and the attacks
+        between them. Code reading user input builds through `AF(...)`."""
+        f = cls.__new__(cls)
+        f._build(tuple(names), attacks)
+        return f
+
+    def _build(self, names: tuple[str, ...], attacks: Iterable[tuple[str, str]]) -> None:
+        """The one construction body, over sorted, distinct, valid names. An
+        attack endpoint outside them fails its index lookup, which is the
+        endpoint check."""
         index = {name: i for i, name in enumerate(names)}
         succ = [0] * len(names)
-        pred = [0] * len(names)
+        pred = succ[:]
         pairs = set()
         for a, b in attacks:
-            if a not in index or b not in index:
-                raise AFError(f"attack endpoint not declared: ({a!r}, {b!r})")
+            try:
+                i, j = index[a], index[b]
+            except KeyError:
+                raise AFError(f"attack endpoint not declared: ({a!r}, {b!r})") from None
             pairs.add((a, b))
-            succ[index[a]] |= 1 << index[b]
-            pred[index[b]] |= 1 << index[a]
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
         self.names = names
         self.index = index
         self.succ = tuple(succ)
         self.pred = tuple(pred)
-        self._attacks = frozenset(pairs)
-        self._hash = hash((names, self._attacks))
+        self._attacks = pairs = frozenset(pairs)
+        self._hash = hash((names, pairs))
 
     # -- basic views ---------------------------------------------------------
 
@@ -180,8 +198,11 @@ class AF(Frame):
     # -- structural operations -----------------------------------------------
 
     def restrict(self, keep: Iterable[str]) -> "AF":
-        keep_set = set(keep) & set(self.names)
-        return AF(keep_set, [(a, b) for a, b in self._attacks if a in keep_set and b in keep_set])
+        keep_set = set(keep)
+        return AF._from_checked(
+            [a for a in self.names if a in keep_set],
+            [(a, b) for a, b in self._attacks if a in keep_set and b in keep_set],
+        )
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -216,7 +237,7 @@ def _union_over(rows, mask: int) -> int:
 
 def union_af(f: AF, g: AF) -> AF:
     """Pointwise union of two frameworks."""
-    return AF(f.args | g.args, list(f.attacks) + list(g.attacks))
+    return AF._from_checked(sorted(set(f.names).union(g.names)), [*f.attacks, *g.attacks])
 
 
 def delete(f: AF, args: Iterable[str] = (), attacks: Iterable[tuple[str, str]] = ()) -> AF:
@@ -228,7 +249,7 @@ def delete(f: AF, args: Iterable[str] = (), attacks: Iterable[tuple[str, str]] =
     drop_attacks = set(attacks)
     keep = [a for a in f.names if a not in drop_args]
     keep_set = set(keep)
-    return AF(
+    return AF._from_checked(
         keep,
         [
             (a, b)

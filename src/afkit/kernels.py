@@ -99,7 +99,7 @@ def kernel_attacks(f: AF, kind: str) -> list[tuple[str, str]]:
 
 def kernel(f: AF, kind: str) -> AF:
     """Apply the selected kernel; arguments and self-loops are always preserved."""
-    return f if kind == "identity" else AF(f.names, kernel_attacks(f, kind))
+    return f if kind == "identity" else AF._from_checked(f.names, kernel_attacks(f, kind))
 
 
 # -- characterization tables ---------------------------------------------------

@@ -19,7 +19,7 @@ import itertools
 from typing import Iterable, Optional
 
 from .config import CLASSIFIABLE_SEMANTICS, SIGNATURE_SEMANTICS, max_enum_args
-from .core import AF, RESERVED_PREFIX, AFError, Record, bits, names_of
+from .core import AF, RESERVED_PREFIX, AFError, Frame, Record, bits, check_arg_name, names_of
 from .semantics import ExtensionSet, check_semantics, extension_masks, mask_key, naive_masks, sort_extensions
 
 VARIANTS = ("finite", "finite_compact", "finite_analytic")
@@ -212,16 +212,26 @@ def decide_signature(sets: Iterable[Iterable[str]], sigma: str, variant: str = "
 # -- canonical constructions ----------------------------------------------------
 
 
-def _check_helper_free(c: _Candidate) -> None:
-    # helper arguments carry the reserved prefix, so such a candidate argument could merge with one
+def _check_names(c: _Candidate, helpers: bool = False) -> None:
+    """Check the candidate's arguments once, before any framework is built from
+    them: none may carry the reserved prefix when helper arguments (which carry
+    it) join them, and each must be a valid argument name."""
+    if helpers:
+        for a in c.names:
+            if a.startswith(RESERVED_PREFIX):
+                raise AFError(f"argument names starting with {RESERVED_PREFIX!r} are reserved: {a!r}")
     for a in c.names:
-        if a.startswith(RESERVED_PREFIX):
-            raise AFError(f"argument names starting with {RESERVED_PREFIX!r} are reserved: {a!r}")
+        check_arg_name(a)
+
+
+def _cf_attacks(c: _Candidate) -> list[tuple[str, str]]:
+    names = c.names
+    return [(a, names[b]) for i, a in enumerate(names) for b in bits(c.full & ~c.joint[i])]
 
 
 def _cf_af(c: _Candidate) -> AF:
-    names = c.names
-    return AF(names, [(a, names[b]) for i, a in enumerate(names) for b in bits(c.full & ~c.joint[i])])
+    _check_names(c)
+    return AF._from_checked(c.names, _cf_attacks(c))
 
 
 def canonical_cf(sets: Iterable[Iterable[str]]) -> AF:
@@ -230,17 +240,18 @@ def canonical_cf(sets: Iterable[Iterable[str]]) -> AF:
 
 
 def _stb_af(c: _Candidate) -> AF:
-    _check_helper_free(c)
-    base = _cf_af(c)
+    _check_names(c, helpers=True)
     members = set(c.masks)
-    # base is symmetric and loop-free, so its stable extensions are its naive sets
-    stable = sorted(naive_masks(base, base.full_mask), key=mask_key)
-    args, attacks = list(base.names), list(base.attacks)
+    # canonical_cf's rows: it is symmetric and loop-free, so its stable
+    # extensions are its naive sets
+    rows = [c.full & ~j for j in c.joint]
+    stable = sorted(naive_masks(Frame(rows, rows), c.full), key=mask_key)
+    args, attacks = list(c.names), _cf_attacks(c)
     for i, e in enumerate(m for m in stable if m not in members):
         blocker = f"{BLOCKER_PREFIX}{i}"
         args.append(blocker)
         attacks += [(blocker, blocker)] + [(c.names[a], blocker) for a in bits(c.full & ~e)]
-    return AF(args, attacks)
+    return AF._from_checked(sorted(args), attacks)
 
 
 def canonical_stb(sets: Iterable[Iterable[str]]) -> AF:
@@ -273,15 +284,14 @@ def defense_formula_cnf(sets: Iterable[Iterable[str]], a: str) -> frozenset[froz
 
 
 def _def_af(c: _Candidate) -> AF:
-    _check_helper_free(c)
-    base = _cf_af(c)
-    args, attacks = list(base.names), list(base.attacks)
+    _check_names(c, helpers=True)
+    args, attacks = list(c.names), _cf_attacks(c)
     for i, a in enumerate(c.names):
         for j, clause in enumerate(sorted(_cnf(c, i), key=mask_key)):
             alpha = f"{DEFENSE_PREFIX}{a}_{j}"
             args.append(alpha)
             attacks += [(alpha, alpha), (alpha, a)] + [(c.names[b], alpha) for b in bits(clause)]
-    return AF(args, attacks)
+    return AF._from_checked(sorted(args), attacks)
 
 
 def canonical_def(sets: Iterable[Iterable[str]]) -> AF:
@@ -298,7 +308,7 @@ def _prf_to_semi(f: AF) -> AF:
         prime = f"{MIRROR_PREFIX}{a}"
         args.append(prime)
         attacks += [(a, prime), (prime, prime)]
-    return AF(args, attacks)
+    return AF._from_checked(sorted(args), attacks)
 
 
 def realize(sets: Iterable[Iterable[str]], sigma: str) -> Optional[AF]:
@@ -315,7 +325,8 @@ def realize(sets: Iterable[Iterable[str]], sigma: str) -> Optional[AF]:
     if sigma in ("stb", "stg"):
         return _stb_af(c)
     if sigma in ("grd", "id", "eag"):  # the one set, unattacked
-        return AF(c.sets[0], [])
+        _check_names(c)
+        return AF._from_checked(c.names)
     # adm, prf and semi: prf and semi realize the candidate plus the empty set
     # under adm, which adds no disjunct to any defense formula
     witness = _def_af(c)

@@ -330,15 +330,48 @@ class TestRhoLogic:
 
     def test_each_framework_built_once(self, monkeypatch):
         # the kernels are read as slot masks, and equal up-classes share one set
+        # (counted at the one construction body, which both AF(...) and the
+        # checked-names constructor run)
         built = []
-        init = AF.__init__
-        monkeypatch.setattr(AF, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+        body = AF._build
+        monkeypatch.setattr(AF, "_build", lambda self, *a: built.append(1) or body(self, *a))
         for sigma in ("grd", "nav", "cf2"):
             built.clear()
             rho = rho_logic(["a", "b"], sigma)
             assert len(built) == len(rho.afs) == 21
             values = list(rho.rho_prime.values())
             assert len({id(v) for v in values}) == len(set(values))
+
+    def test_names_checked_once(self, monkeypatch):
+        # one regex match per universe name; each framework used to check its
+        # names again (1 638 matches for this call)
+        from afkit import core
+
+        calls = []
+        pattern = core.ARG_NAME_RE
+
+        class Counting:
+            def match(self, name):
+                calls.append(name)
+                return pattern.match(name)
+
+        monkeypatch.setattr(core, "ARG_NAME_RE", Counting())
+        rho_logic("abc", "grd")
+        assert calls == ["a", "b", "c"]
+
+    def test_refusals_pinned(self):
+        with pytest.raises(AFError, match=r"^invalid argument name: 'b!'$"):
+            rho_logic(["a", "b!"], "grd")
+        # the first framework holding a bad name names it: the least one
+        with pytest.raises(AFError, match=r"^invalid argument name: 'a!'$"):
+            rho_logic(["c", "b!", "a!"], "grd")
+        # the cap and then the kernel are checked before the names
+        with pytest.raises(AFError, match="no expansion-equivalence kernel"):
+            rho_logic(["a", "b!"], "cf")
+        with pytest.raises(AFError, match="capped at 3"):
+            rho_logic(["a", "b", "c", "d!"], "grd")
+        # the library accepts reserved names here; the command line refuses them
+        assert len(rho_logic(["_x", "a"], "grd").afs) == 21
 
     def test_af_count_over_two(self):
         assert len(all_afs_over(["a", "b"])) == 21

@@ -408,6 +408,20 @@ class TestCharlogic:
         rc, out = run(tmp_path, capsys, ["charlogic", "--consequence", "a,b", "l.lf"], {"l.lf": DEMO_LF})
         assert (rc, out) == (0, "Cn: a,b,c\nidempotent: true\nincreasing: true\nmonotone: true\n")
 
+    @pytest.mark.parametrize("theory", [",", ",,", "a,", " , b"])
+    def test_consequence_empty_atom_refused(self, tmp_path, capsys, theory):
+        path = tmp_path / "l.lf"
+        path.write_text(DEMO_LF, encoding="utf-8")
+        rc = main(["charlogic", "--consequence", theory, str(path)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == f"error: empty atom name in --consequence {theory!r}\n"
+
+    @pytest.mark.parametrize("theory", ["", "{}"])
+    def test_consequence_of_the_empty_theory(self, tmp_path, capsys, theory):
+        rc, out = run(tmp_path, capsys, ["charlogic", "--consequence", theory, "l.lf"], {"l.lf": ONE_LF})
+        assert (rc, out) == (0, "Cn: a\nidempotent: true\nincreasing: true\nmonotone: true\n")
+
 
 class TestRhoLogic:
     EXPECTED = (

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from afkit.core import AF, AFError, anti_range, bits, delete, loops, range_of, scc_masks, sccs, union_af
 
-from fixtures import five_six_arg_afs
+from fixtures import all_afs_over, five_six_arg_afs
 from oracles import _scc_oracle
 
 
@@ -41,6 +41,33 @@ class TestConstruction:
     def test_syntactic_equality(self):
         assert AF("ab", [("a", "b")]) == AF(["b", "a"], [("a", "b")])
         assert AF("ab", [("a", "b")]) != AF("ab", [("b", "a")])
+
+
+def built_fields(f):
+    """Everything the construction body fills in, and the hash."""
+    return f.names, f.index, f.succ, f.pred, f.attacks, hash(f)
+
+
+class TestCheckedConstruction:
+    def test_both_routes_build_equal_frameworks(self):
+        # every framework on {a,b,c}, through the checked-names constructor
+        # and through AF(...) from unsorted names and repeated attacks
+        for f in all_afs_over("abc"):
+            checked = AF._from_checked(f.names, f.attacks)
+            public = AF(reversed(f.names), [*f.attacks, *f.attacks])
+            assert built_fields(checked) == built_fields(public) == built_fields(f)
+            assert checked == public and type(checked) is AF
+
+    def test_endpoint_message(self):
+        for build in (AF, AF._from_checked):
+            with pytest.raises(AFError, match=r"attack endpoint not declared: \('a', 'x'\)"):
+                build(["a", "b"], [("a", "b"), ("a", "x")])
+
+    def test_derived_frameworks_equal_public_ones(self):
+        f = AF("abcd", [("a", "b"), ("b", "c"), ("c", "c"), ("d", "a")])
+        g = AF("cde", [("c", "e"), ("e", "d")])
+        for derived in (f.restrict("bcdz"), union_af(f, g), delete(f, ["a"], [("b", "c")])):
+            assert built_fields(derived) == built_fields(AF(derived.names, derived.attacks))
 
 
 class TestUnion:

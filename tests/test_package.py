@@ -173,3 +173,14 @@ def test_cli_prints_only_in_main():
                 sites.append(("json", getattr(top, "name", None)))
     assert {kind for kind, _ in sites} == {"print", "json"}
     assert {where for _, where in sites} == {"main"}
+
+
+def test_checked_construction_only_where_names_are_checked():
+    # AF._from_checked skips the name check: only the modules that build
+    # frameworks from names already checked call it, never those reading input
+    callers = set()
+    for path in sorted(Path(afkit.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "_from_checked":
+                callers.add(path.stem)
+    assert callers == {"core", "charlogic", "realizability", "kernels"}

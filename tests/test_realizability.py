@@ -537,6 +537,45 @@ class TestReservedNames:
         assert realize([{"_x"}], "grd") == AF(["_x"], [])
 
 
+class TestInvalidNames:
+    # a candidate's names are checked where a framework is first built from
+    # them, after the criterion: a candidate failing it gets None
+    @pytest.mark.parametrize("sigma", SIGNATURE_SEMANTICS)
+    def test_realize_refusal_pinned(self, sigma):
+        sets = [{"a b"}, {"c"}]
+        if sigma in ("cf", "adm", "grd", "id", "eag"):
+            assert realize(sets, sigma) is None
+        else:
+            with pytest.raises(AFError, match=r"^invalid argument name: 'a b'$"):
+                realize(sets, sigma)
+
+    def test_constructions_refuse(self):
+        for build in (canonical_cf, canonical_stb, canonical_def):
+            with pytest.raises(AFError, match=r"^invalid argument name: 'a b'$"):
+                build([{"a b"}, {"c"}])
+        with pytest.raises(AFError, match=r"^invalid argument name: 'x!'$"):
+            realize([{"x!", "y?"}], "grd")
+
+
+@pytest.mark.parametrize("sigma", SIGNATURE_SEMANTICS)
+def test_realized_frameworks_equal_public_ones(sigma):
+    # built from checked names, they equal AF(...) over the same names and attacks
+    rng = random.Random(90210)
+    found = 0
+    for _ in range(60):
+        names = rng.sample(["a", "b", "c", "d", "Z", "x1"], rng.randint(1, 4))
+        cand = [set(rng.sample(names, rng.randint(0, len(names)))) for _ in range(rng.randint(1, 4))]
+        f = realize(cand, sigma)
+        if f is not None:
+            found += 1
+            g = AF(f.names, f.attacks)
+            assert (f.names, f.index, f.succ, f.pred, f.attacks, hash(f)) == (
+                g.names, g.index, g.succ, g.pred, g.attacks, hash(g)
+            )
+            assert f == g
+    assert found
+
+
 def test_compact_from_implicit_conflicts_on_every_small_framework():
     # every classifiable semantics is conflict-free, so a self-attacking
     # argument is always rejected, and any other rejected argument is an
