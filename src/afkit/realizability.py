@@ -212,26 +212,32 @@ def decide_signature(sets: Iterable[Iterable[str]], sigma: str, variant: str = "
 # -- canonical constructions ----------------------------------------------------
 
 
-def _check_names(c: _Candidate, helpers: bool = False) -> None:
-    """Check the candidate's arguments once, before any framework is built from
-    them: none may carry the reserved prefix when helper arguments (which carry
-    it) join them, and each must be a valid argument name."""
-    if helpers:
-        for a in c.names:
-            if a.startswith(RESERVED_PREFIX):
-                raise AFError(f"argument names starting with {RESERVED_PREFIX!r} are reserved: {a!r}")
+def _check_helper_free(c: _Candidate) -> None:
+    # helper arguments carry the reserved prefix, so such a candidate argument could merge with one
+    for a in c.names:
+        if a.startswith(RESERVED_PREFIX):
+            raise AFError(f"argument names starting with {RESERVED_PREFIX!r} are reserved: {a!r}")
+
+
+def _check_names(c: _Candidate) -> None:
+    """Check the candidate's arguments once, before any framework is built from them."""
     for a in c.names:
         check_arg_name(a)
 
 
-def _cf_attacks(c: _Candidate) -> list[tuple[str, str]]:
+def _cf_rows(c: _Candidate) -> list[int]:
+    """canonical_cf's attack rows: each argument attacks those it never occurs with."""
+    return [c.full & ~j for j in c.joint]
+
+
+def _cf_attacks(c: _Candidate, rows: list[int]) -> list[tuple[str, str]]:
     names = c.names
-    return [(a, names[b]) for i, a in enumerate(names) for b in bits(c.full & ~c.joint[i])]
+    return [(a, names[b]) for i, a in enumerate(names) for b in bits(rows[i])]
 
 
 def _cf_af(c: _Candidate) -> AF:
     _check_names(c)
-    return AF._from_checked(c.names, _cf_attacks(c))
+    return AF._from_checked(c.names, _cf_attacks(c, _cf_rows(c)))
 
 
 def canonical_cf(sets: Iterable[Iterable[str]]) -> AF:
@@ -240,13 +246,14 @@ def canonical_cf(sets: Iterable[Iterable[str]]) -> AF:
 
 
 def _stb_af(c: _Candidate) -> AF:
-    _check_names(c, helpers=True)
+    _check_helper_free(c)
+    _check_names(c)
     members = set(c.masks)
-    # canonical_cf's rows: it is symmetric and loop-free, so its stable
-    # extensions are its naive sets
-    rows = [c.full & ~j for j in c.joint]
+    # canonical_cf is symmetric and loop-free, so its stable extensions are
+    # its naive sets
+    rows = _cf_rows(c)
     stable = sorted(naive_masks(Frame(rows, rows), c.full), key=mask_key)
-    args, attacks = list(c.names), _cf_attacks(c)
+    args, attacks = list(c.names), _cf_attacks(c, rows)
     for i, e in enumerate(m for m in stable if m not in members):
         blocker = f"{BLOCKER_PREFIX}{i}"
         args.append(blocker)
@@ -284,8 +291,9 @@ def defense_formula_cnf(sets: Iterable[Iterable[str]], a: str) -> frozenset[froz
 
 
 def _def_af(c: _Candidate) -> AF:
-    _check_names(c, helpers=True)
-    args, attacks = list(c.names), _cf_attacks(c)
+    _check_helper_free(c)
+    _check_names(c)
+    args, attacks = list(c.names), _cf_attacks(c, _cf_rows(c))
     for i, a in enumerate(c.names):
         for j, clause in enumerate(sorted(_cnf(c, i), key=mask_key)):
             alpha = f"{DEFENSE_PREFIX}{a}_{j}"

@@ -399,9 +399,11 @@ class TestDecideEquivalence:
         ]
         assert {k for *_, k in cells} == set(KERNEL_IDS)
         kernels_of = {(f, k): kernel(f, k) for pair in pairs for f in pair for k in KERNEL_IDS}
+        # counted at the one construction body, which both AF(...) and the
+        # checked-names constructor run
         built = []
-        init = AF.__init__
-        monkeypatch.setattr(AF, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+        body = AF._build
+        monkeypatch.setattr(AF, "_build", lambda self, *a: built.append(1) or body(self, *a))
         for f, g in pairs:
             for notion, sigma, flavor, k in cells:
                 verdict = decide_equivalence(f, g, notion, sigma, flavor)
@@ -700,14 +702,16 @@ class TestWitnessStructure:
         f3 = AF("abc", [("a", "b"), ("b", "b"), ("b", "c"), ("c", "a")])
         g3 = AF("abc", [("b", "b"), ("b", "c"), ("c", "a")])
         g_del = AF("ab", [("a", "b"), ("b", "a")])
+        # counted at the one construction body, which both AF(...) and the
+        # checked-names constructor run
         built = []
-        init = AF.__init__
+        body = AF._build
 
-        def counting_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
+        def counting_build(self, *args):
+            body(self, *args)
             built.append(self)
 
-        monkeypatch.setattr(AF, "__init__", counting_init)
+        monkeypatch.setattr(AF, "_build", counting_build)
         r = search_counterexample(f, f, "E", "prf", SearchBudget(1, 2))
         assert r.witness is None and r.complete and r.scanned == 37
         assert built == []

@@ -293,14 +293,16 @@ class TestEngineStructure:
         )
         assert len(sccs(f)) > 1
         expected = {sigma: ORACLES[sigma](f) for sigma in ("cf2", "stg2")}
+        # counted at the one construction body, which both AF(...) and the
+        # checked-names constructor run
         built = []
-        init = AF.__init__
+        body = AF._build
 
-        def counting_init(self, *args, **kwargs):
+        def counting_build(self, *args):
             built.append(args)
-            init(self, *args, **kwargs)
+            body(self, *args)
 
-        monkeypatch.setattr(AF, "__init__", counting_init)
+        monkeypatch.setattr(AF, "_build", counting_build)
         for sigma in ("cf2", "stg2"):
             assert as_set(extensions(f, sigma)) == expected[sigma]
         assert built == []
