@@ -208,11 +208,15 @@ def cmd_charlogic(ns):
 
     logic = formats.parse_logic(_read(ns.logicfile))
     if ns.consequence is not None:
-        theory = frozenset()
-        if ns.consequence not in ("{}", ""):
-            theory = frozenset(t.strip() for t in ns.consequence.split(","))
-            if "" in theory:
-                raise AFError(f"empty atom name in --consequence {ns.consequence!r}")
+        # the atoms, comma-separated, inside one optional pair of braces
+        atoms = ns.consequence
+        if atoms[:1] == "{" and atoms[-1:] == "}":
+            atoms = atoms[1:-1]
+        if "{" in atoms or "}" in atoms:
+            raise AFError(f"--consequence {ns.consequence!r} has a brace other than one pair around it")
+        theory = frozenset(t.strip() for t in atoms.split(",")) if atoms else frozenset()
+        if "" in theory:
+            raise AFError(f"empty atom name in --consequence {ns.consequence!r}")
         cn = cl.canonical_consequence(logic, theory)
         props = cl.consequence_properties(logic)
         text = f"Cn: {formats.names_text(cn)}\n" + _flag_lines(sorted(props.items()))

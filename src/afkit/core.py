@@ -104,10 +104,18 @@ class Frame:
         return (1 << len(self.succ)) - 1
 
     def attacked_by_mask(self, mask: int) -> int:
-        return _union_over(self.succ, mask)
+        """The union of the successor rows over the set bits of mask (`bits`
+        inlined: this is the engine's innermost loop)."""
+        succ, out = self.succ, 0
+        while mask:
+            low = mask & -mask
+            out |= succ[low.bit_length() - 1]
+            mask ^= low
+        return out
 
     def attackers_of_mask(self, mask: int) -> int:
-        return _union_over(self.pred, mask)
+        # what mask attacks in the reversed relation
+        return Frame(self.pred, self.succ).attacked_by_mask(mask)
 
     def loops_mask(self) -> int:
         m = 0
@@ -222,17 +230,6 @@ def names_of(names: Sequence[str], mask: int) -> frozenset[str]:
         out.append(names[low.bit_length() - 1])
         mask ^= low
     return frozenset(out)
-
-
-def _union_over(rows, mask: int) -> int:
-    """The union of rows[i] over the set bits i of mask (`bits` inlined: this
-    is the engine's innermost loop)."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= rows[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def union_af(f: AF, g: AF) -> AF:

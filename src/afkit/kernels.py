@@ -13,6 +13,7 @@ smallest one on which the two frameworks disagree.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from typing import Optional
 
 from . import config
@@ -225,10 +226,10 @@ def _normal_deletion_criterion(f: AF, g: AF, sigma: str) -> EquivalenceVerdict:
     """Three-condition theorem for normal deletion equivalence of adm/com/grd,
     tested on the rows of f and g over their pooled arguments."""
     names = sorted({*f.names, *g.names})
-    rows = _pool_rows(f, g, names)
-    shared = rows[0][2] & rows[1][2]
+    pooled = _pool_rows(f, names), _pool_rows(g, names)
+    shared = pooled[0][1] & pooled[1][1]
     # per side: its rows, its non-shared arguments and its self-loops
-    sides = [(succ, pred, mask & ~shared, Frame(succ, pred).loops_mask()) for succ, pred, mask in rows]
+    sides = [(x.succ, x.pred, mask & ~shared, x.loops_mask()) for x, mask in pooled]
     # non-shared arguments must be self-defeating
     if any(only & ~loops for _, _, only, loops in sides):
         return EquivalenceVerdict("not_equivalent", "criterion", "non-shared argument without self-loop")
@@ -331,89 +332,96 @@ class SearchResult(Record):
         return self.witness is not None
 
 
-def _pool_rows(f: AF, g: AF, names: list):
-    """The successor and predecessor rows of f and of g over the indices of
-    the pool `names`, each with its argument mask."""
-    index = {a: i for i, a in enumerate(names)}
-    out = []
-    for x in (f, g):
-        succ, pred = [0] * len(names), [0] * len(names)
-        for a, b in x.attacks:
-            i, j = index[a], index[b]
-            succ[i] |= 1 << j
-            pred[j] |= 1 << i
-        out.append((succ, pred, sum(1 << index[a] for a in x.names)))
-    return out
+def _pool_rows(x: AF, names: list) -> tuple[Frame, int]:
+    """x's frame over the sorted pool `names` of its names and others', with
+    its argument mask: x itself when it holds the whole pool, else its rows
+    re-indexed into the pool, as tuples too, so frames compare by rows."""
+    if x.n == len(names):
+        return x, x.full_mask
+    pos = [bisect_left(names, a) for a in x.names]
+    succ, pred = [0] * len(names), [0] * len(names)
+    for i, p in enumerate(pos):
+        succ[p] = sum(1 << pos[j] for j in bits(x.succ[i]))
+        pred[p] = sum(1 << pos[j] for j in bits(x.pred[i]))
+    return Frame(tuple(succ), tuple(pred)), sum(1 << p for p in pos)
 
 
-def _expansion_candidates(f: AF, g: AF, names: list, n_old: int, notion: str, max_attacks: int):
-    """Candidate expansions H, ordered by (fresh-argument count, attack count,
-    lexicographic form), as (f∪H frame, its arguments, g∪H frame, its
-    arguments, key), where key is (H's argument mask, H's attack slots), over
-    the pool `names`: the n_old arguments of f and g, then the fresh ones.
-    Fresh arguments always occur in at least one attack; isolated ones come
-    from the arguments f and g do not share. An attack is allowed when it is
-    valid for the notion on its own (an N- or S-expansion is valid iff each
-    of its new attacks is). After the attack-free candidates, the set-up is
-    one mask per pool row of the attacks no candidate adds, and the slots
-    (i, j, 1 << j, 1 << i, endpoints) in name order, in which a fresh name can
-    fall between old ones. Each candidate copies the pool rows once; when
-    the rows of f and g are equal, both sides read the same frame."""
-    (f_succ, f_pred, f_mask), (g_succ, g_pred, g_mask) = _pool_rows(f, g, names)
-    same = f_succ == g_succ
+def _expansion_candidates(fa: Frame, f_mask: int, ga: Frame, g_mask: int, names: list, notion: str, budget):
+    """The candidate expansions H after the empty one, by (fresh-argument
+    count, attack count, lexicographic form), as `search_counterexample`'s
+    candidates over the pool `names`, whose rows fa and ga hold. Fresh
+    arguments always occur in at least one attack; isolated ones come from
+    the arguments f and g do not share, and the attack-free candidates come
+    first, reading fa and ga as they are. Then the set-up appends the fresh
+    names (the first `_w0`, `_w1`, … that neither f nor g holds) to `names`,
+    pads the rows, makes one mask per row of the attacks no candidate adds,
+    and puts the slots (i, j, 1 << j, 1 << i, endpoints) in name order, in
+    which a fresh name can fall between old ones. An attack is allowed when
+    it is valid for the notion on its own (an N- or S-expansion is valid iff
+    each of its new attacks is). Each candidate copies the rows once, into
+    one frame for both sides when fa is ga."""
     sym_diff = [1 << i for i in bits(f_mask ^ g_mask)]
+    for k_iso in range(1, len(sym_diff) + 1):
+        for iso in itertools.combinations(sym_diff, k_iso):
+            h = sum(iso)
+            yield fa, f_mask | h, ga, g_mask | h, (h, ())
+    # a fresh argument takes part in an attack, and an attack touches at
+    # most two, so more than 2 * max_attacks fresh arguments yield no candidate
+    held, n_old, k = set(names), len(names), 0
+    n = n_old + (0 if notion == "L" else min(budget.fresh_args, 2 * budget.max_attacks))
+    while len(names) < n:
+        if (w := f"{FRESH_PREFIX}{k}") not in held:
+            names.append(w)
+        k += 1
+    pad = [0] * (n - n_old)
+    f_succ, f_pred, g_succ, g_pred = ([*row, *pad] for row in (fa.succ, fa.pred, ga.succ, ga.pred))
+    same = fa is ga
+    # the attacks no candidate adds: those f and g share, and those invalid
+    # for the notion on one side (N: between two of its arguments, S: also
+    # from one of them to a fresh one), unless that side already has them
+    excluded = [s & t for s, t in zip(f_succ, g_succ)]
+    if notion in ("N", "S"):
+        for succ, mask in ((f_succ, f_mask), (g_succ, g_mask)):
+            for i in bits(mask):
+                excluded[i] |= (mask if notion == "N" else (1 << n) - 1) & ~succ[i]
+    order = sorted(range(n), key=names.__getitem__)
+    for n_fresh in range(n - n_old + 1):
+        fresh = ((1 << n_fresh) - 1) << n_old
+        pool = [i for i in order if i < n_old + n_fresh]
+        slots = [(i, j, 1 << j, 1 << i, 1 << i | 1 << j) for i in pool for j in pool if not excluded[i] >> j & 1]
+        for k in range(1, min(budget.max_attacks, len(slots)) + 1):
+            for attacks in itertools.combinations(slots, k):
+                used = 0
+                for slot in attacks:
+                    used |= slot[4]
+                if fresh & ~used:
+                    continue  # every fresh argument must take part
+                fs, fp = f_succ[:], f_pred[:]
+                gs, gp = (fs, fp) if same else (g_succ[:], g_pred[:])
+                for i, j, bj, bi, _ in attacks:
+                    fs[i] |= bj
+                    fp[j] |= bi
+                    gs[i] |= bj
+                    gp[j] |= bi
+                fh = Frame(fs, fp)
+                gh = fh if same else Frame(gs, gp)
+                iso_pool = [b for b in sym_diff if not used & b]
+                if not iso_pool:
+                    yield fh, f_mask | used, gh, g_mask | used, (used, attacks)
+                    continue
+                for k_iso in range(len(iso_pool) + 1):
+                    for iso in itertools.combinations(iso_pool, k_iso):
+                        h = used | sum(iso)
+                        yield fh, f_mask | h, gh, g_mask | h, (h, attacks)
 
-    def attack_sets():  # (fresh mask, attack sets of one attack up) per fresh count
-        n = len(names)
-        # the attacks no candidate adds: those f and g share, and those invalid
-        # for the notion on one side (N: between two of its arguments, S: also
-        # from one of them to a fresh one), unless that side already has them
-        excluded = [s & t for s, t in zip(f_succ, g_succ)]
-        if notion in ("N", "S"):
-            for succ, mask in ((f_succ, f_mask), (g_succ, g_mask)):
-                for i in bits(mask):
-                    excluded[i] |= (mask if notion == "N" else (1 << n) - 1) & ~succ[i]
-        order = sorted(range(n), key=names.__getitem__)
-        for n_fresh in range(n - n_old + 1):
-            pool = [i for i in order if i < n_old + n_fresh]
-            slots = [(i, j, 1 << j, 1 << i, 1 << i | 1 << j) for i in pool for j in pool if not excluded[i] >> j & 1]
-            yield ((1 << n_fresh) - 1) << n_old, itertools.chain.from_iterable(
-                itertools.combinations(slots, k) for k in range(1, min(max_attacks, len(slots)) + 1)
-            )
 
-    for fresh, choices in itertools.chain([(0, [()])], attack_sets()):
-        for attacks in choices:
-            used = 0
-            for slot in attacks:
-                used |= slot[4]
-            if fresh & ~used:
-                continue  # every fresh argument must take part
-            fs, fp = f_succ[:], f_pred[:]
-            gs, gp = (fs, fp) if same else (g_succ[:], g_pred[:])
-            for i, j, bj, bi, _ in attacks:
-                fs[i] |= bj
-                fp[j] |= bi
-                gs[i] |= bj
-                gp[j] |= bi
-            fa = Frame(fs, fp)
-            ga = fa if same else Frame(gs, gp)
-            iso_pool = [b for b in sym_diff if not used & b]
-            if not iso_pool:
-                yield fa, f_mask | used, ga, g_mask | used, (used, attacks)
-                continue
-            for k_iso in range(len(iso_pool) + 1):
-                for iso in itertools.combinations(iso_pool, k_iso):
-                    h = used | sum(iso)
-                    yield fa, f_mask | h, ga, g_mask | h, (h, attacks)
-
-
-def _deletion_candidates(f: AF, g: AF, names: list, notion: str, max_attacks: int):
-    """Candidate deletions (B, S), argument sets outermost, in the tuple form
-    of `_expansion_candidates` over the pool `names` of f's and g's arguments:
-    the frames lose the attacks S, B leaves the argument masks, and the key
-    is (B's mask, S's slots). The attack choices, and their frames shared by
-    every argument choice, are made as the first argument choice (the empty
-    one) reaches them, so a cut scan makes only those it reached.
+def _deletion_candidates(fa: Frame, f_mask: int, ga: Frame, g_mask: int, notion: str, max_attacks: int):
+    """The candidate deletions (B, S) after the empty one, argument sets
+    outermost, as `search_counterexample`'s candidates over the pool whose
+    rows fa and ga hold: the frames lose the attacks S, B leaves the argument
+    masks, and the key is (B's mask, S's slots). The attack choices, and
+    their frames shared by every argument choice, are made as the empty
+    argument choice reaches them, so a cut scan makes only those it reached.
 
     A candidate (B, S) whose S holds an attack touching B comes as None, as
     the repeat of an earlier one. Deleting B removes every attack touching
@@ -421,37 +429,33 @@ def _deletion_candidates(f: AF, g: AF, names: list, notion: str, max_attacks: in
     of S that do not touch B. (B, S') has the same B and fewer attacks, so it
     came earlier, and the two sides agreed on it, or the search would have
     stopped there."""
-    n = len(names)
-    (f_succ, f_pred, f_mask), (g_succ, g_pred, g_mask) = _pool_rows(f, g, names)
-    same = f_succ == g_succ
+    n = len(fa.succ)
     # the attacks of f or g, in name order, which is index order here
-    slots = [(i, j, ~(1 << j), ~(1 << i), 1 << i | 1 << j) for i in range(n) for j in bits(f_succ[i] | g_succ[i])]
-    att_choices = [()] if notion == "ND" else (
-        c for size in range(min(max_attacks, len(slots)) + 1) for c in itertools.combinations(slots, size)
-    )
-    made = []
-    for atts in att_choices:
-        fs, fp = f_succ[:], f_pred[:]
-        gs, gp = (fs, fp) if same else (g_succ[:], g_pred[:])
-        touched = 0
-        for i, j, cj, ci, ends in atts:
-            fs[i] &= cj
-            fp[j] &= ci
-            gs[i] &= cj
-            gp[j] &= ci
-            touched |= ends
-        fa = Frame(fs, fp)
-        ga = fa if same else Frame(gs, gp)
-        made.append((fa, ga, touched, atts))
-        yield fa, f_mask, ga, g_mask, (0, atts)
+    slots = [(i, j, ~(1 << j), ~(1 << i), 1 << i | 1 << j) for i in range(n) for j in bits(fa.succ[i] | ga.succ[i])]
+    made = [(fa, ga, 0, ())]
+    for size in range(1, 0 if notion == "ND" else min(max_attacks, len(slots)) + 1):
+        for atts in itertools.combinations(slots, size):
+            fs, fp = list(fa.succ), list(fa.pred)
+            gs, gp = (fs, fp) if fa is ga else (list(ga.succ), list(ga.pred))
+            touched = 0
+            for i, j, cj, ci, ends in atts:
+                fs[i] &= cj
+                fp[j] &= ci
+                gs[i] &= cj
+                gp[j] &= ci
+                touched |= ends
+            fd = Frame(fs, fp)
+            gd = fd if fa is ga else Frame(gs, gp)
+            made.append((fd, gd, touched, atts))
+            yield fd, f_mask, gd, g_mask, (0, atts)
     for size in range(1, 0 if notion == "LD" else n + 1):
         for args in itertools.combinations(range(n), size):
             deleted = sum(1 << i for i in args)
-            for fa, ga, touched, atts in made:
+            for fd, gd, touched, atts in made:
                 if touched & deleted:
                     yield None
                     continue
-                yield fa, f_mask & ~deleted, ga, g_mask & ~deleted, (deleted, atts)
+                yield fd, f_mask & ~deleted, gd, g_mask & ~deleted, (deleted, atts)
 
 
 _WITNESS_NOTIONS = EXPANSION_NOTIONS + DELETION_NOTIONS
@@ -469,32 +473,36 @@ def search_counterexample(
     """Look for the smallest scenario within budget on which f and g disagree.
 
     A result with witness=None and complete=True means the whole budgeted space
-    was scanned without success; complete=False means the max_candidates valve
-    cut the scan short. Candidates are evaluated on masks over one argument
-    pool, both sides of each candidate by `extension_masks`; only the returned
-    witness is built, as a framework or deletion, from its candidate's key.
-    `scanned` counts the candidates reached. A deletion candidate that
-    repeats an earlier scenario is counted but not evaluated (see
-    `_deletion_candidates`).
+    was scanned without success; complete=False means the max_candidates valve,
+    checked after all the arguments, cut the scan short. A candidate is (f
+    frame, its argument mask, g frame, its argument mask, key) over one pool
+    of f's and g's arguments, and both sides are evaluated by
+    `extension_masks`. The first is the empty scenario, f and g as they are
+    (`_pool_rows`), in one frame when their rows are equal; the rest, and
+    their set-up, come only if it does not separate. Only the returned
+    witness is built, from its key: an expansion by `AF._from_checked`, its
+    names being f's, g's or fresh. `scanned` counts the candidates reached; a
+    repeated deletion scenario is counted but not evaluated.
     """
     if notion not in _WITNESS_NOTIONS:
         raise AFError(f"witness search does not handle notion {notion!r}")
     if flavor not in FLAVORS:
         raise AFError(f"unknown flavor: {flavor!r}")
     check_semantics(sigma)
-    held = {*f.names, *g.names}
-    names = sorted(held)
-    if notion in EXPANSION_NOTIONS:
-        # the fresh names are the first _w0, _w1, … that neither f nor g
-        # holds; a fresh argument takes part in an attack, and an attack touches
-        # at most two, so more than 2 * max_attacks fresh arguments yield no candidate
-        n_old = len(names)
-        unused = (w for w in map(f"{FRESH_PREFIX}{{}}".format, itertools.count()) if w not in held)
-        names += itertools.islice(unused, 0 if notion == "L" else min(budget.fresh_args, 2 * budget.max_attacks))
-        candidates = _expansion_candidates(f, g, names, n_old, notion, budget.max_attacks)
-    else:
-        candidates = _deletion_candidates(f, g, names, notion, budget.max_attacks)
     labelled = flavor == "labelling"
+    if labelled:
+        check_labelling_semantics(sigma)
+    if max_candidates is not None and max_candidates < 0:
+        raise AFError(f"max_candidates must be non-negative, got {max_candidates}")
+    cap = config.max_enum_args()
+    names = sorted({*f.names, *g.names})
+    (fa, f_mask), (ga, g_mask) = _pool_rows(f, names), _pool_rows(g, names)
+    if fa.succ == ga.succ:
+        ga = fa
+    if notion in EXPANSION_NOTIONS:
+        rest = _expansion_candidates(fa, f_mask, ga, g_mask, names, notion, budget)
+    else:
+        rest = _deletion_candidates(fa, f_mask, ga, g_mask, notion, budget.max_attacks)
 
     def outcome(frame: Frame, within: int) -> set:
         labels = set()
@@ -503,29 +511,22 @@ def search_counterexample(
             labels.add((m, out, within & ~(m | out)))
         return labels
 
-    cap = None
     scanned = 0
-    for candidate in candidates:
+    for candidate in itertools.chain([(fa, f_mask, ga, g_mask, (0, ()))], rest):
         if max_candidates is not None and scanned >= max_candidates:
             return SearchResult(None, False, scanned)
-        if cap is None:
-            # Evaluating the first candidate is where a semantics without
-            # labellings is refused and the enumeration cap is read.
-            if labelled:
-                check_labelling_semantics(sigma)
-            cap = config.max_enum_args()
         scanned += 1
         if candidate is None:  # a repeated deletion scenario: counted, not evaluated
             continue
-        fa, f_args, ga, g_args, key = candidate
+        fc, f_args, gc, g_args, key = candidate
         if (
-            outcome(fa, f_args) != outcome(ga, g_args)
+            outcome(fc, f_args) != outcome(gc, g_args)
             if labelled
-            else set(extension_masks(fa, sigma, f_args, cap)) != set(extension_masks(ga, sigma, g_args, cap))
+            else set(extension_masks(fc, sigma, f_args, cap)) != set(extension_masks(gc, sigma, g_args, cap))
         ):
             args = [names[i] for i in bits(key[0])]
             attacks = [(names[i], names[j]) for i, j, *_ in key[1]]
             if notion in EXPANSION_NOTIONS:
-                return SearchResult(AF(args, attacks), True, scanned)
+                return SearchResult(AF._from_checked(sorted(args), attacks), True, scanned)
             return SearchResult(DeletionWitness(frozenset(args), frozenset(attacks)), True, scanned)
     return SearchResult(None, True, scanned)

@@ -379,24 +379,25 @@ def _newly_defended(f: Frame, hit: int, defeated: int, within: int, known: int) 
     return gained
 
 
-def _grounded_trace(f: Frame, within: int) -> list[int]:
-    """The characteristic iteration from the empty set up to its fixpoint, the
-    grounded extension (the repeat itself is not recorded).
+def _grounded(f: Frame, within: int, trace: list | None = None) -> int:
+    """The grounded extension of the subframework on `within`: the fixpoint
+    of the characteristic iteration from the empty set, each value after the
+    empty set's appended to `trace` when one is given.
 
     Each step takes in the arguments whose attackers in `within` are all
     attacked by the previous set. Only an argument attacked by one that the
     previous step newly defeated can join (`_newly_defended`), and each
-    attack is read a bounded number of times over the whole trace."""
-    trace = [0]
-    defeated = 0
+    attack is read a bounded number of times over the whole iteration."""
+    grounded = defeated = 0
     step = within & ~f.attacked_by_mask(within)
     while step:
-        current = trace[-1] | step
-        trace.append(current)
+        grounded |= step
+        if trace is not None:
+            trace.append(grounded)
         fresh = f.attacked_by_mask(step) & within & ~defeated
         defeated |= fresh
-        step = _newly_defended(f, fresh, defeated, within, current)
-    return trace
+        step = _newly_defended(f, fresh, defeated, within, grounded)
+    return grounded
 
 
 def _adm_masks(f: Frame, within: int, root: int = 0, root_out: int | None = None) -> list[int]:
@@ -421,7 +422,7 @@ def _sad_masks(f: Frame, within: int) -> list[int]:
     taken them at m.
 
     Each node carries what m defeats in `within` and Gamma(m), as
-    `_grounded_trace` does along its one chain: a child's Gamma only grows
+    `_grounded` does along its one chain: a child's Gamma only grows
     by arguments attacked by one the adjoined part newly defeats
     (`_newly_defended`), and a chain of d nodes reads its attacks a bounded
     number of times instead of all of `within` at every node."""
@@ -490,9 +491,9 @@ def extension_masks(f: Frame, sigma: str, within: int, cap: int) -> list[int]:
         return (m | f.attacked_by_mask(m)) & within
 
     if sigma == "grd":
-        return _grounded_trace(f, within)[-1:]
+        return [_grounded(f, within)]
     if sigma in COMPLETE_FAMILY:
-        root = _grounded_trace(f, within)[-1]
+        root = _grounded(f, within)
         root_out = f.attacked_by_mask(root)
         check_limit(f, within & ~(root | root_out), cap, " outside the grounded extension and its range")
         adm = _adm_masks(f, within, root, root_out)
@@ -534,8 +535,8 @@ def grounded_iteration(f: AF) -> tuple[frozenset[str], list[frozenset[str]]]:
     """The grounded extension together with the iteration trace
     (empty set, then each new value of the characteristic function, up to the
     fixpoint; the repeat itself is not recorded)."""
-    trace = _grounded_trace(f, f.full_mask)
-    return f.set_of(trace[-1]), [f.set_of(m) for m in trace]
+    trace = [0]
+    return f.set_of(_grounded(f, f.full_mask, trace)), [f.set_of(m) for m in trace]
 
 
 def strongly_admissible(f: AF) -> ExtensionSet:

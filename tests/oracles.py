@@ -26,7 +26,7 @@ from afkit.kernels import (
     DeletionWitness,
     characterizing_kernel,
 )
-from afkit.semantics import Labelling, cf_masks, check_semantics, extensions, labellings
+from afkit.semantics import Labelling, cf_masks, check_labelling_semantics, check_semantics, extensions, labellings
 
 
 def powerset(xs):
@@ -400,6 +400,8 @@ def witness_oracle(
     if notion not in EXPANSION_NOTIONS + DELETION_NOTIONS:
         raise AFError(f"witness search does not handle notion {notion!r}")
     check_semantics(sigma)
+    if flavor == "labelling":  # refused before the max_candidates valve
+        check_labelling_semantics(sigma)
 
     def differ(x: AF, y: AF) -> bool:
         if flavor == "labelling":

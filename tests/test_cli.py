@@ -192,6 +192,21 @@ class TestWitness:
         )
         assert (rc, out) == (0, "arg(a).\n")
 
+    @pytest.mark.parametrize("output,want", [
+        ("text", "arg(_w0).\narg(c).\narg(d).\natt(_w0,c).\natt(_w0,d).\n"),
+        ("json", '{"complete": true, "witness": {"args": ["_w0", "c", "d"], '
+                 '"attacks": [["_w0", "c"], ["_w0", "d"]]}}\n'),
+    ])
+    def test_witness_with_fresh_and_old_names(self, tmp_path, capsys, output, want):
+        # the fresh _w0 sorts between B9 and c in the witness
+        args = "arg(A).\narg(B9).\narg(c).\narg(d).\n"
+        files = {
+            "f.apx": args + "att(A,A).\natt(c,B9).\natt(c,c).\natt(d,B9).\n",
+            "g.apx": args + "att(A,A).\natt(A,B9).\natt(c,B9).\natt(c,c).\natt(d,B9).\n",
+        }
+        argv = ["witness", "--notion", "N", "--semantics", "prf", "--fresh", "2", "--max-attacks", "3"]
+        assert run(tmp_path, capsys, argv + ["--output", output, "f.apx", "g.apx"], files) == (0, want)
+
     def test_none_within_budget(self, tmp_path, capsys):
         rc, out = run(
             tmp_path, capsys,
@@ -421,6 +436,27 @@ class TestCharlogic:
     def test_consequence_of_the_empty_theory(self, tmp_path, capsys, theory):
         rc, out = run(tmp_path, capsys, ["charlogic", "--consequence", theory, "l.lf"], {"l.lf": ONE_LF})
         assert (rc, out) == (0, "Cn: a\nidempotent: true\nincreasing: true\nmonotone: true\n")
+
+    @pytest.mark.parametrize("theory,cn", [("{a,b}", "a,b,c"), ("{ a , b }", "a,b,c"), ("{a}", "a")])
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_consequence_in_braces(self, tmp_path, capsys, theory, cn, output):
+        # one pair of braces around the theory reads as the atoms inside it,
+        # with the bytes of the same atoms written without braces
+        files = {"l.lf": DEMO_LF}
+        braced = run(tmp_path, capsys, ["charlogic", "--consequence", theory, "--output", output, "l.lf"], files)
+        bare = run(tmp_path, capsys, ["charlogic", "--consequence", theory[1:-1], "--output", output, "l.lf"], files)
+        assert braced == bare and braced[0] == 0
+        if output == "text":
+            assert braced[1].startswith(f"Cn: {cn}\n")
+
+    @pytest.mark.parametrize("theory", ["{a", "a}", "{{a}}", "{a}}", "{", "}", "{a}b", "a{b}", "{a},{b}"])
+    def test_consequence_stray_brace_refused(self, tmp_path, capsys, theory):
+        path = tmp_path / "l.lf"
+        path.write_text(DEMO_LF, encoding="utf-8")
+        rc = main(["charlogic", "--consequence", theory, str(path)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == f"error: --consequence {theory!r} has a brace other than one pair around it\n"
 
 
 class TestRhoLogic:

@@ -483,11 +483,17 @@ class TestWitnessSearch:
             search_counterexample(f_six, g_six, "E", "stb", flavor="bogus")
         with pytest.raises(AFError, match="unknown flavor: 'bogus'"):
             search_counterexample(f_six, g_six, "D", "prf", flavor="bogus", max_candidates=0)
+        # a semantics without labellings is refused before the valve too
+        for cut in (0, 1):
+            with pytest.raises(AFError, match="labellings are only supported"):
+                search_counterexample(f_six, g_six, "E", "cf", flavor="labelling", max_candidates=cut)
 
     @pytest.mark.parametrize("fresh,attacks", [(-1, 3), (1, -3), (-2, -1)])
     def test_negative_budget_rejected(self, fresh, attacks):
         with pytest.raises(AFError, match="must be non-negative"):
             SearchBudget(fresh, attacks)
+        with pytest.raises(AFError, match="max_candidates must be non-negative"):
+            search_counterexample(AF("a", []), AF("a", []), "E", "stb", max_candidates=min(fresh, attacks))
 
     def test_budget_valve_reported(self, f_six, g_six_wide):
         r = search_counterexample(
@@ -587,6 +593,28 @@ class TestWitnessSearch:
             fresh = r.found and notion in "ENS" and any(a.startswith("_w") for a in r.witness.args)
             outcomes["fresh witness" if fresh else "found" if r.found else "complete" if r.complete else "cut"] += 1
         assert min(outcomes.values()) >= 15, outcomes
+
+    @pytest.mark.parametrize("f_names,g_names", [
+        ("abc", "abc"), ("abc", "ab"), ("ab", "bc"),
+        (["A", "B9", "c", "d"], ["A", "B9", "c", "d"]), (["A", "B9", "c", "d"], ["B9", "d"]), (["A", "c"], ["B9", "d"]),
+    ])
+    def test_pool_rows_match_the_attack_tuples(self, f_names, g_names):
+        # both, one or neither framework holds the whole pool; the rows of
+        # each over the pool are those its attack tuples give
+        rng = random.Random(29)
+        for _ in range(25):
+            f, g = (AF(ns, [(a, b) for a in ns for b in ns if rng.random() < 0.4]) for ns in (f_names, g_names))
+            names = sorted({*f.names, *g.names})
+            index = {a: i for i, a in enumerate(names)}
+            for x in (f, g):
+                succ, pred = [0] * len(names), [0] * len(names)
+                for a, b in x.attacks:
+                    succ[index[a]] |= 1 << index[b]
+                    pred[index[b]] |= 1 << index[a]
+                frame, mask = kernels._pool_rows(x, names)
+                assert (list(frame.succ), list(frame.pred)) == (succ, pred)
+                assert mask == sum(1 << index[a] for a in x.names)
+                assert (frame is x) == (len(x.names) == len(names))
 
     def test_fresh_name_skips_a_held_one(self):
         # both frameworks hold _w0, so the one fresh argument is _w1; the
@@ -694,6 +722,22 @@ class TestWitnessWork:
             calls.clear()
             r = search_counterexample(f, f, notion, "prf", SearchBudget(1, 2))
             assert (r.witness, r.complete, r.scanned, len(calls)) == (None, True, scanned, made), notion
+
+    @pytest.mark.parametrize("notion,flavor", [("E", "extension"), ("N", "labelling"), ("D", "extension")])
+    def test_first_candidate_costs_its_two_evaluations(self, monkeypatch, notion, flavor):
+        # a 3-chain and a 3-cycle differ ordinarily, so the empty scenario
+        # separates them: one candidate, its two evaluations, and the one
+        # framework built is the returned witness (none for a deletion)
+        f = AF("abc", [("a", "b"), ("b", "c")])
+        g = AF("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+        empty = DeletionWitness(frozenset(), frozenset()) if notion == "D" else AF([], [])
+        calls, built = [], []
+        masks, body = kernels.extension_masks, AF._build
+        monkeypatch.setattr(kernels, "extension_masks", lambda *a: calls.append(1) or masks(*a))
+        monkeypatch.setattr(AF, "_build", lambda self, *a: built.append(self) or body(self, *a))
+        r = search_counterexample(f, g, notion, "prf", SearchBudget(2, 4), flavor)
+        assert (r.witness, r.complete, r.scanned, len(calls)) == (empty, True, 1, 2)
+        assert built == ([] if notion == "D" else [r.witness])
 
 
 class TestWitnessStructure:

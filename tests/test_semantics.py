@@ -103,7 +103,8 @@ class TestGroundedIteration:
         want = [0]
         while semantics._characteristic(f, want[-1], within) != want[-1]:
             want.append(semantics._characteristic(f, want[-1], within))
-        assert semantics._grounded_trace(f, within) == want
+        trace = [0]
+        assert semantics._grounded(f, within, trace) == want[-1] and trace == want
 
     def test_long_chain_trace_is_linear(self, monkeypatch):
         # a chain of n arguments takes n/2 steps; re-checking only what the
@@ -112,8 +113,8 @@ class TestGroundedIteration:
         names = [f"a{i:04d}" for i in range(n)]
         f = AF(names, [(names[i], names[i + 1]) for i in range(n - 1)])
         rows = []
-        union_over = core._union_over
-        monkeypatch.setattr(core, "_union_over", lambda r, m: rows.append(m.bit_count()) or union_over(r, m))
+        attacked = core.Frame.attacked_by_mask
+        monkeypatch.setattr(core.Frame, "attacked_by_mask", lambda x, m: rows.append(m.bit_count()) or attacked(x, m))
         ext, trace = grounded_iteration(f)
         assert ext == frozenset(names[::2]) and len(trace) == n // 2 + 1
         assert trace[1] == fs(names[0]) and trace[-2] | {names[-2]} == ext
@@ -462,8 +463,8 @@ class TestEngineStructure:
         n = 1200
         chain = _chain(n)
         rows = []
-        union_over = core._union_over
-        monkeypatch.setattr(core, "_union_over", lambda r, m: rows.append(m.bit_count()) or union_over(r, m))
+        attacked = core.Frame.attacked_by_mask
+        monkeypatch.setattr(core.Frame, "attacked_by_mask", lambda x, m: rows.append(m.bit_count()) or attacked(x, m))
         masks = semantics._sad_masks(chain, chain.full_mask)
         assert len(masks) == len(set(masks)) == 601
         assert max(masks) == int("01" * (n // 2), 2)  # the grounded extension
