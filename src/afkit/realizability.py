@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 from .config import CLASSIFIABLE_SEMANTICS, SIGNATURE_SEMANTICS, max_enum_args
 from .core import AF, RESERVED_PREFIX, AFError, Frame, Record, bits, check_arg_name, names_of
-from .semantics import ExtensionSet, check_semantics, extension_masks, mask_key, naive_masks, sort_extensions
+from .semantics import ExtensionSet, check_semantics, extension_masks, mask_key, maximal, naive_masks, sort_extensions
 
 VARIANTS = ("finite", "finite_compact", "finite_analytic")
 
@@ -267,16 +267,21 @@ def canonical_stb(sets: Iterable[Iterable[str]]) -> AF:
 
 
 def _cnf(c: _Candidate, a: int) -> set[int]:
-    """The clauses of the defense formula of index a, as masks."""
+    """The ⊆-minimal clauses of the defense formula of index a, as masks.
+
+    Multiplies in one disjunct at a time and keeps only the minimal clauses:
+    a clause subsumed now stays subsumed in every later product. A clause is
+    minimal exactly when its complement is ⊆-maximal among the complements,
+    so the engine's `maximal` keeps them; the clauses are distinct, so its
+    ties do not arise."""
     disjuncts = [m & ~(1 << a) for m in c.masks if m >> a & 1]
     if 0 in disjuncts:
         return set()  # {a} itself occurs: tautology
-    # multiply in one disjunct at a time, keeping only minimal clauses: a
-    # clause subsumed now stays subsumed in every later product
+    full = c.full
     clauses = {0}
     for d in disjuncts:
         grown = {k | 1 << x for k in clauses for x in bits(d)}
-        clauses = {k for k in grown if not any(o != k and o & ~k == 0 for o in grown)}
+        clauses = {full & ~m for m in maximal([full & ~k for k in grown])}
     return clauses
 
 

@@ -299,9 +299,12 @@ def check_labelling_semantics(sigma: str) -> str:
     return sigma
 
 
-def _maximal(masks: list[int], key: Callable[[int], int] | None = None) -> list[int]:
+def maximal(masks: list[int], key: Callable[[int], int] | None = None) -> list[int]:
     """The masks whose key (default: the mask itself) is ⊆-maximal among all
-    keys; masks with equal keys are kept or dropped together.
+    keys; masks with equal keys are kept or dropped together. This is the
+    library's one ⊆-extremal routine: `select` keeps maximal sets and
+    ranges with it, and `realizability` keeps minimal clauses as the
+    complements of maximal complements.
 
     A strict superset has more bits, so in descending (size, key) order each
     key only needs testing against the maximal keys kept at strictly larger
@@ -346,15 +349,15 @@ def select(
     admissible S, so dropping the sets without G changes neither maximality
     nor the greatest admissible set below a meet."""
     if sigma in ("nav", "prf"):
-        return _maximal(sets)
+        return maximal(sets)
     if sigma in ("stg", "semi"):
-        return _maximal(sets, in_range)
+        return maximal(sets, in_range)
     if sigma == "stb":
         return [m for m in sets if in_range(m) == within]
     bound = within
-    for m in _maximal(sets, None if sigma == "id" else in_range):
+    for m in maximal(sets, None if sigma == "id" else in_range):
         bound &= m
-    return _maximal([m for m in sets if m & ~bound == 0])
+    return maximal([m for m in sets if m & ~bound == 0])
 
 
 def _characteristic(f: Frame, m: int, within: int) -> int:

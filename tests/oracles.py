@@ -79,7 +79,7 @@ def adm_masks_by_filter(f, within: int, root: int = 0) -> list[int]:
 
 def maximal_oracle(masks, key=None) -> list[int]:
     """The masks whose key (default: the mask) is not a proper subset of
-    another mask's key, by all pairs: `semantics._maximal` by definition."""
+    another mask's key, by all pairs: `semantics.maximal` by definition."""
     keys = [key(m) if key else m for m in masks]
     return [m for m, k in zip(masks, keys) if not any(k != o and k & ~o == 0 for o in keys)]
 
@@ -301,6 +301,17 @@ def conflict_sensitive_oracle(sets) -> bool:
         for s in sets
         for t in sets
     )
+
+
+def defense_cnf_oracle(sets, a):
+    """The ⊆-minimal sets of arguments other than `a` that meet every
+    disjunct of a's defense formula (each set holding `a`, without it), by
+    trying every such set. A tautology has an empty disjunct, which no set
+    meets, so its family is empty."""
+    disjuncts = [s - {a} for s in sets if a in s]
+    others = frozenset().union(*sets) - {a}
+    hitting = [c for c in powerset(others) if all(c & d for d in disjuncts)]
+    return {c for c in hitting if not any(o < c for o in hitting)}
 
 
 def all_afs(names):

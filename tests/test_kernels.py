@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from afkit import kernels
-from afkit.config import NOTIONS
+from afkit.config import DELETION_NOTIONS, EXPANSION_NOTIONS, NOTIONS
 from afkit.core import AF, AFError, delete, loops, union_af
 from afkit.kernels import (
     FLAVORS,
@@ -312,6 +312,30 @@ class TestCriterionCellsSemantically:
                 if verdict.answer == "equivalent":
                     seen_eq += 1
         assert seen_eq > 0
+
+
+class TestKernelTablesAgainstSearch:
+    def test_every_pair_on_two_arguments(self):
+        # every searchable cell, both flavors: a not_equivalent verdict has a
+        # witness within a small budget, and an equivalent one none within a
+        # smaller budget; unsupported cells are skipped
+        afs = list(all_afs(["a", "b"]))
+        pairs = list(itertools.combinations_with_replacement(afs, 2))
+        assert len(pairs) == 136
+        answers = collections.Counter()
+        for f, g in pairs:
+            for notion in EXPANSION_NOTIONS + DELETION_NOTIONS:
+                for flavor in FLAVORS:
+                    for sigma in SEMANTICS if flavor == "extension" else LABELLING_SEMANTICS:
+                        answer = decide_equivalence(f, g, notion, sigma, flavor).answer
+                        answers[answer] += 1
+                        if answer == "not_equivalent":
+                            found = search_counterexample(f, g, notion, sigma, SearchBudget(2, 3), flavor)
+                            assert found.witness is not None, (notion, sigma, flavor, f, g)
+                        elif answer == "equivalent":
+                            none = search_counterexample(f, g, notion, sigma, SearchBudget(1, 2), flavor)
+                            assert none.witness is None, (notion, sigma, flavor, f, g, none.witness)
+        assert answers == {"not_equivalent": 13236, "equivalent": 2540, "unsupported": 4216}
 
 
 class TestDecideEquivalence:

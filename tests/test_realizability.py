@@ -32,6 +32,7 @@ from oracles import (
     all_afs,
     conflict_sensitive_oracle,
     dcl_tight_oracle,
+    defense_cnf_oracle,
     downward_closed_oracle,
     incomparable_oracle,
     powerset,
@@ -396,6 +397,17 @@ class TestEveryFamilyOverThreeArguments:
         text = json.dumps(record, separators=(",", ":"))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.DIGEST
 
+    def test_defense_cnf_is_minimal_by_definition(self):
+        # logical equivalence alone would also pass a CNF with subsumed clauses
+        checked = 0
+        for fam in FAMILIES_ABC:
+            for x in sorted(frozenset().union(*fam)):
+                assert defense_formula_cnf(fam, x) == defense_cnf_oracle(fam, x), (fam, x)
+                checked += 1
+        # each argument occurs in 256 - 16 families: all but those of the
+        # four subsets without it
+        assert checked == 3 * 240
+
     def test_each_public_call_orders_its_candidate_once(self, monkeypatch, s_defense):
         calls = []
         order = realizability.sort_extensions
@@ -457,6 +469,32 @@ class TestEveryFamilyOverFourArguments:
                     assert extensions(w, sigma) == cand, (fam, sigma)
                     realized += 1
         assert realized == 536
+
+
+def _defense_family(k, with_empty):
+    """{a, x_i, y_i} for i < k, and the empty set if asked: a's defense
+    formula is the conjunction of the k disjunctions x_i ∨ y_i, so its CNF
+    has 2^k clauses, each one minimal."""
+    sets = [fs("a", f"x{i:02d}", f"y{i:02d}") for i in range(k)]
+    return [fs(), *sets] if with_empty else sets
+
+
+class TestDefenseFamilyWithExponentialCnf:
+    def test_every_clause_is_minimal(self):
+        k = 10
+        cnf = defense_formula_cnf(_defense_family(k, True), "a")
+        assert len(cnf) == 2**k
+        picks = itertools.product("xy", repeat=k)
+        assert cnf == {fs(*(f"{c}{i:02d}" for i, c in enumerate(pick))) for pick in picks}
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_realize_re_enumerated(self, k):
+        # adm needs the empty set; prf and semi take the incomparable family
+        for sigma, with_empty in (("adm", True), ("prf", False), ("semi", False)):
+            fam = _defense_family(k, with_empty)
+            w = realize(fam, sigma)
+            assert w is not None, (k, sigma)
+            assert extensions(w, sigma) == normalize_candidate(fam), (k, sigma)
 
 
 # one set of 30 arguments: more than the enumeration cap, all unattacked

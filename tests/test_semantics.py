@@ -46,6 +46,23 @@ def as_set(exts):
     return set(exts)
 
 
+def walk_nodes(call):
+    """call's result and the number of nodes the conflict-free walk expanded
+    for it (calls of its inner `walk`)."""
+    nodes = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "walk":
+            nodes[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        out = call()
+    finally:
+        sys.setprofile(None)
+    return out, nodes[0]
+
+
 def _chain(n):
     """a0000 -> a0001 -> ... -> a<n-1>: the grounded extension takes every other argument."""
     names = [f"a{i:04d}" for i in range(n)]
@@ -404,6 +421,17 @@ class TestEngineStructure:
         walk_order = [tuple(core.bits(m)) for m in masks]
         assert walk_order == sorted(walk_order), (f, within)
 
+    def test_cf_walk_recurses_only_where_a_later_row_is_left(self):
+        # the chain a -> b -> c -> d and a self-attacking e: the rows are a to
+        # d, and the walk opens a node at the root and at each set whose last
+        # member comes before d, {a}, {b}, {c} and {a, c}, not at the others
+        f = AF("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "e")])
+        out, nodes = walk_nodes(lambda: semantics.cf_masks(f))
+        assert [f.set_of(m) for m, _, _ in out] == [
+            fs(), fs("a"), fs("a", "c"), fs("a", "d"), fs("b"), fs("b", "d"), fs("c"), fs("d"),
+        ]
+        assert nodes == 5
+
     def test_cf_walk_on_every_small_framework(self):
         # all 528 frameworks on two or three arguments, under every sub-mask
         frameworks = list(all_afs(["a", "b"])) + list(all_afs(["a", "b", "c"]))
@@ -478,13 +506,13 @@ class TestEngineStructure:
     def test_maximal_matches_pairwise_oracle(self, masks, mode):
         # the projections tie many keys; the wide key spans more than 64 bits
         key = {"mask": None, "projection": lambda m: m & 0b1011, "wide": lambda m: m | m << 66}[mode]
-        assert sorted(semantics._maximal(masks, key)) == sorted(maximal_oracle(masks, key))
+        assert sorted(semantics.maximal(masks, key)) == sorted(maximal_oracle(masks, key))
 
     def test_maximal_of_zero_and_one_masks(self):
         # the early return hands back a new list, never its argument
         for key in (None, lambda m: m & 0b1011, lambda m: m | m << 66):
             for masks in ([], [0], [0b110], [1 << 70 | 1]):
-                got = semantics._maximal(masks, key)
+                got = semantics.maximal(masks, key)
                 assert got is not masks and got == maximal_oracle(masks, key)
                 got.append(-1)
                 assert -1 not in masks
@@ -561,28 +589,11 @@ class TestSparseFamilyAtScale:
     ADM_COUNTS = [((30, 0.08, 0), 129), ((34, 0.07, 2), 1996), ((38, 0.06, 2), 17),
                   ((40, 0.05, 0), 12), ((40, 0.05, 1), 2972)]
 
-    @staticmethod
-    def _walk_nodes(call):
-        """call's result and the number of nodes the conflict-free walk
-        expanded for it (calls of its inner `walk`)."""
-        nodes = [0]
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_name == "walk":
-                nodes[0] += 1
-
-        sys.setprofile(profile)
-        try:
-            out = call()
-        finally:
-            sys.setprofile(None)
-        return out, nodes[0]
-
     @pytest.mark.parametrize("params,count", ADM_COUNTS, ids=[str(p) for p, _ in ADM_COUNTS])
     def test_adm_and_complete_family(self, params, count):
         f = sparse_random_af(*params)
         full = f.full_mask
-        adm, nodes = self._walk_nodes(lambda: semantics.extension_masks(f, "adm", full, 60))
+        adm, nodes = walk_nodes(lambda: semantics.extension_masks(f, "adm", full, 60))
         assert len(adm) == len(set(adm)) == count
         # a few nodes per admissible set; the unguarded sweep expanded one
         # per conflict-free set, 128 229 on the smallest of these inputs
@@ -670,11 +681,21 @@ class TestOrderContract:
         assert [core.names_of(names, m) for m in ordered] == want
         assert semantics.extension_set(names, list(ordered)) == tuple(want)
 
-    def test_extension_set_builds_from_parents_where_present(self):
+    def test_extension_set_builds_from_parents_where_present(self, monkeypatch):
         names = ["a", "b", "c", "d"]
         # {a,b,c} and {a,b,d} have their parent {a,b}; {b,c} and {c,d} have none
         masks = [0b0011, 0b0110, 0b1100, 0b0111, 0b1011]
-        assert semantics.extension_set(names, list(masks)) == tuple(core.names_of(names, m) for m in masks)
+        want = tuple(core.names_of(names, m) for m in masks)
+        calls = []
+
+        def counting(names, m):
+            calls.append(m)
+            return core.names_of(names, m)
+
+        monkeypatch.setattr(semantics, "names_of", counting)
+        assert semantics.extension_set(names, list(masks)) == want
+        # only the three sets without a parent go through names_of
+        assert calls == [0b0011, 0b0110, 0b1100]
 
     def test_names_of_unequal_length(self):
         # index order is the names' string order, not their length order
