@@ -169,6 +169,10 @@ _LAB_COMMON = {
     "com": "k_com",
 }
 
+# The adm cells of the searchable rows (E, N, S, ND, L, D, LD) answer from
+# this table alone: `labellings` and `search_counterexample` refuse adm
+# (`LABELLING_SEMANTICS`), so neither the witness search nor an oracle checks
+# those seven verdicts.
 _LAB_TABLE: dict[str, dict[str, Optional[str]]] = {
     "E": dict(_LAB_COMMON),
     "N": dict(_LAB_COMMON),

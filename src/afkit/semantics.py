@@ -16,10 +16,11 @@ family that theory shows contains all its extensions:
   nodes per admissible set instead of every conflict-free set;
 - the complete family (com, stb, prf, semi, id, eag) starts that guarded
   walk at the grounded extension G, over the arguments outside G and its
-  range, since every complete extension contains G (Dung 1995); grd is the
-  characteristic iteration alone, and each strongly admissible set is built
-  once, along its own characteristic chain, with Γ carried down the chain
-  and re-checked only where a step newly defeats an attacker;
+  range, since every complete extension contains G (Dung 1995); when those
+  all attack themselves, G is the only complete extension and no walk runs.
+  grd is the characteristic iteration alone, and each strongly admissible
+  set is built once, along its own characteristic chain, with Γ carried
+  down the chain and re-checked only where a step newly defeats an attacker;
 - nav and stg enumerate only the naive (⊆-maximal conflict-free) sets, the
   maximal cliques of the compatibility graph, by Bron–Kerbosch with
   pivoting. A stage extension is naive, since an argument that could join it
@@ -27,8 +28,8 @@ family that theory shows contains all its extensions:
 - cf2 and stg2 are built forward along the strongly connected components,
   attackers first (SCC-recursiveness, Baroni, Giacomin & Guida 2005): each
   component takes the extensions of the part that the choices before it
-  leave undefeated, and naive sets are swept only on sub-masks that are a
-  single component, each at most once per call.
+  leave undefeated (a lone argument inline), and naive sets are swept only
+  on sub-masks that are a single component, each at most once per call.
 
 Each filter stage runs at most once per call. The last one, picking by
 ⊆- or range-maximality, stability or the meet, is `select`, one selection
@@ -49,22 +50,7 @@ from typing import Callable, Iterable, Sequence
 from . import config
 from .core import AF, AFError, Frame, Record, names_of, scc_masks
 
-SEMANTICS = (
-    "cf",
-    "nav",
-    "adm",
-    "com",
-    "grd",
-    "stb",
-    "stg",
-    "semi",
-    "prf",
-    "id",
-    "eag",
-    "sad",
-    "cf2",
-    "stg2",
-)
+SEMANTICS = ("cf", "nav", "adm", "com", "grd", "stb", "stg", "semi", "prf", "id", "eag", "sad", "cf2", "stg2")
 
 # Semantics whose extensions are all complete, so each contains the grounded
 # extension and their sweep starts there.
@@ -293,9 +279,7 @@ def check_limit(f: Frame, within: int, cap: int, where: str = "") -> None:
 
 def check_labelling_semantics(sigma: str) -> str:
     if sigma not in LABELLING_SEMANTICS:
-        raise AFError(
-            f"labellings are only supported for {', '.join(LABELLING_SEMANTICS)}; got {sigma!r}"
-        )
+        raise AFError(f"labellings are only supported for {', '.join(LABELLING_SEMANTICS)}; got {sigma!r}")
     return sigma
 
 
@@ -306,35 +290,35 @@ def maximal(masks: list[int], key: Callable[[int], int] | None = None) -> list[i
     ranges with it, and `realizability` keeps minimal clauses as the
     complements of maximal complements.
 
-    A strict superset has more bits, so in descending (size, key) order each
-    key only needs testing against the maximal keys kept at strictly larger
-    sizes: two distinct keys of one size are never ⊆-comparable. The test,
-    k | t == t for some kept t, runs as `map`s of `int` methods in C. Keys
-    all of one size, as the ranges of odd cycles' naive sets are, take no
-    test at all, and a family of at most one mask takes no sort either."""
+    A strict superset has more bits, so with the distinct keys in descending
+    size each is tested only against the maximal keys kept at strictly larger
+    sizes (distinct keys of one size are never ⊆-comparable); keys all of one
+    size, as the ranges of odd cycles' naive sets are, take no test at all.
+    The test, k | t == t for some kept t, is a plain loop: the interpreter
+    specialises `int` operators in bytecode, which beats `map`s of method
+    wrappers on the few keys of a typical call."""
     if len(masks) < 2:
         return list(masks)
-    bigger: list[int] = []
-    level: list[int] = []
-    size = -1
-    out = []
     keys = list(map(key, masks)) if key else masks
-    for c, k, m in sorted(zip(map(int.bit_count, keys), keys, masks), reverse=True):
-        if c != size:
+    bigger, level, size = [], [], -1
+    for k in sorted(set(keys), key=int.bit_count, reverse=True):
+        if k.bit_count() != size:
             bigger += level
             level = []
-            size = c
-        if bigger and any(map(int.__eq__, map(k.__or__, bigger), bigger)):
-            continue
-        out.append(m)
-        if not level or level[-1] != k:
+            size = k.bit_count()
+        for t in bigger:
+            if k | t == t:
+                break
+        else:
             level.append(k)
-    return out
+    bigger += level
+    if key is None:
+        return bigger if len(bigger) == len(masks) else list(filter(set(bigger).__contains__, masks))
+    kept = set(bigger)
+    return [m for m, k in zip(masks, keys) if k in kept]
 
 
-def select(
-    sigma: str, sets: list[int], in_range: Callable[[int], int] | None, within: int
-) -> list[int]:
+def select(sigma: str, sets: list[int], in_range: Callable[[int], int] | None, within: int) -> list[int]:
     """The selection stage of nav, prf (⊆-maximal), stg, semi (range-
     maximal), stb (range is `within`), id and eag (the greatest set of
     `sets` below the meet of the preferred, or semi-stable, ones).
@@ -347,7 +331,10 @@ def select(
     extension G. Every stable extension is admissible and contains G, so for
     stb the latter families do as well. S | G is admissible for every
     admissible S, so dropping the sets without G changes neither maximality
-    nor the greatest admissible set below a meet."""
+    nor the greatest admissible set below a meet. That set is the union of
+    those below the meet, taken by one OR: they all lie in one preferred (or
+    semi-stable) extension, so their union is conflict-free, hence
+    admissible and in `sets`."""
     if sigma in ("nav", "prf"):
         return maximal(sets)
     if sigma in ("stg", "semi"):
@@ -357,7 +344,11 @@ def select(
     bound = within
     for m in maximal(sets, None if sigma == "id" else in_range):
         bound &= m
-    return maximal([m for m in sets if m & ~bound == 0])
+    top = 0
+    for m in sets:
+        if not m & ~bound:
+            top |= m
+    return [top] if sets else []
 
 
 def _characteristic(f: Frame, m: int, within: int) -> int:
@@ -454,8 +445,9 @@ def _scc_recursive_masks(f: Frame, stage: bool, within: int) -> list[int]:
     single component takes the base semantics. Only earlier components attack
     s, so with the components attackers first, the choices made so far fix
     UP, no later choice conflicts with them, and as no sub-mask has zero
-    extensions, every partial set extends to an extension. Results are
-    memoised per sub-mask within the call."""
+    extensions, every partial set extends to an extension. A one-argument
+    component joins e unless it attacks itself or e attacks it, decided in
+    the product loop with no call; other results are memoised per sub-mask."""
     memo: dict[int, list[int]] = {}
 
     def ext(sub: int) -> list[int]:
@@ -472,7 +464,10 @@ def _scc_recursive_masks(f: Frame, stage: bool, within: int) -> list[int]:
             else:
                 out = [0]
                 for s in comps:
-                    out = [e | x for e in out for x in ext(s & ~f.attacked_by_mask(e))]
+                    if s & (s - 1):
+                        out = [e | x for e in out for x in ext(s & ~f.attacked_by_mask(e))]
+                    elif not f.succ[i := s.bit_length() - 1] & s:  # one argument, joining
+                        out = [e if f.pred[i] & e else e | s for e in out]  # unless e attacks it
         memo[sub] = out
         return out
 
@@ -481,28 +476,33 @@ def _scc_recursive_masks(f: Frame, stage: bool, within: int) -> list[int]:
 
 def extension_masks(f: Frame, sigma: str, within: int, cap: int) -> list[int]:
     """The sigma-extensions of the subframework of f on the arguments in the
-    mask `within`, as distinct masks in no particular order, except that the
-    `WALK_ORDER` semantics keep the walk's order within each size: cf and adm
-    come in `cf_masks` pre-order, and com and stb as root | m over it, which
-    keeps the order of the sets of one size. Attacks crossing the
-    boundary of `within` are ignored. A sweep over more than `cap`
-    non-self-attacking arguments is refused (see `check_limit`): grd sweeps
-    none, the complete family only those outside the grounded extension and
-    its range, and every other semantics all of `within`."""
-
-    def in_range(m: int) -> int:
-        return (m | f.attacked_by_mask(m)) & within
-
+    mask `within` (attacks crossing its boundary are ignored), as distinct
+    masks in no particular order, except that the `WALK_ORDER` semantics
+    keep the walk's order within each size: cf and adm come in `cf_masks`
+    pre-order, and com and stb as root | m over it. A sweep over more than
+    `cap` non-self-attacking arguments is refused (see `check_limit`): grd
+    sweeps none, the complete family those outside the grounded extension G
+    and its range, and the rest all of `within`. When all of the former
+    attack themselves, G is the only admissible set containing G, and the
+    family answers [G] with no sweep (stb [] unless nothing is left open)."""
     if sigma == "grd":
         return [_grounded(f, within)]
     if sigma in COMPLETE_FAMILY:
         root = _grounded(f, within)
         root_out = f.attacked_by_mask(root)
-        check_limit(f, within & ~(root | root_out), cap, " outside the grounded extension and its range")
+        rest = open_ = within & ~(root | root_out)
+        while rest:  # `bits` inlined, up to an open non-self-attacker
+            bit = rest & -rest
+            rest ^= bit
+            if not f.succ[bit.bit_length() - 1] & bit:
+                break
+        else:
+            return [root] if sigma != "stb" or not open_ else []
+        check_limit(f, open_, cap, " outside the grounded extension and its range")
         adm = _adm_masks(f, within, root, root_out)
         if sigma == "com":
             return [m for m in adm if _characteristic(f, m, within) == m]
-        return select(sigma, adm, in_range, within)
+        return select(sigma, adm, lambda m: (m | f.attacked_by_mask(m)) & within, within)
     check_limit(f, within, cap)
     if sigma == "cf":
         return [m for m, _, _ in cf_masks(f, within)]
@@ -510,7 +510,7 @@ def extension_masks(f: Frame, sigma: str, within: int, cap: int) -> list[int]:
         return naive_masks(f, within)
     if sigma == "stg":
         # a range-maximal conflict-free set is also ⊆-maximal
-        return select("stg", naive_masks(f, within), in_range, within)
+        return select("stg", naive_masks(f, within), lambda m: (m | f.attacked_by_mask(m)) & within, within)
     if sigma == "adm":
         return _adm_masks(f, within)
     if sigma == "sad":

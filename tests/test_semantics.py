@@ -341,19 +341,33 @@ class TestEngineStructure:
             )
         return calls
 
-    def test_one_sweep(self, monkeypatch, f_layers, three_cycle):
+    def test_one_sweep(self, monkeypatch, g_six_wide, three_cycle):
         calls = self._count_sweeps(monkeypatch)
-        # id/eag on several components sweep conflict-free sets; cf2/stg2 on
-        # a single component, where the base case covers the whole framework,
-        # enumerate its naive sets once
+        # id/eag on several components, where the grounded extension leaves
+        # non-self-attacking arguments open, sweep conflict-free sets; cf2/stg2
+        # on a single component, where the base case covers the whole
+        # framework, enumerate its naive sets once
         cases = [
-            (f_layers, "id", "cf_masks"), (f_layers, "eag", "cf_masks"),
+            (g_six_wide, "id", "cf_masks"), (g_six_wide, "eag", "cf_masks"),
             (three_cycle, "cf2", "naive_masks"), (three_cycle, "stg2", "naive_masks"),
         ]
         for f, sigma, sweep in cases:
             calls.clear()
             assert as_set(extensions(f, sigma)) == ORACLES[sigma](f)
             assert [name for name, _ in calls] == [sweep], sigma
+
+    def test_grounded_decided_frames_make_no_sweep(self, monkeypatch, f_layers):
+        # G decides every argument of f_layers, and leaves only the
+        # self-attackers c and d open on the second frame: either way G is
+        # the only admissible set containing G, so the complete family
+        # answers from it alone (stb with [] when anything is left open)
+        leftover = AF("abcd", [("a", "b"), ("b", "c"), ("c", "c"), ("d", "d")])
+        calls = self._count_sweeps(monkeypatch)
+        for f in (f_layers, leftover):
+            for sigma in semantics.COMPLETE_FAMILY:
+                assert as_set(extensions(f, sigma)) == ORACLES[sigma](f), sigma
+        assert calls == []
+        assert extensions(leftover, "stb") == () and extensions(f_layers, "stb") == (fs("a", "c", "d", "f"),)
 
     def test_cf2_stg2_sweep_single_components_once(self, monkeypatch):
         # five 3-cycles in a chain, each attacking the next: the naive sets
@@ -507,6 +521,42 @@ class TestEngineStructure:
         # the projections tie many keys; the wide key spans more than 64 bits
         key = {"mask": None, "projection": lambda m: m & 0b1011, "wide": lambda m: m | m << 66}[mode]
         assert sorted(semantics.maximal(masks, key)) == sorted(maximal_oracle(masks, key))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        masks=st.lists(st.integers(0, 63) | st.integers(0, (1 << 70) - 1), max_size=40),
+        mode=st.sampled_from(["mask", "projection", "wide"]),
+    )
+    def test_maximal_keeps_repeats_together(self, masks, mode):
+        # repeated masks, as class data with repeated entries gives
+        key = {"mask": None, "projection": lambda m: m & 0b1011, "wide": lambda m: m | m << 66}[mode]
+        masks = masks + masks[::2]
+        assert sorted(semantics.maximal(masks, key)) == sorted(maximal_oracle(masks, key))
+
+    @pytest.mark.parametrize("sigma", ["nav", "prf", "stg", "semi", "stb", "id", "eag"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_select_matches_oracle_on_admissible_supersets_of_grounded(self, sigma, data):
+        # the family the complete family hands to `select`: the admissible
+        # sets containing G, on random frameworks of 5 to 8 arguments
+        names = "abcdefgh"[: data.draw(st.integers(5, 8))]
+        slots = [(x, y) for x in names for y in names]
+        f = AF(names, data.draw(st.lists(st.sampled_from(slots), max_size=2 * len(names), unique=True)))
+        within = f.full_mask
+        sets = semantics._adm_masks(f, within, semantics._grounded(f, within))
+        in_range = lambda m: (m | f.attacked_by_mask(m)) & within
+        got = semantics.select(sigma, sets, in_range, within)
+        assert sorted(got) == sorted(select_oracle(sigma, sets, in_range, within))
+
+    @pytest.mark.parametrize("sigma", ["id", "eag"])
+    def test_id_eag_select_runs_one_maximality_stage(self, monkeypatch, sigma, g_six_wide):
+        # the greatest admissible set below the meet is the OR of those
+        # below it, with no second `maximal`
+        calls = []
+        stage = semantics.maximal
+        monkeypatch.setattr(semantics, "maximal", lambda *a: calls.append(a) or stage(*a))
+        assert as_set(extensions(g_six_wide, sigma)) == ORACLES[sigma](g_six_wide)
+        assert len(calls) == 1
 
     def test_maximal_of_zero_and_one_masks(self):
         # the early return hands back a new list, never its argument

@@ -232,6 +232,16 @@ class TestClassDataContract:
                     data = VerificationClassData(exact_class(sigma), shuffled)
                     assert verify(sigma, data, f.args) == extensions(f, sigma), (f, sigma)
 
+    @pytest.mark.parametrize("sigma", ["id", "eag"])
+    @settings(max_examples=40, deadline=None)
+    @given(f=seven_arg_afs())
+    def test_id_eag_verify_on_repeated_entries(self, sigma, f):
+        # the greatest admissible set below the meet is the OR of those
+        # below it, however often an entry repeats
+        entries = verification_class(f, exact_class(sigma)).entries
+        data = VerificationClassData(exact_class(sigma), entries + entries[1::2] + entries[::-3])
+        assert verify(sigma, data, f.args) == extensions(f, sigma)
+
     def test_verify_indexes_arguments_outside_the_data(self):
         # "a" is in no conflict-free set and "z" in no framework; both still
         # count against the stable range
