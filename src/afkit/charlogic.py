@@ -21,15 +21,11 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Optional
 
-from .core import AF, AFError, Record, check_arg_name
+from .core import AF, AFError, Record, check_arg_name, extension_key as theory_key
 
 MAX_ATOMS = 12
 
 Theory = frozenset[str]
-
-
-def theory_key(t: Theory):
-    return (len(t), tuple(sorted(t)))
 
 
 def _fmt_theory(t: Theory) -> str:

@@ -20,7 +20,7 @@ from .config import (
     SIGNATURE_SEMANTICS,
     VERIFIABLE_SEMANTICS,
 )
-from .core import AF, AFError
+from .core import AF, AFError, check_user_name
 from .semantics import (
     LABELLING_SEMANTICS,
     SEMANTICS,
@@ -124,17 +124,11 @@ def cmd_witness(ns):
     return EXIT_OK, text, {"witness": payload, "complete": result.complete}
 
 
-_SET_FLAGS = (
-    "nonempty", "contains_empty", "singleton", "incomparable",
-    "downward_closed", "tight", "dcl_tight", "conflict_sensitive",
-)
-
-
 def cmd_analyze_set(ns):
     from . import realizability
 
     a = realizability.analyze(formats.parse_extension_set(_read(ns.setfile)))
-    flags = {k: getattr(a, k) for k in _SET_FLAGS}
+    flags = {k: v for k, v in vars(a).items() if isinstance(v, bool)}
     text = _flag_lines(sorted(flags.items())) + "\nargs: " + formats.names_text(a.args)
     return EXIT_OK, text, dict(flags, args=sorted(a.args))
 
@@ -258,7 +252,7 @@ def cmd_rho_logic(ns):
 
     universe = sorted({t.strip() for t in ns.universe.split(",")} - {""})
     for name in universe:
-        formats.check_user_name(name)
+        check_user_name(name)
     rho = cl.rho_logic(universe, ns.semantics)
     rows = [(_af_inline(f), sorted(map(_af_inline, rho.rho_prime[f]))) for f in rho.afs]
     lines = [f"kernel: {rho.kernel_id}", f"frameworks: {len(rho.afs)}"]

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 ARG_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 # Names starting with "_" are reserved for machine-generated arguments
-# (witness search, canonical constructions); parsers reject them in user input.
+# (witness search, canonical constructions); `check_user_name` rejects them in user input.
 RESERVED_PREFIX = "_"
 
 
@@ -31,6 +31,19 @@ def check_arg_name(name: str) -> str:
     if not isinstance(name, str) or not ARG_NAME_RE.match(name):
         raise AFError(f"invalid argument name: {name!r}")
     return name
+
+
+def check_user_name(name: str) -> str:
+    """name, if user input may give it to an argument: a valid argument name
+    without the reserved prefix. Raises AFError otherwise."""
+    if check_arg_name(name).startswith(RESERVED_PREFIX):
+        raise AFError(f"argument names starting with {RESERVED_PREFIX!r} are reserved: {name!r}")
+    return name
+
+
+def extension_key(e: frozenset[str]):
+    """The order of sets of names, extensions and theories alike: by size, then by sorted members."""
+    return (len(e), tuple(sorted(e)))
 
 
 class Record:

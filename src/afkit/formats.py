@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Iterable
 
-from .core import AF, RESERVED_PREFIX, AFError, check_arg_name
+from .core import AF, AFError, check_user_name
 from .semantics import ExtensionSet, sort_extensions
 
 if TYPE_CHECKING:
@@ -26,14 +26,6 @@ class ParseError(ValueError):
 
 _APX_ARG = re.compile(r"arg\(\s*([A-Za-z0-9_]+)\s*\)\.\Z")
 _APX_ATT = re.compile(r"att\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\)\.\Z")
-
-
-def check_user_name(name: str) -> str:
-    """name, if user input may give it to an argument: a valid argument name
-    without the reserved prefix. Raises AFError otherwise."""
-    if check_arg_name(name).startswith(RESERVED_PREFIX):
-        raise AFError(f"argument names starting with {RESERVED_PREFIX!r} are reserved: {name!r}")
-    return name
 
 
 def _check_user_name(name: str, lineno: int, col: int) -> str:

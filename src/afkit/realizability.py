@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .config import CLASSIFIABLE_SEMANTICS, SIGNATURE_SEMANTICS, max_enum_args
-from .core import AF, RESERVED_PREFIX, AFError, Frame, Record, bits, check_arg_name, names_of
+from .core import AF, AFError, Frame, Record, bits, check_arg_name, check_user_name, names_of
 from .semantics import ExtensionSet, check_semantics, extension_masks, mask_key, maximal, naive_masks, sort_extensions
 
 VARIANTS = ("finite", "finite_compact", "finite_analytic")
@@ -212,17 +212,13 @@ def decide_signature(sets: Iterable[Iterable[str]], sigma: str, variant: str = "
 # -- canonical constructions ----------------------------------------------------
 
 
-def _check_helper_free(c: _Candidate) -> None:
-    # helper arguments carry the reserved prefix, so such a candidate argument could merge with one
+def _check_names(c: _Candidate, check: Callable[[str], str]) -> None:
+    """Check the candidate's arguments once, before any framework is built
+    from them. Constructions that add helper arguments pass `check_user_name`:
+    helpers carry the reserved prefix, so a candidate argument with it could
+    merge with one."""
     for a in c.names:
-        if a.startswith(RESERVED_PREFIX):
-            raise AFError(f"argument names starting with {RESERVED_PREFIX!r} are reserved: {a!r}")
-
-
-def _check_names(c: _Candidate) -> None:
-    """Check the candidate's arguments once, before any framework is built from them."""
-    for a in c.names:
-        check_arg_name(a)
+        check(a)
 
 
 def _cf_rows(c: _Candidate) -> list[int]:
@@ -236,7 +232,7 @@ def _cf_attacks(c: _Candidate, rows: list[int]) -> list[tuple[str, str]]:
 
 
 def _cf_af(c: _Candidate) -> AF:
-    _check_names(c)
+    _check_names(c, check_arg_name)
     return AF._from_checked(c.names, _cf_attacks(c, _cf_rows(c)))
 
 
@@ -246,8 +242,7 @@ def canonical_cf(sets: Iterable[Iterable[str]]) -> AF:
 
 
 def _stb_af(c: _Candidate) -> AF:
-    _check_helper_free(c)
-    _check_names(c)
+    _check_names(c, check_user_name)
     members = set(c.masks)
     # canonical_cf is symmetric and loop-free, so its stable extensions are
     # its naive sets
@@ -296,8 +291,7 @@ def defense_formula_cnf(sets: Iterable[Iterable[str]], a: str) -> frozenset[froz
 
 
 def _def_af(c: _Candidate) -> AF:
-    _check_helper_free(c)
-    _check_names(c)
+    _check_names(c, check_user_name)
     args, attacks = list(c.names), _cf_attacks(c, _cf_rows(c))
     for i, a in enumerate(c.names):
         for j, clause in enumerate(sorted(_cnf(c, i), key=mask_key)):
@@ -338,7 +332,7 @@ def realize(sets: Iterable[Iterable[str]], sigma: str) -> Optional[AF]:
     if sigma in ("stb", "stg"):
         return _stb_af(c)
     if sigma in ("grd", "id", "eag"):  # the one set, unattacked
-        _check_names(c)
+        _check_names(c, check_arg_name)
         return AF._from_checked(c.names)
     # adm, prf and semi: prf and semi realize the candidate plus the empty set
     # under adm, which adds no disjunct to any defense formula

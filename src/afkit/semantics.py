@@ -48,7 +48,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from . import config
-from .core import AF, AFError, Frame, Record, names_of, scc_masks
+from .core import AF, AFError, Frame, Record, extension_key, names_of, scc_masks
 
 SEMANTICS = ("cf", "nav", "adm", "com", "grd", "stb", "stg", "semi", "prf", "id", "eag", "sad", "cf2", "stg2")
 
@@ -79,10 +79,6 @@ def check_semantics(tag: str) -> str:
     if tag not in SEMANTICS:
         raise UnknownSemanticsError(f"unknown semantics: {tag!r}")
     return tag
-
-
-def extension_key(e: frozenset[str]):
-    return (len(e), tuple(sorted(e)))
 
 
 def sort_extensions(sets: Iterable[frozenset[str]]) -> ExtensionSet:
@@ -172,8 +168,6 @@ def cf_masks(f: Frame, within: int | None = None, guard: int = 0) -> list[tuple[
         if not succ[i] & bit:
             rows.append((bit, succ[i], pred[i]))
     out = [(0, 0, 0)]
-    if not rows:  # half the walks of the witness search
-        return out
     last = len(rows) - 1
 
     def walk(pos: int, current: int, attacked: int, attacking: int) -> None:

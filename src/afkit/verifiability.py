@@ -78,7 +78,6 @@ CLASS_ALIASES: dict[str, str] = {
     "cup": "∪",
     "delta": "Δ",
     "plus_pm": "+±",
-    "+±": "+±",
     "plus_mp": "+∓",
     "pm_mp": "±∓",
     "cap_cup": "∩∪",
@@ -285,11 +284,11 @@ def exact_class(sigma: str) -> str:
 # semi, id and eag, with ranges read off the `+` part.
 
 
-def _gamma_adm(entries, args):
+def _gamma_adm(entries):
     return [b for b, info in entries if not info[-1]]  # last component is the ∓ part
 
 
-def _gamma_sad(entries, args):
+def _gamma_sad(entries):
     """Chain criterion: a set is reachable when, step by step, the attackers new
     to the step lie inside the previous set's attacked-and-unattacking digest.
     A step from t to a conflict-free b splits into one-argument steps: t ->
@@ -314,14 +313,14 @@ def _gamma_sad(entries, args):
     return list(reachable)
 
 
-def _gamma_grd(entries, args):
+def _gamma_grd(entries):
     # the one set containing every strongly admissible set, if there is one
-    sad = _gamma_sad(entries, args)
+    sad = _gamma_sad(entries)
     top = reduce(or_, sad, 0)
     return [top] if top in sad else []
 
 
-def _gamma_com(entries, args):
+def _gamma_com(entries):
     """Admissible sets s such that no conflict-free proper superset o has all
     its outside attackers in the range of s. Checking o = s + a, for each a
     outside s, suffices: for a in o, no member of o attacks s + a, so the
@@ -366,10 +365,10 @@ def verify(sigma: str, data: VerificationClassData, args: Iterable[str]) -> Exte
     names = (*names, *extra)
     within = sum(1 << index[a] for a in args)
     if sigma in _GAMMA:
-        result = _GAMMA[sigma](entries, within)
+        result = _GAMMA[sigma](entries)
     else:
         parts = REPRESENTATIVES[needed]
-        pool = _gamma_adm(entries, within) if "∓" in parts else [b for b, _ in entries]
+        pool = _gamma_adm(entries) if "∓" in parts else [b for b, _ in entries]
         # ε has no parts and the ∓ class's only part is not a range
         in_range = {b: info[0] for b, info in entries}.get if "+" in parts else None
         result = select(sigma, pool, in_range, within)

@@ -2,6 +2,7 @@ import collections
 import itertools
 import random
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -762,6 +763,22 @@ class TestWitnessWork:
         r = search_counterexample(f, g, notion, "prf", SearchBudget(2, 4), flavor)
         assert (r.witness, r.complete, r.scanned, len(calls)) == (empty, True, 1, 2)
         assert built == ([] if notion == "D" else [r.witness])
+
+    def test_no_isolated_argument_loop_without_isolated_arguments(self, monkeypatch):
+        # f and g hold the same arguments, so no candidate adds an isolated
+        # one, and none opens a `combinations(…, 0)` loop over an empty pool
+        made = []
+        combinations = itertools.combinations
+
+        def counting(pool, k):
+            made.append(k)
+            return combinations(pool, k)
+
+        monkeypatch.setattr(kernels, "itertools", types.SimpleNamespace(chain=itertools.chain, combinations=counting))
+        f = AF("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+        r = search_counterexample(f, f, "E", "prf", SearchBudget(1, 2))
+        assert (r.witness, r.complete, r.scanned) == (None, True, 92)
+        assert made and 0 not in made
 
 
 class TestWitnessStructure:

@@ -184,3 +184,36 @@ def test_checked_construction_only_where_names_are_checked():
             if isinstance(node, ast.Attribute) and node.attr == "_from_checked":
                 callers.add(path.stem)
     assert callers == {"core", "charlogic", "realizability", "kernels"}
+
+
+def test_names_the_benchmark_calls_resolve():
+    # bench/ calls the library by name, so a missing name would fail only the
+    # benchmark: the `api.<name>` its workloads call on the package, the
+    # (module, attribute) targets its tracer wraps, and what it imports from
+    # tests/oracles.py
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in bench.glob("*.py")}
+    api = {
+        node.attr for node in ast.walk(trees["workloads"])
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "api"
+    }
+    assert len(api) == 21
+    assert [name for name in sorted(api) if not hasattr(afkit, name)] == []
+    targets = next(
+        ast.literal_eval(node.value) for node in trees["tracing"].body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    assert len(targets) == 30
+    for module, attr, _ in targets:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):  # "AF.__init__" is read on the class
+            assert hasattr(obj, part), (module, attr)
+            obj = getattr(obj, part)
+    import oracles
+
+    wanted = {
+        a.name for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "oracles" for a in node.names
+    }
+    assert wanted == {"ORACLES", "plus", "all_afs", "random_af"}
+    assert [name for name in sorted(wanted) if not hasattr(oracles, name)] == []

@@ -568,6 +568,18 @@ class TestReservedNames:
             with pytest.raises(AFError, match=f"reserved: '{name}'"):
                 build(sets)
 
+    @pytest.mark.parametrize("sets,sigma,name", [
+        ([{"_ x"}], "stb", "_ x"),  # invalid and reserved
+        ([set(), {"A b", "_x"}], "adm", "A b"),  # invalid, sorting before a reserved name
+    ])
+    def test_validity_checked_before_prefix(self, sets, sigma, name):
+        # one rule, `check_user_name`, per name in name order: a name is
+        # checked for validity before the reserved prefix
+        assert decide_signature(sets, sigma).answer == "yes"
+        for build in (canonical_stb, canonical_def, lambda s: realize(s, sigma)):
+            with pytest.raises(AFError, match=rf"^invalid argument name: '{name}'$"):
+                build(sets)
+
     def test_constructions_without_helpers_accept(self):
         sets = [{"_x", "a"}, {"b"}]
         assert canonical_cf(sets) == AF(["_x", "a", "b"], [("_x", "b"), ("a", "b"), ("b", "_x"), ("b", "a")])

@@ -567,6 +567,41 @@ class TestEngineStructure:
                 got.append(-1)
                 assert -1 not in masks
 
+    def test_maximal_of_at_most_one_mask_sorts_nothing(self, monkeypatch):
+        # the early return below two masks makes no `sorted` call
+        calls = []
+        monkeypatch.setattr(semantics, "sorted", lambda *a, **k: calls.append(1) or sorted(*a, **k), raising=False)
+        for key in (None, lambda m: m & 0b1011):
+            for masks in ([], [0b110]):
+                assert semantics.maximal(masks, key) == maximal_oracle(masks, key)
+        assert calls == []
+        semantics.maximal([0b01, 0b10])
+        assert calls == [1]  # the counting patch is live
+
+    @pytest.mark.parametrize("sigma", ["cf2", "stg2"])
+    def test_one_argument_components_decided_inline(self, sigma):
+        # a chain a -> b -> c -> d -> e into the 3-cycle t0 -> t1 -> t2 -> t0:
+        # the product loop decides the five one-argument components, so `ext`
+        # runs for the whole framework and for the part {t1, t2} of the cycle
+        # that {a, c, e} leaves, and nowhere else
+        f = AF(
+            ["a", "b", "c", "d", "e", "t0", "t1", "t2"],
+            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "t0"), ("t0", "t1"), ("t1", "t2"), ("t2", "t0")],
+        )
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "ext":
+                calls[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            got = extensions(f, sigma)
+        finally:
+            sys.setprofile(None)
+        assert got == (fs("a", "c", "e", "t1"),) and as_set(got) == ORACLES[sigma](f)
+        assert calls[0] == 2
+
     @pytest.mark.parametrize("sigma", ["nav", "prf", "stg", "semi", "stb", "id", "eag"])
     def test_select_of_zero_and_one_sets(self, sigma):
         # every family of at most one conflict-free set of a framework whose

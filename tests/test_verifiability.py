@@ -457,7 +457,7 @@ class TestVerify:
         # oracles scan every pair of entries
         for sigma, oracle in (("com", gamma_com_pairwise), ("sad", gamma_sad_scan)):
             entries = verification_class(f, exact_class(sigma))._masks
-            got = verifiability._GAMMA[sigma](entries, f.full_mask)
+            got = verifiability._GAMMA[sigma](entries)
             assert sorted(got) == sorted(oracle(entries, f.full_mask)), (sigma, f)
 
     def test_layered_counterexample_framework(self):
